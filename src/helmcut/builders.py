@@ -247,7 +247,7 @@ def lattice_link_complement(
         excluded.append(_dilate(_path_cubes(path)))
     for i in range(len(excluded)):
         for j in range(i + 1, len(excluded)):
-            if excluded[i] & excluded[j]:
+            if _dilate(excluded[i]) & excluded[j]:  # overlapping or face to face
                 raise BuildError(f"thickenings of components {i} and {j} collide")
     all_excluded = set().union(*excluded) if excluded else set()
     if not all_excluded:

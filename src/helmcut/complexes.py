@@ -7,6 +7,8 @@ pure: complexes are immutable after construction.
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -24,15 +26,39 @@ def _faces(simplex: Simplex) -> list[Simplex]:
     return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
 
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
+def derived(fn):
+    """Memoize fn(obj, *args) in obj._derived, so that the value lives
+    exactly as long as obj.  Equal objects do not share values.
+    cache_info() counts hits and misses over all objects."""
+    counts = [0, 0]
+
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        key = (fn, args)
+        if key in obj._derived:
+            counts[0] += 1
+        else:
+            counts[1] += 1
+            obj._derived[key] = fn(obj, *args)
+        return obj._derived[key]
+
+    wrapper.cache_info = lambda: _CacheInfo(*counts)
+    return wrapper
+
+
 class SimplicialComplex:
     """Immutable simplicial complex, closed under faces, dim <= 3."""
 
-    __slots__ = ("_simplices", "_hash")
+    __slots__ = ("_simplices", "_hash", "_derived")
 
     def __init__(self, simplices_by_dim: Sequence[Sequence[Simplex]]):
         # Trusted constructor: callers must pass face-closed, sorted data.
         self._simplices = tuple(tuple(s) for s in simplices_by_dim)
         self._hash = hash(self._simplices)
+        self._derived: dict = {}  # see derived()
 
     # -- construction ------------------------------------------------------
 
@@ -151,18 +177,17 @@ def is_pure_3(K: SimplicialComplex) -> bool:
     tets = K.simplices(3)
     if not tets:
         return False
-    covered: set[Simplex] = set()
-    for t in tets:
-        covered.add(t)
-        for f in _faces(t):
-            covered.add(f)
-            for e in _faces(f):
-                covered.add(e)
-                for v in _faces(e):
-                    covered.add(v)
-    return all(s in covered for s in K.all_simplices())
+    # K is face-closed, so every simplex is covered iff the faces of faces
+    # of the tetrahedra, layer by layer, number as many as the simplices.
+    layer = set(tets)
+    covered = len(layer)
+    for _ in range(3):
+        layer = {f for s in layer for f in _faces(s)}
+        covered += len(layer)
+    return covered == sum(len(K.simplices(d)) for d in range(4))
 
 
+@derived
 def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     """Subcomplex generated by triangles incident to exactly one tetrahedron."""
     if not is_pure_3(K):
@@ -174,7 +199,8 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     return build_complex([f for f, c in count.items() if c == 1])
 
 
-def connected_components(K: SimplicialComplex) -> list[SimplicialComplex]:
+@derived
+def connected_components(K: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
     """Partition by vertex-edge connectivity (sorted by smallest vertex)."""
     parent: dict[int, int] = {v: v for v in K.vertices}
 
@@ -194,7 +220,7 @@ def connected_components(K: SimplicialComplex) -> list[SimplicialComplex]:
             groups.setdefault(find(s[0]), []).append(s)
     comps = [build_complex(g) for g in groups.values()]
     comps.sort(key=lambda c: c.vertices[0])
-    return comps
+    return tuple(comps)
 
 
 # -- barycentric subdivision ----------------------------------------------
@@ -305,9 +331,10 @@ def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
 
     The component containing the smallest triangle gets that triangle with
     sign +1; other components likewise from their smallest triangle.
-    Requires every edge to bound exactly 2 triangles.
+    Orientation propagates only across edges of exactly 2 triangles, so a
+    surface may have boundary; callers that need a closed surface check it
+    first.
     """
-    _check_closed_surface(S)
     tris = S.simplices(2)
     at_edge: dict[Simplex, list[Simplex]] = {}
     for t in tris:
@@ -330,8 +357,10 @@ def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
         while stack:
             t = stack.pop()
             for e in _faces(t):
-                (ta, tb) = at_edge[e]
-                other = tb if t == ta else ta
+                pair = at_edge[e]
+                if len(pair) != 2:
+                    continue
+                other = pair[1] if t == pair[0] else pair[0]
                 # opposite induced orientations on the shared edge
                 want = -sign[t] * induced(t, e) * induced(other, e)
                 if other in sign:
@@ -343,6 +372,7 @@ def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
     return sign
 
 
+@derived
 def surface_info(S: SimplicialComplex) -> SurfaceInfo:
     """Per-component Euler characteristic, orientability and genus."""
     _check_closed_surface(S)

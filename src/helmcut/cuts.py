@@ -18,11 +18,13 @@ from .complexes import (
     MarkedComplex,
     Simplex,
     SimplicialComplex,
+    _faces,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
     build_complex,
     connected_components,
     last_vertex_map,
+    orient_surface,
     push_cycle,
 )
 from .exact_linalg import IntegerMatrix, smith_normal_form
@@ -72,10 +74,6 @@ def _as_marked(K) -> MarkedComplex:
 
 
 # -- validation ------------------------------------------------------------
-
-
-def _faces(simplex: Simplex) -> list[Simplex]:
-    return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
 
 
 def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
@@ -234,7 +232,7 @@ def cut_open(K, F: SurfaceSystem, depth: int = 2) -> CutResult:
     KC = M.complex
     if not F.names:
         # cutting along nothing is the identity
-        return CutResult(tuple(connected_components(KC)), {v: v for v in KC.vertices})
+        return CutResult(connected_components(KC), {v: v for v in KC.vertices})
     sigma = KC.subcomplex([t for tris in F.triangles for t in tris])
 
     level = KC
@@ -274,49 +272,10 @@ def cut_open(K, F: SurfaceSystem, depth: int = 2) -> CutResult:
         for m in reversed(maps):
             x = m[x]
         composed[v] = x
-    comps = tuple(connected_components(cut))
-    return CutResult(comps, composed)
+    return CutResult(connected_components(cut), composed)
 
 
 # -- relative classes ------------------------------------------------------
-
-
-def orient_surface_with_boundary(S: SimplicialComplex) -> dict[Simplex, int]:
-    """Consistent orientation signs for a connected surface with (possibly
-    empty) boundary; smallest triangle gets +1.  Raises if non-orientable."""
-    tris = S.simplices(2)
-    at_edge: dict[Simplex, list[Simplex]] = {}
-    for t in tris:
-        for e in _faces(t):
-            at_edge.setdefault(e, []).append(t)
-
-    def induced(t: Simplex, e: Simplex) -> int:
-        for i, f in enumerate(_faces(t)):
-            if f == e:
-                return (-1) ** i
-        raise AssertionError
-
-    sign: dict[Simplex, int] = {}
-    for t0 in tris:
-        if t0 in sign:
-            continue
-        sign[t0] = 1
-        stack = [t0]
-        while stack:
-            t = stack.pop()
-            for e in _faces(t):
-                pair = at_edge[e]
-                if len(pair) != 2:
-                    continue
-                other = pair[1] if t == pair[0] else pair[0]
-                want = -sign[t] * induced(t, e) * induced(other, e)
-                if other in sign:
-                    if sign[other] != want:
-                        raise ComplexError("surface is not orientable")
-                else:
-                    sign[other] = want
-                    stack.append(other)
-    return sign
 
 
 @dataclass(frozen=True)
@@ -341,8 +300,9 @@ def relative_surface_classes(K, F: SurfaceSystem) -> RelativeClassData:
     chains = []
     cols = []
     for S in surfaces:
-        ori = orient_surface_with_boundary(S)
-        chain = {t: s for t, s in ori.items()}
+        chain = orient_surface(S)
+        if chain is None:
+            raise ComplexError("surface is not orientable")
         chains.append(chain)
         cols.append(H.class_coords(chain, 2)[0])
     rows = H.betti(2)

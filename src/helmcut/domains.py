@@ -11,7 +11,6 @@ obstruction, and corank bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .complexes import (
@@ -19,8 +18,10 @@ from .complexes import (
     MarkedComplex,
     Simplex,
     SimplicialComplex,
+    _check_closed_surface,
     boundary_subcomplex,
     connected_components,
+    derived,
     euler_characteristic,
     orient_surface,
     surface_info,
@@ -52,9 +53,8 @@ def _check_domain(K: SimplicialComplex) -> SimplicialComplex:
     return K
 
 
-@lru_cache(maxsize=None)
 def boundary_components(K: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
-    return tuple(connected_components(boundary_subcomplex(K)))
+    return connected_components(boundary_subcomplex(K))
 
 
 # -- domain report ---------------------------------------------------------
@@ -98,10 +98,9 @@ def analyze_domain(K) -> DomainReport:
     groups = homology_groups(K)
     betti = tuple(g.rank for g in groups)
     chi = euler_characteristic(K)
-    bd = boundary_subcomplex(K)
-    info = surface_info(bd)
+    info = surface_info(boundary_subcomplex(K))
     genus_list = info.genus_list
-    b1_bd = homology_of(bd).betti(1)
+    b1_bd = sum(homology_of(S).betti(1) for S in boundary_components(K))
     torsion_free = all(not g.torsion for g in groups)
     h1 = len(genus_list)
     checks = (
@@ -162,12 +161,18 @@ def is_simple(K) -> SimplicityReport:
 # -- intersection form on a closed oriented surface ------------------------
 
 
-def _vertex_fans(S: SimplicialComplex, orientation: Mapping[Simplex, int]) -> dict[int, dict[Simplex, int]]:
-    """For each vertex: edge -> position in the positively-ordered fan.
+@derived
+def _vertex_fans(S: SimplicialComplex) -> dict[int, dict[Simplex, int]]:
+    """For each vertex of a closed oriented surface: edge -> position in
+    the positively-ordered fan.
 
     Walking the fan from an edge through the positively-oriented triangle
     between them yields the next edge counterclockwise.
     """
+    _check_closed_surface(S)
+    orientation = orient_surface(S)
+    if orientation is None:
+        raise ComplexError("surface is not orientable")
     succ: dict[int, dict[Simplex, Simplex]] = {v: {} for v in S.vertices}
     for t in S.simplices(2):
         v0, v1, v2 = t
@@ -193,8 +198,6 @@ def intersection_pairing(
     S: SimplicialComplex,
     z: Mapping[Simplex, int],
     w: Mapping[Simplex, int],
-    orientation: Mapping[Simplex, int] | None = None,
-    fans: Mapping[int, Mapping[Simplex, int]] | None = None,
 ) -> int:
     """Algebraic intersection number of two 1-cycles on a closed oriented
     surface.
@@ -204,14 +207,8 @@ def intersection_pairing(
     reduces to counting, for each strand of w through the vertex, the fan
     edges carried by z inside the sector swept by the strand.
     """
-    if orientation is None:
-        orientation = orient_surface(S)
-        if orientation is None:
-            raise ComplexError("surface is not orientable")
-    if fans is None:
-        fans = _vertex_fans(S, orientation)
     total = 0
-    for v, order in fans.items():
+    for v, order in _vertex_fans(S).items():
         z_out: list[tuple[int, int]] = []  # (fan position, z-flow away from v)
         w_in: list[tuple[int, int]] = []   # (fan position, w-flow into v)
         for e, pos in order.items():
@@ -242,23 +239,19 @@ class SurfaceFormData:
     matrix: IntegerMatrix                  # pairing matrix on that basis
 
 
-@lru_cache(maxsize=None)
+@derived
 def intersection_form(S: SimplicialComplex) -> SurfaceFormData:
     """Pairing matrix of the intersection form on H1 of a closed oriented
     connected surface, on the homology basis fixed by homology_of.
 
     Consistency requirements (skew-symmetry, unimodularity) are enforced.
     """
-    orientation = orient_surface(S)
-    if orientation is None:
-        raise ComplexError("surface is not orientable")
-    fans = _vertex_fans(S, orientation)
     gens = homology_of(S).free_generators(1)
     n = len(gens)
     M = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            M[i][j] = intersection_pairing(S, gens[i], gens[j], orientation, fans)
+            M[i][j] = intersection_pairing(S, gens[i], gens[j])
     mat = IntegerMatrix(n, n, M)
     for i in range(n):
         for j in range(n):
@@ -302,11 +295,14 @@ class BoundaryKernelData:
         return len(self.kernel_coords)
 
 
-@lru_cache(maxsize=None)
 def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
     """Integer kernel of i_*: H1(boundary) -> H1(domain), with per-component
     projections P_j.  The rank must equal the total boundary genus."""
-    K = _check_domain(_as_complex(K))
+    return _boundary_kernel(_check_domain(_as_complex(K)))
+
+
+@derived
+def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
     comps = boundary_components(K)
     genus_list = []
     gens: list[Chain] = []

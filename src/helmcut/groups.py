@@ -9,9 +9,9 @@ nilpotent quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
+from .complexes import derived
 from .homology import HomologyGroup
 from .exact_linalg import IntegerMatrix, smith_normal_form
 from .links import DiagramError, LinkDiagram
@@ -264,7 +264,20 @@ def _meridian_series(D: LinkDiagram, q: int, depth_bound: int | None = None):
     )
 
 
-@lru_cache(maxsize=None)
+@derived
+def _longitudes(D: LinkDiagram, q: int) -> tuple[MagnusSeries, ...]:
+    """Magnus expansion at truncation q of every component's longitude,
+    with arc generators rewritten as meridian series."""
+    _, series = _meridian_series(D, q)
+    out = []
+    for j in range(D.component_count):
+        s = MagnusSeries.one(q)
+        for g, e in longitude_word(D, j):
+            s = s * (series[g] ** e)
+        out.append(s)
+    return tuple(out)
+
+
 def milnor_mu(D: LinkDiagram, I: tuple[int, ...], q: int) -> int:
     """Milnor mu(l_1,...,l_p): the coefficient of z_{l_1}...z_{l_p-1} in the
     Magnus expansion of the longitude of component l_p, with arc generators
@@ -283,13 +296,7 @@ def milnor_mu(D: LinkDiagram, I: tuple[int, ...], q: int) -> int:
     for l in I:
         if not 1 <= l <= n:
             raise DiagramError(f"component index {l} out of range 1..{n}")
-    _, series = _meridian_series(D, q)
-    lp = I[-1]
-    word = longitude_word(D, lp - 1)
-    s = MagnusSeries.one(q)
-    for g, e in word:
-        s = s * (series[g] ** e)
-    return s.coefficient(tuple(I[:-1]))
+    return _longitudes(D, q)[I[-1] - 1].coefficient(I[:-1])
 
 
 def _proper_subsequences(I: tuple[int, ...]):

@@ -9,10 +9,9 @@ reused by every caller, so induced-map matrices are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .complexes import ComplexError, Simplex, SimplicialComplex, boundary_operator
+from .complexes import ComplexError, Simplex, SimplicialComplex, boundary_operator, derived
 from .exact_linalg import IntegerMatrix, SmithDecomposition, smith_normal_form
 from .reduction import Chain, ChainComplexData, ReducedComplex, add_scaled, reduce_complex
 
@@ -40,7 +39,7 @@ class HomologyGroup:
 
 
 def _matvec(M: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    return [sum(a * b for a, b in zip(row, x) if a and b) for row in M]
+    return [_dot(row, x) for row in M]
 
 
 class _DimData:
@@ -238,7 +237,7 @@ class ComplexHomology:
 # -- factories -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@derived
 def homology_of(K: SimplicialComplex) -> ComplexHomology:
     cells = [list(K.simplices(d)) for d in range(4)]
     boundary: dict = {}
@@ -247,7 +246,7 @@ def homology_of(K: SimplicialComplex) -> ComplexHomology:
     return ComplexHomology(cells, boundary)
 
 
-@lru_cache(maxsize=None)
+@derived
 def homology_of_pair(K: SimplicialComplex, A: SimplicialComplex) -> ComplexHomology:
     if not K.contains(A):
         raise ComplexError("A is not a subcomplex of K")

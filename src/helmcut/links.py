@@ -14,7 +14,7 @@ Conventions (fixed so signs are reproducible):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 
@@ -31,6 +31,7 @@ class LinkDiagram:
     unknot_arcs: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]  # arcs of each component in trace order
     signs: tuple[int, ...]  # per crossing
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def component_count(self) -> int:

@@ -101,6 +101,37 @@ def test_link_complement_rejects_touching_components():
         lattice_link_complement([a, b])
 
 
+def _rectangle(x0, x1, y, z0, z1):
+    """Closed lattice path around the rectangle [x0,x1] x {y} x [z0,z1]."""
+    pts = (
+        [(x, y, z0) for x in range(x0, x1)]
+        + [(x1, y, z) for z in range(z0, z1)]
+        + [(x, y, z1) for x in range(x1, x0, -1)]
+        + [(x0, y, z) for z in range(z1, z0, -1)]
+    )
+    return LatticePath(tuple(pts), closed=True)
+
+
+def _square(n):
+    """Closed lattice path around the square [0,n] x [0,n] x {0}."""
+    pts = (
+        [(x, 0, 0) for x in range(n)]
+        + [(n, y, 0) for y in range(n)]
+        + [(x, n, 0) for x in range(n, 0, -1)]
+        + [(0, y, 0) for y in range(n, 0, -1)]
+    )
+    return LatticePath(tuple(pts), closed=True)
+
+
+def test_link_complement_rejects_face_to_face_tubes():
+    # the padded tubes do not overlap but touch along a layer of cube faces
+    with pytest.raises(BuildError, match="thickenings of components 0 and 1 collide"):
+        lattice_link_complement([_square(8), _rectangle(4, 13, 4, -5, 5)])
+    # the hopf.path layout keeps a free layer of cubes between the tubes
+    M = lattice_link_complement([_square(10), _rectangle(5, 15, 5, -5, 5)])
+    assert set(M.marks) == {"outer", "tube_0", "tube_1"}
+
+
 def test_surface_shell_structure():
     M = surface_shell(2)
     assert euler_characteristic(M.complex) == 2 - 2 * 2  # chi(surface x interval)

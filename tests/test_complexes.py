@@ -67,6 +67,10 @@ def test_boundary_subcomplex_of_tetrahedron_is_sphere():
     assert info.component_count == 1
     assert info.genus_list == (0,)
     assert is_pure_3(K)
+    # a simplex of lower dimension that is no face of a tetrahedron
+    for extra in [(3, 4), (2, 3, 4), (5,)]:
+        assert not is_pure_3(build_complex([(0, 1, 2, 3), extra]))
+    assert not is_pure_3(build_complex([(0, 1, 2)]))
 
 
 def test_connected_components():

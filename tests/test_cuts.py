@@ -3,14 +3,13 @@ import time
 import pytest
 
 from helmcut.builders import cubes_to_complex, preset, square_face_triangles
-from helmcut.complexes import MarkedComplex, build_complex, mapping_torus
+from helmcut.complexes import MarkedComplex, build_complex, mapping_torus, orient_surface
 from helmcut.cuts import (
     SurfaceSystem,
     SurfaceSystemError,
     classify_cut_system,
     cut_open,
     find_minimal_weak_subsets,
-    orient_surface_with_boundary,
     relative_surface_classes,
     surface_system_from_marks,
     validate_surface_system,
@@ -200,7 +199,7 @@ def test_relative_classes_orientation_and_empty():
     assert empty.rank == 0
     # orientation signs are +-1 and consistent
     S = M.complex.subcomplex(F.triangles[0])
-    ori = orient_surface_with_boundary(S)
+    ori = orient_surface(S)
     assert set(ori.values()) <= {1, -1}
     assert len(ori) == len(S.simplices(2))
 

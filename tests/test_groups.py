@@ -1,5 +1,6 @@
 import pytest
 
+import helmcut.groups
 from helmcut.groups import (
     GroupPresentation,
     MagnusSeries,
@@ -10,7 +11,14 @@ from helmcut.groups import (
     milnor_mubar,
     wirtinger,
 )
-from helmcut.links import DiagramError, diagram, linking_matrix, mirror_diagram, parse_pd
+from helmcut.links import (
+    DiagramError,
+    diagram,
+    link_helmholtz_verdict,
+    linking_matrix,
+    mirror_diagram,
+    parse_pd,
+)
 
 
 def test_wirtinger_shapes():
@@ -110,6 +118,19 @@ def test_whitehead_mubar_anchor():
         for I in [(1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1), (2, 1, 1, 2)]
     }
     assert len(vals) == 1
+
+
+def test_milnor_search_builds_the_presentation_once(monkeypatch):
+    calls = []
+
+    def counting_wirtinger(D):
+        calls.append(D)
+        return wirtinger(D)
+
+    monkeypatch.setattr(helmcut.groups, "wirtinger", counting_wirtinger)
+    verdict = link_helmholtz_verdict(diagram("whitehead"))
+    assert verdict.certificates[0]["type"] == "milnor_mubar"
+    assert len(calls) == 1
 
 
 def test_split_unlink_all_mu_vanish():

@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +52,18 @@ def test_generators_are_cycles():
     # the two torus generators have independent classes
     coords = [H.class_coords(g, 1)[0] for g in H.generators(1)]
     assert sorted(coords) == [(0, 1), (1, 0)]
+
+
+def test_homology_lives_as_long_as_its_complex():
+    K = build_complex(TORUS7)
+    misses = homology_of.cache_info().misses
+    H = homology_of(K)
+    assert homology_of(K) is H
+    assert homology_of.cache_info().misses == misses + 1
+    ref = weakref.ref(H)
+    del H, K
+    gc.collect()
+    assert ref() is None
 
 
 def test_class_coords_rejects_non_cycle():
