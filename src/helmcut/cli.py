@@ -100,7 +100,7 @@ def _cmd_analyze(args):
 def _cmd_cut(args):
     M = _load_complex(args)
     F = _system(M, args)
-    result = cut_open(M, F, depth=args.depth)
+    result = cut_open(M, F)
     return {
         "component_count": result.component_count,
         "component_betti": [list(betti_numbers(c)) for c in result.components],
@@ -110,7 +110,7 @@ def _cmd_cut(args):
 def _cmd_classify_cuts(args):
     M = _load_complex(args)
     F = _system(M, args)
-    verdict = classify_cut_system(M, F, depth=args.depth)
+    verdict = classify_cut_system(M, F)
     out = verdict.to_json()
     if args.subset_search:
         out["minimal_weak_subsets"] = [
@@ -177,13 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cut", help="cut a domain along its marked surfaces")
     complex_opts(p)
     p.add_argument("--system", help="comma list of marked surface names (default: all)")
-    p.add_argument("--depth", type=int, default=2, help="barycentric subdivision depth")
     p.set_defaults(func=_cmd_cut)
 
     p = sub.add_parser("classify-cuts", help="Helmholtz / weak classification of a surface system")
     complex_opts(p)
     p.add_argument("--system", help="comma list of marked surface names (default: all)")
-    p.add_argument("--depth", type=int, default=2, help="barycentric subdivision depth")
     p.add_argument("--subset-search", action="store_true", help="search subsets for minimal weak systems")
     p.set_defaults(func=_cmd_classify_cuts)
 

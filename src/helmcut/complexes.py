@@ -7,6 +7,7 @@ pure: complexes are immutable after construction.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from collections import namedtuple
 from dataclasses import dataclass
@@ -108,7 +109,10 @@ class SimplicialComplex:
         k = len(s) - 1
         if not 0 <= k <= 3:
             return False
-        return s in set(self._simplices[k])
+        # every layer is sorted (see __init__)
+        layer = self._simplices[k]
+        i = bisect.bisect_left(layer, s)
+        return i < len(layer) and layer[i] == s
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self._simplices == other._simplices
@@ -125,17 +129,13 @@ class SimplicialComplex:
     def subcomplex(self, generators: Iterable[Sequence[int]]) -> "SimplicialComplex":
         """Face closure of the given simplices; all must belong to self."""
         sub = SimplicialComplex.from_simplices(generators)
-        mine = [set(d) for d in self._simplices]
-        for dim in range(4):
-            for s in sub.simplices(dim):
-                if s not in mine[dim]:
-                    raise ComplexError(f"simplex {s} not in ambient complex")
+        for s in sub.all_simplices():
+            if not self.has_simplex(s):
+                raise ComplexError(f"simplex {s} not in ambient complex")
         return sub
 
     def contains(self, other: "SimplicialComplex") -> bool:
-        return all(
-            set(other.simplices(d)) <= set(self.simplices(d)) for d in range(4)
-        )
+        return all(self.has_simplex(s) for s in other.all_simplices())
 
 
 def build_complex(simplex_list: Iterable[Sequence[int]]) -> SimplicialComplex:
@@ -214,11 +214,12 @@ def connected_components(K: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    groups: dict[int, list[Simplex]] = {}
+    groups: dict[int, list[list[Simplex]]] = {}
     for dim in range(4):
         for s in K.simplices(dim):
-            groups.setdefault(find(s[0]), []).append(s)
-    comps = [build_complex(g) for g in groups.values()]
+            groups.setdefault(find(s[0]), [[], [], [], []])[dim].append(s)
+    # each group keeps K's sorted order and is closed under faces
+    comps = [SimplicialComplex(g) for g in groups.values()]
     comps.sort(key=lambda c: c.vertices[0])
     return tuple(comps)
 
@@ -246,8 +247,13 @@ def barycentric_subdivide_with_map(
                 for ch in chains_at[f]:
                     chains.append(ch + own)
         chains_at[s] = chains
-    new_simplices = [ch for chains in chains_at.values() for ch in chains]
-    return build_complex(new_simplices), {i: s for s, i in vid.items()}
+    # A chain lists its labels in increasing order (faces come first) and
+    # every face of a chain is a chain, so the layers need no face closure.
+    by_dim: list[list[Simplex]] = [[], [], [], []]
+    for chains in chains_at.values():
+        for ch in chains:
+            by_dim[len(ch) - 1].append(ch)
+    return SimplicialComplex([sorted(d) for d in by_dim]), {i: s for s, i in vid.items()}
 
 
 def _proper_faces(simplex: Simplex) -> list[Simplex]:

@@ -2,16 +2,20 @@
 
 A surface system in a domain complex K is a finite family of disjoint,
 connected, two-sided, properly embedded surfaces.  Cutting K along the
-system is realized combinatorially: remove the open star of the (once
-subdivided) surfaces from the second barycentric subdivision of K.  The
-result deformation-retracts onto the complement of the surfaces, so its
-components carry the right homology.
+system is realized combinatorially in the first barycentric subdivision
+K' of K: keep the full subcomplex of K' spanned by the barycenters of the
+simplices of K that do not lie in the surfaces.  The surfaces form a
+subcomplex of K, which is full in K', and the complement of a full
+subcomplex deformation-retracts onto the full subcomplex on the other
+vertices (Rourke-Sanderson, Introduction to PL topology, ch. 3).  So the
+pieces are homotopy equivalent to the components of K minus the surfaces,
+which fixes their homology; they need not be 3-manifolds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .complexes import (
     ComplexError,
@@ -21,7 +25,6 @@ from .complexes import (
     _faces,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
-    build_complex,
     connected_components,
     last_vertex_map,
     orient_surface,
@@ -135,13 +138,13 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
                 raise SurfaceSystemError(
                     "boundary-leak", f"triangle {t} of {name} is not interior to the domain"
                 )
-        _check_two_sided(KC, S, name, tri_tets)
+        _check_two_sided(S, name, tri_tets)
         surfaces.append(S)
     return surfaces
 
 
 def _check_two_sided(
-    K: SimplicialComplex, S: SimplicialComplex, name: str, tri_tets: Mapping[Simplex, list[Simplex]]
+    S: SimplicialComplex, name: str, tri_tets: Mapping[Simplex, list[Simplex]]
 ) -> None:
     """Two-sidedness: a consistent transverse orientation must propagate
     across the interior edges of S.  A side of a triangle is one of its two
@@ -173,11 +176,7 @@ def _check_two_sided(
             continue
         t1, t2 = tris_here
         # walk the fan of K around e starting at t1 into each of its sides
-        k_tris_at_e = [
-            t for t in K.simplices(2) if set(e) <= set(t)
-        ]
-        tet_by_tri: dict[Simplex, list[Simplex]] = {t: list(tri_tets[t]) for t in k_tris_at_e}
-        for start_tet in tet_by_tri[t1]:
+        for start_tet in tri_tets[t1]:
             tri, tet = t1, start_tet
             while True:
                 # next triangle of the fan: the other face of tet containing e
@@ -189,7 +188,7 @@ def _check_two_sided(
                 tri = nxt[0]
                 if tri in s_tris:
                     break
-                tets = tet_by_tri[tri]
+                tets = tri_tets[tri]
                 others = [x for x in tets if x != tet]
                 if len(others) != 1:
                     raise ComplexError(f"edge {e} has a non-circular fan")
@@ -215,64 +214,35 @@ class CutResult:
         return len(self.components)
 
 
-def cut_open(K, F: SurfaceSystem, depth: int = 2) -> CutResult:
+def cut_open(K, F: SurfaceSystem) -> CutResult:
     """Cut a domain complex along a validated surface system.
 
-    The cut complex is the full subcomplex of the depth-th barycentric
-    subdivision of K spanned by the vertices whose carrier is not contained
-    in the (depth-1 times subdivided) surfaces: the complement of the open
-    star, a regular-neighborhood complement.  The returned vertex map (a
-    composition of last-vertex simplicial approximations of the identity)
-    carries cut cycles back into K.
+    The cut complex is the full subcomplex of the first barycentric
+    subdivision K' of K spanned by the barycenters of the simplices that do
+    not lie in the surfaces.  Its components are homotopy equivalent to the
+    components of K minus the surfaces (see the module docstring), but need
+    not be 3-manifolds.  The returned vertex map, the last-vertex
+    simplicial approximation of the identity K' -> K, carries cut cycles
+    back into K.
     """
-    if depth < 2:
-        raise ComplexError("cut depth must be at least 2")
-    validate_surface_system(K, F)
-    M = _as_marked(K)
-    KC = M.complex
-    if not F.names:
-        # cutting along nothing is the identity
-        return CutResult(connected_components(KC), {v: v for v in KC.vertices})
-    sigma = KC.subcomplex([t for tris in F.triangles for t in tris])
+    surfaces = validate_surface_system(K, F)
+    return _cut(_as_marked(K).complex, surfaces)
 
-    level = KC
-    sigma_simplices = (
-        set(s for d in range(3) for s in sigma.simplices(d)) if sigma else set()
+
+def _cut(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> CutResult:
+    if not surfaces:
+        # cutting along nothing is the identity
+        comps = connected_components(KC)
+        return CutResult((KC,) if len(comps) == 1 else comps, {v: v for v in KC.vertices})
+    in_surfaces = {s for S in surfaces for s in S.all_simplices()}
+    sub, v2s = barycentric_subdivide_with_map(KC)
+    survivors = {v for v, s in v2s.items() if s not in in_surfaces}
+    # a full subcomplex keeps the sorted order of sub and is closed under faces
+    cut = SimplicialComplex(
+        [[s for s in sub.simplices(d) if all(v in survivors for v in s)] for d in range(4)]
     )
-    maps = []
-    sigma_vertices: set[int] = set()
-    for d in range(depth):
-        level, v2s = barycentric_subdivide_with_map(level)
-        maps.append(last_vertex_map(v2s))
-        if d == 0:
-            sigma_vertices = {v for v, s in v2s.items() if s in sigma_simplices}
-        else:
-            sigma_vertices = {
-                v for v, s in v2s.items() if all(u in sigma_vertices for u in s)
-            }
-        if d == depth - 2:
-            final_sigma = set(sigma_vertices)
-    # survivors: carrier not contained in the subdivided surface
-    last_v2s = {v: s for v, s in v2s.items()}
-    survivors = {
-        v
-        for v, s in last_v2s.items()
-        if not all(u in final_sigma for u in s)
-    }
-    kept = [
-        s
-        for dim in range(4)
-        for s in level.simplices(dim)
-        if all(v in survivors for v in s)
-    ]
-    cut = build_complex(kept)
-    composed: dict[int, int] = {}
-    for v in cut.vertices:
-        x = v
-        for m in reversed(maps):
-            x = m[x]
-        composed[v] = x
-    return CutResult(connected_components(cut), composed)
+    vertex_map = last_vertex_map({v: v2s[v] for v in cut.vertices})
+    return CutResult(connected_components(cut), vertex_map)
 
 
 # -- relative classes ------------------------------------------------------
@@ -294,7 +264,12 @@ def relative_surface_classes(K, F: SurfaceSystem) -> RelativeClassData:
     orientation flips the sign of its column but never the rank.
     """
     surfaces = validate_surface_system(K, F)
-    KC = _as_marked(K).complex
+    return _relative_classes(_as_marked(K).complex, surfaces)
+
+
+def _relative_classes(
+    KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]
+) -> RelativeClassData:
     bd = boundary_subcomplex(KC)
     H = homology_of_pair(KC, bd)
     chains = []
@@ -346,7 +321,7 @@ class CutVerdict:
         }
 
 
-def classify_cut_system(K, F: SurfaceSystem, depth: int = 2) -> CutVerdict:
+def classify_cut_system(K, F: SurfaceSystem) -> CutVerdict:
     """Classify a surface system:
 
     - Helmholtz cut-system: every cut component has b1 = 0.
@@ -356,8 +331,9 @@ def classify_cut_system(K, F: SurfaceSystem, depth: int = 2) -> CutVerdict:
     - minimal weak: weak with exactly b1(K) surfaces and connected cut.
     """
     KC = _as_marked(K).complex
-    rel = relative_surface_classes(K, F)
-    cut = cut_open(K, F, depth=depth)
+    surfaces = validate_surface_system(K, F)
+    rel = _relative_classes(KC, surfaces)
+    cut = _cut(KC, surfaces)
     betti = []
     beta4_vanishes = True
     for comp in cut.components:

@@ -41,6 +41,14 @@ def test_classify_cuts_flagship(capsys):
     assert data["is_weak_cut_system"] is True
 
 
+def test_cut_handlebody2(capsys):
+    code, out, _ = run_capture(capsys, "cut", "--preset", "handlebody2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["component_count"] == 1
+    assert data["component_betti"] == [[1, 0, 0, 0]]
+
+
 def test_milnor_whitehead(capsys):
     code, out, _ = run_capture(
         capsys, "milnor", "--pd", "whitehead.pd", "--indices", "1,1,2,2", "--q", "5"

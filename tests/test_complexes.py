@@ -43,6 +43,22 @@ def test_face_closure_and_counts():
     assert K.has_simplex((2, 0))  # order-insensitive
 
 
+def test_has_simplex_and_subcomplex_membership():
+    K = build_complex([(0, 1, 2, 3), (3, 4, 5), (5, 6)])
+    for s in K.all_simplices():
+        assert K.has_simplex(s) and K.has_simplex(tuple(reversed(s)))
+    assert K.has_simplex((3, 1, 0, 2)) and K.has_simplex((5, 3, 4))
+    for s in [(7,), (0, 4), (1, 2, 4), (2, 4, 6), (0, 1, 2, 4), (6, 7), (-1,)]:
+        assert not K.has_simplex(s)
+    assert not K.has_simplex(()) and not K.has_simplex((0, 1, 2, 3, 4))
+    assert K.subcomplex([(3, 5, 4), (6, 5)]).simplices(2) == ((3, 4, 5),)
+    assert K.contains(K.subcomplex([(2, 0, 1), (3, 4)]))
+    assert not K.contains(build_complex([(0, 4)]))
+    for foreign in ([(0, 4)], [(3, 4, 5), (1, 2, 5)], [(7,)]):
+        with pytest.raises(ComplexError, match="not in ambient complex"):
+            K.subcomplex(foreign)
+
+
 def test_degenerate_simplex_rejected():
     with pytest.raises(ComplexError):
         build_complex([(0, 0, 1)])

@@ -3,7 +3,14 @@ import time
 import pytest
 
 from helmcut.builders import cubes_to_complex, preset, square_face_triangles
-from helmcut.complexes import MarkedComplex, build_complex, mapping_torus, orient_surface
+from helmcut.complexes import (
+    MarkedComplex,
+    barycentric_subdivide_with_map,
+    build_complex,
+    euler_characteristic,
+    mapping_torus,
+    orient_surface,
+)
 from helmcut.cuts import (
     SurfaceSystem,
     SurfaceSystemError,
@@ -204,17 +211,47 @@ def test_relative_classes_orientation_and_empty():
     assert len(ori) == len(S.simplices(2))
 
 
-def test_subdivision_depth_invariance():
+def test_cut_invariant_under_subdivision():
+    # cutting K along F and K' along the triangles of K' carried by F agree
     M = two_cube_ball_with_disk()
     F = surface_system_from_marks(M)
-    r2 = cut_open(M, F, depth=2)
-    r3 = cut_open(M, F, depth=3)
-    assert r2.component_count == r3.component_count == 2
-    assert sorted(betti_numbers(c) for c in r2.components) == sorted(
-        betti_numbers(c) for c in r3.components
+    sub, v2s = barycentric_subdivide_with_map(M.complex)
+    disk = set(M.complex.subcomplex(F.triangles[0]).all_simplices())
+    carried = tuple(t for t in sub.simplices(2) if all(v2s[v] in disk for v in t))
+    r = cut_open(M, F)
+    r1 = cut_open(sub, SurfaceSystem(F.names, (carried,)))
+    assert r.component_count == r1.component_count == 2
+    assert sorted(betti_numbers(c) for c in r.components) == sorted(
+        betti_numbers(c) for c in r1.components
     )
-    with pytest.raises(Exception):
-        cut_open(M, F, depth=1)
+
+
+def test_cut_pieces_come_from_one_subdivision():
+    for M in (
+        two_cube_ball_with_disk(),
+        preset("solid_torus_with_meridian_disk"),
+        preset("handlebody2"),
+        preset("trefoil_mapping_torus"),
+    ):
+        r = cut_open(M, surface_system_from_marks(M))
+        tets = sum(len(c.simplices(3)) for c in r.components)
+        assert 0 < tets <= 24 * len(M.complex.simplices(3))
+
+
+def test_cut_along_nothing_keeps_a_connected_domain():
+    M = preset("solid_torus")
+    r = cut_open(M, SurfaceSystem((), ()))
+    assert len(r.components) == 1 and r.components[0] is M.complex
+
+
+def test_two_sided_layer_of_a_thick_plate():
+    # the z=1 layer of a 10 x 10 x 2 box is a properly embedded disk
+    n = 10
+    K = cubes_to_complex([(i, j, k) for i in range(n) for j in range(n) for k in range(2)])
+    layer = tuple(t for i in range(n) for j in range(n) for t in square_face_triangles((i, j, 0), 2))
+    (S,) = validate_surface_system(K, SurfaceSystem(("layer",), (layer,)))
+    assert len(S.simplices(2)) == 2 * n * n
+    assert euler_characteristic(S) == 1 and orient_surface(S) is not None
 
 
 def test_subset_search_finds_minimal_weak_systems():
