@@ -8,7 +8,6 @@ from .complexes import (
     SimplicialComplex,
     SurfaceInfo,
     barycentric_subdivide,
-    boundary_matrix,
     boundary_subcomplex,
     build_complex,
     connected_components,

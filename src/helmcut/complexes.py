@@ -13,8 +13,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .exact_linalg import IntegerMatrix
-
 Simplex = tuple[int, ...]
 
 
@@ -147,29 +145,20 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** d * len(K.simplices(d)) for d in range(4))
 
 
-def boundary_matrix(K: SimplicialComplex, n: int) -> IntegerMatrix:
-    """Matrix of the boundary operator d_n in the canonical sorted bases.
-
-    Rows are indexed by (n-1)-simplices, columns by n-simplices; the entry
-    for face f of simplex s is (-1)**i where f omits the i-th vertex of s.
-    """
-    if not 1 <= n <= 3:
-        raise ComplexError(f"boundary dimension out of range: {n}")
-    rows = K.simplices(n - 1)
-    cols = K.simplices(n)
-    index = {s: i for i, s in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
-    for j, s in enumerate(cols):
+def chain_boundary(chain: Mapping[Simplex, int]) -> dict[Simplex, int]:
+    """Boundary of a sparse chain, from its own simplices' faces: face f of
+    simplex s gets (-1)**i where f omits the i-th vertex of s.  Vertices
+    have no boundary; zero coefficients are dropped."""
+    out: dict[Simplex, int] = {}
+    for s, coeff in chain.items():
+        if not coeff or len(s) < 2:
+            continue
         for i, f in enumerate(_faces(s)):
-            entries[index[f]][j] += (-1) ** i
-    return IntegerMatrix(len(rows), len(cols), entries)
-
-
-def boundary_operator(K: SimplicialComplex, n: int) -> dict[Simplex, dict[Simplex, int]]:
-    """Sparse boundary: n-simplex -> {face: coefficient}."""
-    out: dict[Simplex, dict[Simplex, int]] = {}
-    for s in K.simplices(n):
-        out[s] = {f: (-1) ** i for i, f in enumerate(_faces(s))}
+            new = out.get(f, 0) + (coeff if i % 2 == 0 else -coeff)
+            if new:
+                out[f] = new
+            else:
+                del out[f]
     return out
 
 
@@ -410,10 +399,8 @@ def _product_simplices(
     S: SimplicialComplex, steps: int, label: Callable[[int, int], int]
 ) -> list[Simplex]:
     out: list[Simplex] = []
-    dim = S.dimension
-    tops = S.simplices(dim) if dim >= 0 else ()
-    # include lower-dim maximal simplices too: take all simplices of top two
-    # dims; face closure removes duplicates.
+    # prisms over every simplex, so lower-dim maximal simplices are covered
+    # too; face closure removes duplicates.
     gens: list[Simplex] = []
     for d in range(4):
         gens.extend(S.simplices(d))

@@ -32,10 +32,6 @@ class IntegerMatrix:
     def identity(n: int) -> "IntegerMatrix":
         return IntegerMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntegerMatrix":
-        return IntegerMatrix(rows, cols, [[0] * cols for _ in range(rows)])
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):

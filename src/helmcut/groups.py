@@ -9,7 +9,7 @@ nilpotent quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .complexes import derived
 from .homology import HomologyGroup
@@ -161,11 +161,7 @@ class MagnusSeries:
         """Expansion of m_i^exp: (1 + z_i)^exp, with the geometric series
         for negative exponents."""
         if exp >= 0:
-            from math import comb
-
             return MagnusSeries(q, {(i,) * k: comb(exp, k) for k in range(min(exp, q - 1) + 1)})
-        from math import comb
-
         n = -exp
         # (1+z)^-n = sum_k (-1)^k C(n+k-1, k) z^k
         return MagnusSeries(
@@ -232,7 +228,7 @@ def magnus_expand(word: Word, variable_of: dict[int, int], q: int) -> MagnusSeri
 # -- Milnor invariants -----------------------------------------------------
 
 
-def _meridian_series(D: LinkDiagram, q: int, depth_bound: int | None = None):
+def _meridian_series(D: LinkDiagram, q: int):
     """Express every arc generator as a Magnus series in the component
     meridian variables z_1..z_n (components numbered from 1), by iterated
     substitution of the Wirtinger relations truncated at degree q."""
@@ -247,7 +243,7 @@ def _meridian_series(D: LinkDiagram, q: int, depth_bound: int | None = None):
     for rel in P.relations:
         if rel.out not in P.meridians and rel.out not in defining:
             defining[rel.out] = rel
-    bound = depth_bound if depth_bound is not None else 2 * q + 4
+    bound = 2 * q + 4
     for _ in range(bound):
         changed = False
         for g in sorted(defining):

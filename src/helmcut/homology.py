@@ -9,9 +9,16 @@ reused by every caller, so induced-map matrices are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
-from .complexes import ComplexError, Simplex, SimplicialComplex, boundary_operator, derived
+from .complexes import (
+    ComplexError,
+    Simplex,
+    SimplicialComplex,
+    _faces,
+    chain_boundary,
+    derived,
+)
 from .exact_linalg import IntegerMatrix, SmithDecomposition, smith_normal_form
 from .reduction import Chain, ChainComplexData, ReducedComplex, add_scaled, reduce_complex
 
@@ -45,8 +52,7 @@ def _matvec(M: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
 class _DimData:
     """Homology bookkeeping for one dimension of a reduced complex."""
 
-    def __init__(self, cells_prev: list, cells: list, cells_next: list,
-                 boundary_of, n: int):
+    def __init__(self, cells_prev: list, cells: list, cells_next: list, boundary_of):
         self.cells = cells
         self.index = {c: i for i, c in enumerate(cells)}
         prev_index = {c: i for i, c in enumerate(cells_prev)}
@@ -109,44 +115,45 @@ def _dot(row: Sequence[int], x: Sequence[int]) -> int:
 
 
 class ComplexHomology:
-    """Reduced complex plus per-dimension homology data and transports.
+    """Homology of K relative to the simplices in `dropped` (a subcomplex).
 
-    Cells are renumbered to consecutive integers internally; all public
-    chains are keyed by the original cells.
+    The cells are the simplices of K not in `dropped`, numbered by
+    consecutive integers in the order of K's sorted layers; all public
+    chains are keyed by the simplices.  The integer boundary is written
+    straight from the simplices' faces and handed to the reduction, which
+    consumes it: only the reduced complex is kept.
     """
 
-    def __init__(self, cells_by_dim: list[list], boundary: Mapping):
-        id_of: dict = {}
+    def __init__(self, K: SimplicialComplex, dropped: Container[Simplex]):
+        self.id_of: dict = {}
         self.cell_of: list = []
         int_cells: list[list[int]] = []
-        for cells in cells_by_dim:
+        bd: dict[int, dict[int, int]] = {}
+        for d in range(4):
             row = []
-            for c in cells:
-                id_of[c] = len(self.cell_of)
-                row.append(len(self.cell_of))
-                self.cell_of.append(c)
+            for s in K.simplices(d):
+                if s in dropped:
+                    continue
+                i = len(self.cell_of)
+                self.id_of[s] = i
+                self.cell_of.append(s)
+                row.append(i)
+                faces: dict[int, int] = {}
+                if d:
+                    for k, f in enumerate(_faces(s)):
+                        j = self.id_of.get(f)
+                        if j is not None:
+                            faces[j] = -1 if k % 2 else 1
+                bd[i] = faces
             int_cells.append(row)
-        self.id_of = id_of
-        bd_int: dict[int, dict[int, int]] = {}
-        for cell, faces in boundary.items():
-            ci = id_of.get(cell)
-            if ci is None:
-                continue
-            bd_int[ci] = {
-                id_of[f]: coeff for f, coeff in faces.items() if f in id_of
-            }
-        self._bd = bd_int  # immutable snapshot; the reduction mutates its own copy
-        data = ChainComplexData(int_cells, bd_int)
-        self.reduced: ReducedComplex = reduce_complex(data)
+        self.reduced: ReducedComplex = reduce_complex(ChainComplexData(int_cells, bd))
         cbd = self.reduced.cells_by_dim
         while len(cbd) < 5:
             cbd = cbd + [[]]
         self.dims: list[_DimData] = []
         for n in range(4):
             prev = cbd[n - 1] if n > 0 else []
-            self.dims.append(
-                _DimData(prev, cbd[n], cbd[n + 1], self.reduced.boundary, n)
-            )
+            self.dims.append(_DimData(prev, cbd[n], cbd[n + 1], self.reduced.boundary))
 
     # -- public queries ----------------------------------------------------
 
@@ -174,12 +181,13 @@ class ComplexHomology:
     def _to_cells(self, chain: Chain) -> Chain:
         return {self.cell_of[i]: v for i, v in chain.items()}
 
-    def _require_cycle(self, ids: Chain) -> None:
-        acc: Chain = {}
-        for c, v in ids.items():
-            add_scaled(acc, self._bd.get(c, {}), v)
-        if acc:
+    def _cycle_ids(self, chain: Mapping) -> Chain:
+        """The chain renumbered, once checked to be a (relative) cycle: its
+        boundary in K may only have faces outside the cells."""
+        ids = self._to_ids(chain)
+        if any(f in self.id_of for f in chain_boundary(chain)):
             raise NotACycleError("chain has nonzero boundary")
+        return ids
 
     def generators(self, n: int) -> list[Chain]:
         """Generator cycles in the original complex (torsion first, then free)."""
@@ -199,8 +207,7 @@ class ComplexHomology:
     def class_coords(self, chain: Mapping, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(free coordinates, torsion residues) of a cycle's homology class."""
         d = self.dims[n]
-        ids = self._to_ids(chain)
-        self._require_cycle(ids)
+        ids = self._cycle_ids(chain)
         y = d.homology_coords(self.reduced.project(ids, n))
         free = tuple(y[d.r2:])
         torsion = tuple(y[i] % d.d[i] for i in range(d.r2) if d.d[i] > 1)
@@ -209,8 +216,7 @@ class ComplexHomology:
     def solve_boundary(self, chain: Mapping, n: int):
         """Return a (n+1)-chain w with dw = chain, or None if the class is nonzero."""
         d = self.dims[n]
-        ids = self._to_ids(chain)
-        self._require_cycle(ids)
+        ids = self._cycle_ids(chain)
         proj, hchain = self.reduced.project_with_homotopy(ids, n)
         y = d.homology_coords(proj)
         for i in range(d.r2):
@@ -239,25 +245,14 @@ class ComplexHomology:
 
 @derived
 def homology_of(K: SimplicialComplex) -> ComplexHomology:
-    cells = [list(K.simplices(d)) for d in range(4)]
-    boundary: dict = {}
-    for n in range(1, 4):
-        boundary.update(boundary_operator(K, n))
-    return ComplexHomology(cells, boundary)
+    return ComplexHomology(K, frozenset())
 
 
 @derived
 def homology_of_pair(K: SimplicialComplex, A: SimplicialComplex) -> ComplexHomology:
     if not K.contains(A):
         raise ComplexError("A is not a subcomplex of K")
-    dropped = {s for d in range(4) for s in A.simplices(d)}
-    cells = [[s for s in K.simplices(d) if s not in dropped] for d in range(4)]
-    boundary: dict = {}
-    for n in range(1, 4):
-        for cell, faces in boundary_operator(K, n).items():
-            if cell not in dropped:
-                boundary[cell] = {f: c for f, c in faces.items() if f not in dropped}
-    return ComplexHomology(cells, boundary)
+    return ComplexHomology(K, set(A.all_simplices()))
 
 
 # -- spec-level operations -------------------------------------------------
@@ -311,7 +306,8 @@ def is_boundary_witness(K: SimplicialComplex, z: Mapping[Simplex, int]) -> Bound
     for c in z:
         if len(c) != 2 or not K.has_simplex(c):
             raise ComplexError(f"not an edge of the complex: {c}")
-    _check_cycle(K, z)
+    if chain_boundary(z):
+        raise NotACycleError("1-chain has nonzero boundary")
     w = H.solve_boundary(z, 1)
     if w is None:
         return BoundaryWitness(False, None, H.class_coords(z, 1))
@@ -319,21 +315,8 @@ def is_boundary_witness(K: SimplicialComplex, z: Mapping[Simplex, int]) -> Bound
     return BoundaryWitness(True, w, None)
 
 
-def _check_cycle(K: SimplicialComplex, z: Mapping) -> None:
-    vert: dict = {}
-    for (a, b), coeff in z.items():
-        vert[a] = vert.get(a, 0) - coeff
-        vert[b] = vert.get(b, 0) + coeff
-    if any(vert.values()):
-        raise NotACycleError("1-chain has nonzero boundary")
-
-
 def _verify_boundary(K: SimplicialComplex, w: Chain, z: Mapping) -> None:
-    out: Chain = {}
-    bd2 = boundary_operator(K, 2)
-    for tri, coeff in w.items():
-        add_scaled(out, {f: c * coeff for f, c in bd2[tri].items()}, 1)
-    if out != dict(z):
+    if any(len(t) != 3 or not K.has_simplex(t) for t in w) or chain_boundary(w) != z:
         raise InternalConsistencyError("boundary witness verification failed")
 
 

@@ -34,23 +34,23 @@ def add_scaled(target: Chain, source: Mapping, factor: int) -> None:
 
 
 class ChainComplexData:
-    """Mutable based chain complex with sparse boundary and coboundary."""
+    """Mutable based chain complex with sparse boundary and coboundary.
 
-    def __init__(self, cells_by_dim: list[list[Cell]], boundary: Mapping[Cell, Mapping[Cell, int]]):
-        self.cells_by_dim = [list(c) for c in cells_by_dim]
+    The given boundary becomes the working `bd` that the reduction mutates,
+    so the caller must not use it afterwards.  It must map every cell to its
+    boundary chain, with no zero coefficients and only cells as faces; this
+    is not checked.
+    """
+
+    def __init__(self, cells_by_dim: list[list[Cell]], boundary: dict[Cell, Chain]):
+        self.cells_by_dim = cells_by_dim
         self.dim: dict[Cell, int] = {}
-        for d, cells in enumerate(self.cells_by_dim):
+        for d, cells in enumerate(cells_by_dim):
             for c in cells:
                 self.dim[c] = d
-        self.bd: dict[Cell, Chain] = {c: {} for c in self.dim}
+        self.bd = boundary
         self.cb: dict[Cell, Chain] = {c: {} for c in self.dim}
-        for cell, faces in boundary.items():
-            row = self.bd[cell]
-            for face, coeff in faces.items():
-                if coeff and face in self.dim:
-                    row[face] = row.get(face, 0) + coeff
-            for face in [f for f, v in row.items() if v == 0]:
-                del row[face]
+        for cell, row in boundary.items():
             for face, coeff in row.items():
                 self.cb[face][cell] = coeff
 
@@ -90,72 +90,54 @@ class ReducedComplex:
 
     def project(self, chain: Mapping[Cell, int], dim: int) -> Chain:
         """Push a chain of the original complex into the residual complex."""
-        out = {c: v for c, v in chain.items() if v}
-        for rule in self.rules:
-            if dim == rule.p:
-                ca = out.get(rule.a, 0)
-                if ca:
-                    add_scaled(out, rule.bd_b, -rule.lam * ca)
-            elif dim == rule.p + 1:
-                out.pop(rule.b, None)
-        return out
+        return self._forward(chain, dim, {})
 
     def include(self, chain: Mapping[Cell, int], dim: int) -> Chain:
         """Lift a residual chain back to the original complex."""
-        out = {c: v for c, v in chain.items() if v}
-        for rule in reversed(self.rules):
-            if dim == rule.p + 1:
-                s = 0
-                for e, coeff in rule.cb_a.items():
-                    v = out.get(e, 0)
-                    if v:
-                        s += v * coeff
-                if s:
-                    new = out.get(rule.b, 0) - rule.lam * s
-                    if new:
-                        out[rule.b] = new
-                    else:
-                        out.pop(rule.b, None)
-        return out
+        return self._backward(chain, dim, {})
 
     def project_with_homotopy(self, chain: Mapping[Cell, int], dim: int) -> tuple[Chain, Chain]:
         """(projection, H(chain)) where id - include.project = d H + H d."""
+        terms: dict[int, int] = {}
+        proj = self._forward(chain, dim, terms)
+        return proj, self._backward({}, dim + 1, terms)
+
+    def _forward(self, chain: Mapping[Cell, int], dim: int, terms: dict[int, int]) -> Chain:
+        """Apply the rules in order, recording in terms the homotopy term of
+        each rule that acts: rule index -> coefficient of that rule's b."""
         out = {c: v for c, v in chain.items() if v}
-        collected: list[tuple[int, Cell, int]] = []  # (rule index, b, coeff)
         for i, rule in enumerate(self.rules):
             if dim == rule.p:
                 ca = out.get(rule.a, 0)
                 if ca:
-                    collected.append((i, rule.b, rule.lam * ca))
+                    terms[i] = rule.lam * ca
                     add_scaled(out, rule.bd_b, -rule.lam * ca)
             elif dim == rule.p + 1:
                 out.pop(rule.b, None)
-        # assemble H(chain) = sum_i include_{<i}( h_i( project_{<i} chain ) )
-        acc: Chain = {}
-        pos = len(collected) - 1
+        return out
+
+    def _backward(self, chain: Mapping[Cell, int], dim: int, terms: Mapping[int, int]) -> Chain:
+        """Undo the rules in reverse order, adding terms[i] to rule i's b
+        after its step has read the chain, which assembles
+        H(chain) = sum_i include_{<i}(h_i(project_{<i}(chain)))."""
+        out = {c: v for c, v in chain.items() if v}
         for i in range(len(self.rules) - 1, -1, -1):
             rule = self.rules[i]
-            if dim + 1 == rule.p + 1:
-                s = 0
-                for e, coeff in rule.cb_a.items():
-                    v = acc.get(e, 0)
-                    if v:
-                        s += v * coeff
-                if s:
-                    new = acc.get(rule.b, 0) - rule.lam * s
-                    if new:
-                        acc[rule.b] = new
-                    else:
-                        acc.pop(rule.b, None)
-            if pos >= 0 and collected[pos][0] == i:
-                _, b, coeff = collected[pos]
-                new = acc.get(b, 0) + coeff
+            if dim != rule.p + 1:
+                continue
+            s = 0
+            for e, coeff in rule.cb_a.items():
+                v = out.get(e, 0)
+                if v:
+                    s += v * coeff
+            delta = terms.get(i, 0) - rule.lam * s
+            if delta:
+                new = out.get(rule.b, 0) + delta
                 if new:
-                    acc[b] = new
+                    out[rule.b] = new
                 else:
-                    acc.pop(b, None)
-                pos -= 1
-        return out, acc
+                    out.pop(rule.b, None)
+        return out
 
 
 def reduce_complex(data: ChainComplexData) -> ReducedComplex:

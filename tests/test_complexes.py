@@ -7,9 +7,9 @@ from helmcut.complexes import (
     MarkedComplex,
     barycentric_subdivide,
     barycentric_subdivide_with_map,
-    boundary_operator,
     boundary_subcomplex,
     build_complex,
+    chain_boundary,
     connected_components,
     euler_characteristic,
     is_pure_3,
@@ -66,14 +66,15 @@ def test_degenerate_simplex_rejected():
 
 def test_boundary_squares_to_zero():
     K = build_complex([(0, 1, 2, 3), (1, 2, 3, 4)])
-    bd3 = boundary_operator(K, 3)
-    bd2 = boundary_operator(K, 2)
-    for tet, faces in bd3.items():
-        acc = {}
-        for tri, c in faces.items():
-            for e, c2 in bd2[tri].items():
-                acc[e] = acc.get(e, 0) + c * c2
-        assert all(v == 0 for v in acc.values())
+    assert chain_boundary({(0, 1, 2, 3): 1}) == {
+        (1, 2, 3): 1, (0, 2, 3): -1, (0, 1, 3): 1, (0, 1, 2): -1
+    }
+    # the shared triangle cancels; vertices and zero coefficients add nothing
+    assert (1, 2, 3) not in chain_boundary({(0, 1, 2, 3): 1, (1, 2, 3, 4): 1})
+    assert chain_boundary({(0,): 5, (0, 1): 0}) == {}
+    for d in (1, 2, 3):
+        for s in K.simplices(d):
+            assert chain_boundary(chain_boundary({s: 3})) == {}
 
 
 def test_boundary_subcomplex_of_tetrahedron_is_sphere():

@@ -5,8 +5,15 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helmcut.complexes import build_complex, boundary_operator, boundary_subcomplex
+from helmcut.complexes import (
+    boundary_subcomplex,
+    build_complex,
+    chain_boundary,
+    euler_characteristic,
+)
 from helmcut.homology import (
+    ComplexHomology,
+    InternalConsistencyError,
     NotACycleError,
     betti_numbers,
     homology_groups,
@@ -42,13 +49,8 @@ def test_solid_ball_betti():
 def test_generators_are_cycles():
     K = build_complex(TORUS7)
     H = homology_of(K)
-    bd = boundary_operator(K, 1)
     for gen in H.generators(1):
-        acc = {}
-        for e, c in gen.items():
-            for v, s in bd[e].items():
-                acc[v] = acc.get(v, 0) + c * s
-        assert all(x == 0 for x in acc.values())
+        assert chain_boundary(gen) == {}
     # the two torus generators have independent classes
     coords = [H.class_coords(g, 1)[0] for g in H.generators(1)]
     assert sorted(coords) == [(0, 1), (1, 0)]
@@ -86,6 +88,17 @@ def test_boundary_witness_round_trip():
     assert any(w2.obstruction[0])
 
 
+def test_boundary_witness_is_verified(monkeypatch):
+    K = build_complex(SPHERE)
+    z = {(0, 1): 1, (1, 2): 1, (0, 2): -1}
+    # a 2-chain of K with the wrong boundary, then one with the right
+    # boundary but a triangle outside K
+    for wrong in ({(0, 1, 2): 2}, {(0, 1, 2): 1, (7, 8, 9): 1}):
+        monkeypatch.setattr(ComplexHomology, "solve_boundary", lambda self, c, n: wrong)
+        with pytest.raises(InternalConsistencyError):
+            is_boundary_witness(K, z)
+
+
 def test_relative_homology_disk_boundary():
     disk = build_complex([(0, 1, 2)])
     circle = build_complex([(0, 1), (1, 2), (0, 2)])
@@ -94,6 +107,16 @@ def test_relative_homology_disk_boundary():
     pair = homology_of_pair(disk, circle)
     coords = pair.class_coords({(0, 1, 2): 1}, 2)
     assert coords[0] in ((1,), (-1,))
+    # a square of two triangles relative to its boundary circle: one
+    # triangle alone has the diagonal (0, 2) in its boundary, outside A
+    square = build_complex([(0, 1, 2), (0, 2, 3)])
+    rim = build_complex([(0, 1), (1, 2), (2, 3), (0, 3)])
+    pair = homology_of_pair(square, rim)
+    with pytest.raises(NotACycleError):
+        pair.class_coords({(0, 1, 2): 1}, 2)
+    with pytest.raises(NotACycleError):
+        pair.solve_boundary({(0, 1, 2): 1}, 2)
+    assert pair.class_coords({(0, 1, 2): 1, (0, 2, 3): 1}, 2)[0] in ((1,), (-1,))
 
 
 def test_induced_map_torus_into_solid_torus():
@@ -134,3 +157,15 @@ def test_subdivision_invariance_of_homology(K):
     from helmcut.complexes import barycentric_subdivide
 
     assert groups_str(K) == groups_str(barycentric_subdivide(K))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relative_euler_characteristic(data):
+    K = data.draw(_random_2_complexes())
+    simplices = K.all_simplices()
+    A = K.subcomplex(data.draw(st.lists(st.sampled_from(simplices), max_size=6)))
+    groups = relative_homology(K, A)
+    assert sum((-1) ** d * g.rank for d, g in enumerate(groups)) == (
+        euler_characteristic(K) - euler_characteristic(A)
+    )
