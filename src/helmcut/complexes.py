@@ -309,18 +309,27 @@ class SurfaceInfo:
         return tuple(c.genus for c in self.components)
 
 
+def _edge_triangles(S: SimplicialComplex) -> dict[Simplex, list[tuple[Simplex, int]]]:
+    """Edge -> [(triangle, coefficient of the edge in the boundary of the
+    triangle), ...] for every edge of S, in one pass over the triangles."""
+    table: dict[Simplex, list[tuple[Simplex, int]]] = {e: [] for e in S.simplices(1)}
+    for t in S.simplices(2):
+        a, b, c = t
+        table[(b, c)].append((t, 1))
+        table[(a, c)].append((t, -1))
+        table[(a, b)].append((t, 1))
+    return table
+
+
 def _check_closed_surface(S: SimplicialComplex) -> None:
     if S.simplices(3):
         raise ComplexError("not a surface: contains tetrahedra")
-    count: dict[Simplex, int] = {e: 0 for e in S.simplices(1)}
-    for t in S.simplices(2):
-        for e in _faces(t):
-            count[e] += 1
-    bad = [e for e, c in count.items() if c != 2]
-    if bad:
-        raise ComplexError(f"not a closed surface: edge {bad[0]} has {count[bad[0]]} triangles")
+    for e, tris in _edge_triangles(S).items():
+        if len(tris) != 2:
+            raise ComplexError(f"not a closed surface: edge {e} has {len(tris)} triangles")
 
 
+@derived
 def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
     """Consistent triangle orientations (sign per sorted triangle), or None.
 
@@ -328,23 +337,12 @@ def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
     sign +1; other components likewise from their smallest triangle.
     Orientation propagates only across edges of exactly 2 triangles, so a
     surface may have boundary; callers that need a closed surface check it
-    first.
+    first.  The result is memoized on S and shared by every caller, so it
+    must not be mutated.
     """
-    tris = S.simplices(2)
-    at_edge: dict[Simplex, list[Simplex]] = {}
-    for t in tris:
-        for e in _faces(t):
-            at_edge.setdefault(e, []).append(t)
+    at_edge = _edge_triangles(S)
     sign: dict[Simplex, int] = {}
-
-    def induced(t: Simplex, e: Simplex) -> int:
-        # coefficient of edge e in the boundary of t (canonical orientation)
-        for i, f in enumerate(_faces(t)):
-            if f == e:
-                return (-1) ** i
-        raise AssertionError
-
-    for t0 in tris:
+    for t0 in S.simplices(2):
         if t0 in sign:
             continue
         sign[t0] = 1
@@ -355,9 +353,10 @@ def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
                 pair = at_edge[e]
                 if len(pair) != 2:
                     continue
-                other = pair[1] if t == pair[0] else pair[0]
+                (t1, c1), (t2, c2) = pair
+                other = t2 if t == t1 else t1
                 # opposite induced orientations on the shared edge
-                want = -sign[t] * induced(t, e) * induced(other, e)
+                want = -sign[t] * c1 * c2
                 if other in sign:
                     if sign[other] != want:
                         return None
@@ -374,8 +373,7 @@ def surface_info(S: SimplicialComplex) -> SurfaceInfo:
     infos = []
     for comp in connected_components(S):
         chi = euler_characteristic(comp)
-        orientation = orient_surface(comp)
-        orientable = orientation is not None
+        orientable = orient_surface(comp) is not None
         genus: int | None = None
         if orientable:
             if chi % 2:

@@ -22,6 +22,7 @@ from .complexes import (
     MarkedComplex,
     Simplex,
     SimplicialComplex,
+    _edge_triangles,
     _faces,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
@@ -115,16 +116,14 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
                     )
                 seen[s] = name
         # manifold condition and boundary behaviour
-        edge_count: dict[Simplex, int] = {e: 0 for e in S.simplices(1)}
-        for t in S.simplices(2):
-            for e in _faces(t):
-                edge_count[e] += 1
-        for e, c in edge_count.items():
-            if c > 2:
+        edge_tris = _edge_triangles(S)
+        for e, tris_here in edge_tris.items():
+            if len(tris_here) > 2:
                 raise SurfaceSystemError(
-                    "non-surface", f"edge {e} of {name} has {c} triangles"
+                    "non-surface", f"edge {e} of {name} has {len(tris_here)} triangles"
                 )
-        for e, c in edge_count.items():
+        for e, tris_here in edge_tris.items():
+            c = len(tris_here)
             if c == 1 and e not in bd_edges:
                 raise SurfaceSystemError(
                     "boundary-leak", f"boundary edge {e} of {name} is not on the domain boundary"
@@ -138,16 +137,19 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
                 raise SurfaceSystemError(
                     "boundary-leak", f"triangle {t} of {name} is not interior to the domain"
                 )
-        _check_two_sided(S, name, tri_tets)
+        _check_two_sided(edge_tris, name, tri_tets)
         surfaces.append(S)
     return surfaces
 
 
 def _check_two_sided(
-    S: SimplicialComplex, name: str, tri_tets: Mapping[Simplex, list[Simplex]]
+    edge_tris: Mapping[Simplex, list[tuple[Simplex, int]]],
+    name: str,
+    tri_tets: Mapping[Simplex, list[Simplex]],
 ) -> None:
     """Two-sidedness: a consistent transverse orientation must propagate
-    across the interior edges of S.  A side of a triangle is one of its two
+    across the interior edges of the surface S given by its edge table
+    (complexes._edge_triangles).  A side of a triangle is one of its two
     incident tetrahedra; walking the tetrahedron fan around a shared edge
     links a side of one triangle to a side of the other."""
     # union-find over (triangle, side) pairs
@@ -165,16 +167,12 @@ def _check_two_sided(
         if rx != ry:
             parent[rx] = ry
 
-    s_tris = set(S.simplices(2))
-    edge_tris: dict[Simplex, list[Simplex]] = {}
-    for t in s_tris:
-        for e in _faces(t):
-            edge_tris.setdefault(e, []).append(t)
+    s_tris = {t for tris_here in edge_tris.values() for t, _ in tris_here}
     # fan structures around each interior edge of S
     for e, tris_here in edge_tris.items():
         if len(tris_here) != 2:
             continue
-        t1, t2 = tris_here
+        t1 = tris_here[0][0]
         # walk the fan of K around e starting at t1 into each of its sides
         for start_tet in tri_tets[t1]:
             tri, tet = t1, start_tet

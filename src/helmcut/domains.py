@@ -20,6 +20,7 @@ from .complexes import (
     SimplicialComplex,
     _check_closed_surface,
     boundary_subcomplex,
+    chain_boundary,
     connected_components,
     derived,
     euler_characteristic,
@@ -30,6 +31,7 @@ from .exact_linalg import IntegerMatrix, smith_normal_form
 from .homology import (
     Chain,
     InternalConsistencyError,
+    NotACycleError,
     homology_groups,
     homology_of,
 )
@@ -205,32 +207,39 @@ def intersection_pairing(
     The second cycle is pushed off itself to the left and its transversal
     crossings with the first are counted with signs; per vertex this
     reduces to counting, for each strand of w through the vertex, the fan
-    edges carried by z inside the sector swept by the strand.
+    edges carried by z inside the sector swept by the strand.  Raises
+    ComplexError for an edge off S and NotACycleError for a non-cycle.
     """
+    fans = _vertex_fans(S)
+    z_out = _strand_ends(fans, z, 1)   # vertex -> (fan position, z-flow away from it)
+    w_in = _strand_ends(fans, w, -1)   # vertex -> (fan position, w-flow into it)
     total = 0
-    for v, order in _vertex_fans(S).items():
-        z_out: list[tuple[int, int]] = []  # (fan position, z-flow away from v)
-        w_in: list[tuple[int, int]] = []   # (fan position, w-flow into v)
-        for e, pos in order.items():
-            zc = z.get(e, 0)
-            if zc:
-                z_out.append((pos, zc if e[0] == v else -zc))
-            wc = w.get(e, 0)
-            if wc:
-                w_in.append((pos, wc if e[1] == v else -wc))
-        if not z_out or not w_in:
-            continue
-        for pe, zf in z_out:
-            for pf, wf in w_in:
+    for v, outs in z_out.items():
+        for pf, wf in w_in.get(v, ()):
+            for pe, zf in outs:
                 if pe < pf:
                     total += zf * wf
     # shared edges: the pushoff runs parallel to w and never crosses the
     # strand it was pushed off from
-    for e, wc in w.items():
-        zc = z.get(e, 0)
-        if zc:
-            total -= zc * wc
-    return total
+    return total - sum(z.get(e, 0) * wc for e, wc in w.items())
+
+
+def _strand_ends(
+    fans: Mapping[int, Mapping[Simplex, int]], cycle: Mapping[Simplex, int], sign: int
+) -> dict[int, list[tuple[int, int]]]:
+    """Vertex -> [(fan position, sign * flow away from the vertex)] over the
+    edges of a 1-cycle on the surface of the given fans."""
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for e, c in cycle.items():
+        if not c:
+            continue
+        if e not in fans.get(e[0], ()):
+            raise ComplexError(f"edge {e} of the cycle is not an edge of the surface")
+        for v, flow in zip(e, (sign * c, -sign * c)):
+            ends.setdefault(v, []).append((fans[v][e], flow))
+    if chain_boundary(cycle):
+        raise NotACycleError("intersection_pairing needs 1-cycles")
+    return ends
 
 
 @dataclass(frozen=True)
@@ -246,17 +255,13 @@ def intersection_form(S: SimplicialComplex) -> SurfaceFormData:
 
     Consistency requirements (skew-symmetry, unimodularity) are enforced.
     """
+    _vertex_fans(S)  # closed and orientable, or ComplexError
     gens = homology_of(S).free_generators(1)
     n = len(gens)
-    M = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            M[i][j] = intersection_pairing(S, gens[i], gens[j])
+    M = [[intersection_pairing(S, z, w) for w in gens] for z in gens]
     mat = IntegerMatrix(n, n, M)
-    for i in range(n):
-        for j in range(n):
-            if M[i][j] != -M[j][i]:
-                raise InternalConsistencyError("intersection form is not skew-symmetric")
+    if any(M[i][j] != -M[j][i] for i in range(n) for j in range(n)):
+        raise InternalConsistencyError("intersection form is not skew-symmetric")
     if n and smith_normal_form(mat).diagonal != (1,) * n:
         raise InternalConsistencyError("intersection form is not unimodular")
     return SurfaceFormData(tuple(gens), mat)
@@ -304,14 +309,12 @@ def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
 @derived
 def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
     comps = boundary_components(K)
-    genus_list = []
+    info = surface_info(boundary_subcomplex(K))
+    if not info.orientable:
+        raise ComplexError("boundary component is not orientable")
     gens: list[Chain] = []
     slices: list[tuple[int, int]] = []  # generator index range per component
     for S in comps:
-        info = surface_info(S)
-        if not info.orientable:
-            raise ComplexError("boundary component is not orientable")
-        genus_list.append(info.genus_list[0])
         start = len(gens)
         gens.extend(homology_of(S).free_generators(1))
         slices.append((start, len(gens)))
@@ -345,9 +348,9 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
                 for e, val in gens[i].items():
                     cyc[e] = cyc.get(e, 0) + c * val
         kernel_cycles.append({e: v for e, v in cyc.items() if v})
-    if len(kernel_coords) != sum(genus_list):
+    if len(kernel_coords) != sum(info.genus_list):
         raise InternalConsistencyError(
-            f"kernel rank {len(kernel_coords)} != total boundary genus {sum(genus_list)}"
+            f"kernel rank {len(kernel_coords)} != total boundary genus {sum(info.genus_list)}"
         )
     # integer-level surjectivity of i_* (on the free part; torsion handled by
     # the helper columns having been available)
@@ -371,7 +374,7 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
         projections.append(ComponentProjection(tuple(pcoords), tuple(pcycles)))
     return BoundaryKernelData(
         comps,
-        tuple(genus_list),
+        info.genus_list,
         tuple(kernel_coords),
         tuple(kernel_cycles),
         tuple(projections),
@@ -428,7 +431,6 @@ def lagrangian_obstruction(K) -> LagrangianReport:
     K = _as_complex(K)
     data = kernel_of_boundary_inclusion(K)
     verdicts = []
-    obstructed = False
     for j, (S, proj) in enumerate(zip(data.components, data.projections)):
         form = intersection_form(S)
         B = form.matrix.to_lists()
@@ -447,9 +449,7 @@ def lagrangian_obstruction(K) -> LagrangianReport:
             if witness:
                 break
         verdicts.append(LagrangianVerdict(j, witness is None, witness))
-        if witness is not None:
-            obstructed = True
-    return LagrangianReport(tuple(verdicts), obstructed)
+    return LagrangianReport(tuple(verdicts), not all(v.lagrangian for v in verdicts))
 
 
 # -- corank bounds ---------------------------------------------------------

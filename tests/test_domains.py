@@ -2,8 +2,14 @@ import time
 
 import pytest
 
-from helmcut.builders import domain_corpus, preset, surface_shell
-from helmcut.complexes import boundary_subcomplex, build_complex
+from helmcut.builders import domain_corpus, handlebody, preset, shell, surface_shell
+from helmcut.complexes import (
+    ComplexError,
+    boundary_subcomplex,
+    build_complex,
+    orient_surface,
+    product_with_interval,
+)
 from helmcut.domains import (
     NotADomainError,
     analyze_domain,
@@ -15,9 +21,9 @@ from helmcut.domains import (
     kernel_of_boundary_inclusion,
     lagrangian_obstruction,
 )
-from helmcut.homology import InternalConsistencyError, homology_of
+from helmcut.homology import InternalConsistencyError, NotACycleError, homology_of
 
-from test_complexes import TORUS7
+from test_complexes import RP2_6, TORUS7
 
 
 def test_identity_suite_over_corpus():
@@ -70,6 +76,41 @@ def test_intersection_pairing_bilinear_and_skew():
     assert intersection_pairing(T, ab, a) == intersection_pairing(T, a, a) + intersection_pairing(T, b, a)
     assert intersection_pairing(T, a, b) == -intersection_pairing(T, b, a)
     assert intersection_pairing(T, a, a) == 0
+
+
+def test_intersection_pairing_rejects_foreign_edges_and_non_cycles():
+    T = build_complex(TORUS7)
+    a, b = intersection_form(T).generators
+    assert abs(intersection_pairing(T, a, b)) == 1
+    # the same edge off the surface in both cycles
+    with pytest.raises(ComplexError):
+        intersection_pairing(T, {**a, (100, 101): 1}, {**b, (100, 101): 1})
+    # one edge of the torus is a chain of T but not a cycle
+    e = next(iter(a))
+    with pytest.raises(NotACycleError):
+        intersection_pairing(T, {e: 1}, b)
+    with pytest.raises(NotACycleError):
+        intersection_pairing(T, a, {e: 1})
+
+
+def test_each_boundary_component_is_oriented_once():
+    # shell: two spheres; handlebody(2): one genus-2 surface
+    for K in (shell(), handlebody(2)):
+        before = orient_surface.cache_info().misses
+        analyze_domain(K)
+        is_simple(K)
+        lagrangian_obstruction(K)
+        assert orient_surface.cache_info().misses - before == len(boundary_components(K))
+
+
+def test_non_orientable_boundary_is_rejected():
+    # RP2 x [0,1] is bounded by two projective planes
+    K = product_with_interval(build_complex(RP2_6)).complex
+    for check in (kernel_of_boundary_inclusion, lagrangian_obstruction):
+        with pytest.raises(ComplexError, match="boundary component is not orientable"):
+            check(K)
+    with pytest.raises(ComplexError):
+        intersection_form(build_complex(RP2_6))
 
 
 KERNEL_RANKS = {"ball": 0, "solid_torus": 1, "handlebody2": 2, "shell": 0,
