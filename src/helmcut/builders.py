@@ -286,13 +286,24 @@ def lattice_link_complement(
 
 
 def _validate_link_box(M: MarkedComplex, n_tubes: int) -> None:
-    outer = surface_info(M.mark("outer"))
-    if outer.component_count != 1 or outer.genus_list != (0,):
+    """The boundary components are a sphere marked "outer" and one torus
+    per tube marked "tube_i", each filling its mark.  Checked on the
+    boundary of the domain, whose orientations analyze_domain reuses."""
+    bd = boundary_subcomplex(M.complex)
+    mark_of = {t: name for name, tris in M.marks.items() for t in tris}
+    genus: dict[str, int | None] = {}
+    for S, comp in zip(connected_components(bd), surface_info(bd).components):
+        names = {mark_of.get(t) for t in S.simplices(2)}
+        if len(names) != 1 or None in names or names & genus.keys():
+            raise BuildError("a boundary component does not fill exactly one mark")
+        genus[names.pop()] = comp.genus
+    if sum(map(len, M.marks.values())) != len(bd.simplices(2)):
+        raise BuildError("a mark holds triangles off the boundary")
+    if genus.get("outer") != 0:
         raise BuildError("outer box boundary is not a sphere")
     for i in range(n_tubes):
-        tube = surface_info(M.mark(f"tube_{i}"))
-        if tube.component_count != 1 or tube.genus_list != (1,):
-            raise BuildError(f"tube_{i} boundary is not a torus: {tube}")
+        if genus.get(f"tube_{i}") != 1:
+            raise BuildError(f"tube_{i} boundary is not a torus")
 
 
 def _load_paths(name: str) -> list[LatticePath]:

@@ -189,8 +189,10 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
 
 
 @derived
-def connected_components(K: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
-    """Partition by vertex-edge connectivity (sorted by smallest vertex)."""
+def vertex_roots(K: SimplicialComplex) -> dict[int, int]:
+    """Vertex -> the smallest vertex of its connected component (vertex-edge
+    connectivity), in K's vertex order.  The roots are the vertices that
+    map to themselves.  The result is shared, so it must not be mutated."""
     parent: dict[int, int] = {v: v for v in K.vertices}
 
     def find(x: int) -> int:
@@ -201,16 +203,25 @@ def connected_components(K: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
 
     for a, b in K.simplices(1):
         ra, rb = find(a), find(b)
-        if ra != rb:
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
             parent[ra] = rb
+    return {v: find(v) for v in parent}
+
+
+@derived
+def connected_components(K: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
+    """Partition by vertex-edge connectivity (sorted by smallest vertex)."""
+    root = vertex_roots(K)
     groups: dict[int, list[list[Simplex]]] = {}
     for dim in range(4):
         for s in K.simplices(dim):
-            groups.setdefault(find(s[0]), [[], [], [], []])[dim].append(s)
-    # each group keeps K's sorted order and is closed under faces
-    comps = [SimplicialComplex(g) for g in groups.values()]
-    comps.sort(key=lambda c: c.vertices[0])
-    return tuple(comps)
+            groups.setdefault(root[s[0]], [[], [], [], []])[dim].append(s)
+    # each group keeps K's sorted order and is closed under faces; the
+    # vertices come first in sorted order, so the groups are keyed in
+    # increasing order of their smallest vertex
+    return tuple(SimplicialComplex(g) for g in groups.values())
 
 
 # -- barycentric subdivision ----------------------------------------------
@@ -497,17 +508,30 @@ def mapping_torus(
 
 
 def marked_complex_from_json(data: Mapping) -> MarkedComplex:
+    """Parsed JSON {"simplices": [[v, ...], ...], "marked_subcomplexes":
+    {name: [[v, ...], ...]}} with integer (not boolean) vertex labels; any
+    other shape raises ComplexError."""
     if not isinstance(data, Mapping) or "simplices" not in data:
         raise ComplexError('JSON complex must have a "simplices" array')
-    K = build_complex(data["simplices"])
+    K = build_complex(_json_simplices(data["simplices"], '"simplices"'))
     marks_raw = data.get("marked_subcomplexes", {})
+    if not isinstance(marks_raw, Mapping):
+        raise ComplexError('"marked_subcomplexes" must be an object')
     marks = {}
     for name, gens in marks_raw.items():
-        marks[name] = [tuple(sorted(int(v) for v in s)) for s in gens]
+        marks[name] = [tuple(sorted(s)) for s in _json_simplices(gens, f"mark {name!r}")]
         for s in marks[name]:
             if not K.has_simplex(s):
                 raise ComplexError(f"marked simplex {s} of {name!r} not in complex")
     return MarkedComplex(K, marks)
+
+
+def _json_simplices(raw, what: str) -> list[list[int]]:
+    if not isinstance(raw, list) or not all(
+        isinstance(s, list) and all(type(v) is int for v in s) for s in raw
+    ):
+        raise ComplexError(f"{what} must be an array of arrays of integer vertex labels")
+    return raw
 
 
 def marked_complex_to_json(M: MarkedComplex) -> dict:

@@ -1,9 +1,14 @@
 """Integral homology of simplicial complexes and pairs, with generators.
 
-Large complexes are first shrunk by exact chain-complex reductions
-(reduction.py); the small residual complex is finished off with dense Smith
-normal form.  Homology bases are fixed once per complex by the SNF and
-reused by every caller, so induced-map matrices are stable.
+Each connected component that does not meet the dropped subcomplex is
+rooted first: its smallest vertex leaves the chain complex, which changes
+homology only in degree 0 (Mrozek and Batko, "Coreduction homology
+algorithm", Discrete Comput. Geom. 41, 2009).  H0 is then free on the
+roots, and the coreductions cascade from each root along a spanning tree
+and its dual.  The rest is shrunk by exact chain-complex reductions
+(reduction.py), and the small residual complex is finished off with dense
+Smith normal form.  Homology bases are fixed once per complex by the SNF
+and reused by every caller, so induced-map matrices are stable.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from .complexes import (
     _faces,
     chain_boundary,
     derived,
+    vertex_roots,
 )
-from .exact_linalg import IntegerMatrix, SmithDecomposition, smith_normal_form
+from .exact_linalg import IntegerMatrix, smith_normal_form
 from .reduction import Chain, ChainComplexData, ReducedComplex, add_scaled, reduce_complex
 
 
@@ -122,9 +128,18 @@ class ComplexHomology:
     chains are keyed by the simplices.  The integer boundary is written
     straight from the simplices' faces and handed to the reduction, which
     consumes it: only the reduced complex is kept.
+
+    The root of each component that does not meet `dropped` (see the
+    module docstring) is left out of the cells too; degree 0 comes from
+    the roots, and a 0-chain's class is its sum on each rooted component.
     """
 
     def __init__(self, K: SimplicialComplex, dropped: Container[Simplex]):
+        root = vertex_roots(K)
+        met = {root[v] for v in K.vertices if (v,) in dropped}
+        self.roots: list[int] = [v for v, r in root.items() if v == r and r not in met]
+        self._root_of = root
+        self._root_index = {r: i for i, r in enumerate(self.roots)}
         self.id_of: dict = {}
         self.cell_of: list = []
         int_cells: list[list[int]] = []
@@ -132,7 +147,7 @@ class ComplexHomology:
         for d in range(4):
             row = []
             for s in K.simplices(d):
-                if s in dropped:
+                if s in dropped or (not d and s[0] in self._root_index):
                     continue
                 i = len(self.cell_of)
                 self.id_of[s] = i
@@ -154,11 +169,16 @@ class ComplexHomology:
         for n in range(4):
             prev = cbd[n - 1] if n > 0 else []
             self.dims.append(_DimData(prev, cbd[n], cbd[n + 1], self.reduced.boundary))
+        # every component meets dropped + roots, so nothing is left in degree 0
+        if not self.dims[0].group.is_trivial:
+            raise InternalConsistencyError("relative H0 survived the rooting")
 
     # -- public queries ----------------------------------------------------
 
     def group(self, n: int) -> HomologyGroup:
-        if not 0 <= n <= 3:
+        if n == 0:
+            return HomologyGroup(len(self.roots), ())
+        if not 0 < n <= 3:
             return HomologyGroup(0, ())
         return self.dims[n].group
 
@@ -169,13 +189,15 @@ class ComplexHomology:
         return self.group(n).rank
 
     def _to_ids(self, chain: Mapping) -> Chain:
+        """The chain renumbered; root vertices are not cells and drop out."""
         out: Chain = {}
         for c, v in chain.items():
             if v:
                 i = self.id_of.get(c)
-                if i is None:
+                if i is not None:
+                    out[i] = v
+                elif len(c) != 1 or c[0] not in self._root_index:
                     raise ComplexError(f"cell not in complex: {c}")
-                out[i] = v
         return out
 
     def _to_cells(self, chain: Chain) -> Chain:
@@ -190,31 +212,42 @@ class ComplexHomology:
         return ids
 
     def generators(self, n: int) -> list[Chain]:
-        """Generator cycles in the original complex (torsion first, then free)."""
+        """Generator cycles in the original complex (torsion first, then
+        free); in degree 0 the root vertices."""
+        if n == 0:
+            return [{(r,): 1} for r in self.roots]
         return [
             self._to_cells(self.reduced.include(g, n))
             for g in self.dims[n].gens_residual
         ]
 
     def free_generators(self, n: int) -> list[Chain]:
-        d = self.dims[n]
-        n_torsion = len(d.group.torsion)
-        return [
-            self._to_cells(self.reduced.include(g, n))
-            for g in d.gens_residual[n_torsion:]
-        ]
+        return self.generators(n)[len(self.group(n).torsion):]
 
     def class_coords(self, chain: Mapping, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(free coordinates, torsion residues) of a cycle's homology class."""
-        d = self.dims[n]
+        """(free coordinates, torsion residues) of a cycle's homology class;
+        in degree 0 the coefficient sum on each rooted component."""
         ids = self._cycle_ids(chain)
+        if n == 0:
+            sums = [0] * len(self.roots)
+            for c, v in chain.items():
+                if v:
+                    i = self._root_index.get(self._root_of[c[0]])
+                    if i is not None:
+                        sums[i] += v
+            return tuple(sums), ()
+        d = self.dims[n]
         y = d.homology_coords(self.reduced.project(ids, n))
         free = tuple(y[d.r2:])
         torsion = tuple(y[i] % d.d[i] for i in range(d.r2) if d.d[i] > 1)
         return free, torsion
 
     def solve_boundary(self, chain: Mapping, n: int):
-        """Return a (n+1)-chain w with dw = chain, or None if the class is nonzero."""
+        """Return a (n+1)-chain w with dw = chain, or None if the class is
+        nonzero.  In degree 0, w solves the problem relative to the roots,
+        which is checked to solve it outright."""
+        if n == 0 and any(self.class_coords(chain, 0)[0]):
+            return None
         d = self.dims[n]
         ids = self._cycle_ids(chain)
         proj, hchain = self.reduced.project_with_homotopy(ids, n)
@@ -226,7 +259,7 @@ class ComplexHomology:
             return None
         coeffs = [y[i] // d.d[i] for i in range(d.r2)]
         cells_next = self.reduced.cells(n + 1)
-        V2 = self.snf_b(n).V.to_lists()
+        V2 = d.snfB.V.to_lists()
         res_w: Chain = {}
         for j, c in enumerate(cells_next):
             v = sum(V2[j][i] * coeffs[i] for i in range(d.r2) if coeffs[i])
@@ -234,10 +267,14 @@ class ComplexHomology:
                 res_w[c] = v
         witness = self.reduced.include(res_w, n + 1)
         add_scaled(witness, hchain, 1)
-        return self._to_cells(witness)
-
-    def snf_b(self, n: int) -> SmithDecomposition:
-        return self.dims[n].snfB
+        w = self._to_cells(witness)
+        if n == 0:
+            # dw - chain may only have faces in dropped: no cells, no roots
+            rest = chain_boundary(w)
+            add_scaled(rest, chain, -1)
+            if any(f in self.id_of or f[0] in self._root_index for f in rest):
+                raise InternalConsistencyError("degree-0 boundary lift failed")
+        return w
 
 
 # -- factories -------------------------------------------------------------

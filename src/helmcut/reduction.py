@@ -68,11 +68,13 @@ class ReductionRule:
 
 
 class ReducedComplex:
-    """Residual complex plus transport maps to/from the original."""
+    """Residual complex plus transport maps to/from the original.
+    `heap_pops` counts the Markowitz heap pops the reduction made."""
 
-    def __init__(self, data: ChainComplexData, rules: list[ReductionRule]):
+    def __init__(self, data: ChainComplexData, rules: list[ReductionRule], heap_pops: int):
         self._data = data
         self.rules = rules
+        self.heap_pops = heap_pops
         alive = set(data.dim)
         self.cells_by_dim = [
             [c for c in cells if c in alive] for cells in data.cells_by_dim
@@ -235,8 +237,10 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
     for b, row in bd.items():
         if row:
             push_pairs_of(b)
+    pops = 0
     while heap:
         c0, a, b = heapq.heappop(heap)
+        pops += 1
         if a not in bd or b not in bd:
             continue
         lam = bd[b].get(a, 0)
@@ -256,4 +260,4 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
         for e in cb_b_cells:
             if e in bd:
                 push_pairs_of(e)
-    return ReducedComplex(data, rules)
+    return ReducedComplex(data, rules, pops)

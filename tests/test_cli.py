@@ -91,6 +91,25 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert run_capture(capsys, "homology", "--input", str(bad))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"simplices": 5}',
+        '{"simplices": [[0, 1, 2]], "marked_subcomplexes": 3}',
+        '{"simplices": [[0, 1, 2]], "marked_subcomplexes": {"m": 7}}',
+        '{"simplices": [[0, 1, 2]], "marked_subcomplexes": {"m": [7]}}',
+        '{"simplices": [[0.9, 1, 2, 3], [0.2, 1, 2, 4]]}',
+        '{"simplices": [[true, 2, 3]]}',
+    ],
+)
+def test_malformed_json_complex_exits_2_with_one_line(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_capture(capsys, "homology", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert run(["frobnicate"]) == 2
 

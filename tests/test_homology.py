@@ -1,11 +1,16 @@
 import gc
+import itertools
 import time
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from sympy import zeros
+from sympy.matrices.normalforms import invariant_factors
 
+from helmcut.builders import cubes_to_complex
 from helmcut.complexes import (
+    ComplexError,
     boundary_subcomplex,
     build_complex,
     chain_boundary,
@@ -13,6 +18,7 @@ from helmcut.complexes import (
 )
 from helmcut.homology import (
     ComplexHomology,
+    HomologyGroup,
     InternalConsistencyError,
     NotACycleError,
     betti_numbers,
@@ -99,6 +105,53 @@ def test_boundary_witness_is_verified(monkeypatch):
             is_boundary_witness(K, z)
 
 
+def test_degree_0_comes_from_one_root_per_component(monkeypatch):
+    K = build_complex([(0, 1, 2), (3, 4, 5)])
+    H = homology_of(K)
+    assert H.group(0) == HomologyGroup(2, ())
+    assert H.generators(0) == H.free_generators(0) == [{(0,): 1}, {(3,): 1}]
+    assert H.class_coords({(0,): 1}, 0) == ((1, 0), ())
+    assert H.class_coords({(1,): 2, (4,): -1, (5,): 1, (3,): 0}, 0) == ((2, 0), ())
+    w = H.solve_boundary({(0,): 1, (1,): -1}, 0)
+    assert w is not None and chain_boundary(w) == {(0,): 1, (1,): -1}
+    assert H.solve_boundary({(0,): 1, (3,): -1}, 0) is None
+    assert induced_map_image(K, build_complex([(0,), (4,)]), 0).image_rank == 2
+    img = induced_map_image(K, build_complex([(1,), (2,)]), 0)
+    assert (img.image_rank, img.image_is_zero) == (1, False)
+    with pytest.raises(ComplexError):
+        H.class_coords({(9,): 1}, 0)
+    # a lift whose boundary is not the chain is caught
+    monkeypatch.setattr(H, "_to_cells", lambda chain: {})
+    with pytest.raises(InternalConsistencyError):
+        H.solve_boundary({(0,): 1, (1,): -1}, 0)
+
+
+def test_degree_0_relative_to_a_subcomplex_meeting_one_component():
+    K = build_complex([(0, 1, 2), (3, 4, 5)])
+    A = build_complex([(1, 2)])
+    H = homology_of_pair(K, A)
+    assert H.group(0) == HomologyGroup(1, ())
+    assert H.generators(0) == [{(3,): 1}]
+    assert H.class_coords({(0,): 1, (4,): 1}, 0) == ((1,), ())
+    # vertex 0 bounds relative to A: dw - (0) lies in A
+    w = H.solve_boundary({(0,): 1}, 0)
+    rest = chain_boundary(w)
+    rest[(0,)] = rest.get((0,), 0) - 1
+    assert all(A.has_simplex(f) for f, v in rest.items() if v)
+    assert H.solve_boundary({(5,): 1}, 0) is None
+    with pytest.raises(ComplexError):
+        H.class_coords({(1,): 1}, 0)  # a vertex of A is not a cell
+
+
+def test_cube_block_boundaries_reduce_without_heap_pops():
+    # rooted, a sphere collapses by coreductions alone
+    for n in (2, 4):
+        S = boundary_subcomplex(cubes_to_complex(set(itertools.product(range(n), repeat=3))))
+        H = homology_of(S)
+        assert [str(g) for g in H.groups()] == ["Z", "0", "Z", "0"]
+        assert H.reduced.heap_pops == 0
+
+
 def test_relative_homology_disk_boundary():
     disk = build_complex([(0, 1, 2)])
     circle = build_complex([(0, 1), (1, 2), (0, 2)])
@@ -169,3 +222,45 @@ def test_relative_euler_characteristic(data):
     assert sum((-1) ** d * g.rank for d, g in enumerate(groups)) == (
         euler_characteristic(K) - euler_characteristic(A)
     )
+
+
+def _smith_groups(K, A):
+    """H_n(K, A) for n = 0..3 from sympy's Smith form of the unreduced
+    relative boundary matrices."""
+    cells = [[s for s in K.simplices(d) if not A.has_simplex(s)] for d in range(4)]
+    factors = [()]
+    for n in range(1, 4):
+        row = {f: i for i, f in enumerate(cells[n - 1])}
+        M = zeros(len(cells[n - 1]), len(cells[n]))
+        for j, s in enumerate(cells[n]):
+            for k in range(len(s)):
+                i = row.get(s[:k] + s[k + 1:])
+                if i is not None:
+                    M[i, j] = (-1) ** k
+        factors.append(tuple(abs(int(f)) for f in invariant_factors(M)))
+    factors.append(())
+    groups = []
+    for n in range(4):
+        rank = len(cells[n]) - sum(1 for f in factors[n] if f) - sum(1 for f in factors[n + 1] if f)
+        groups.append(HomologyGroup(rank, tuple(sorted(f for f in factors[n + 1] if f > 1))))
+    return groups
+
+
+def _random_complexes():
+    # up to 10 simplices of dimension 0-3 on 10 labels, often disconnected
+    return st.lists(
+        st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=10,
+    ).map(build_complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_complexes(), st.lists(st.integers(0, 999), max_size=4))
+@example(build_complex(RP2_6 + [(20, 21), (22,)]), [])
+@example(build_complex(RP2_6 + [(20, 21), (22,)]), [0])
+def test_homology_matches_smith_form_of_the_boundary_matrices(K, picks):
+    simplices = K.all_simplices()
+    A = K.subcomplex([simplices[i % len(simplices)] for i in picks])
+    assert homology_groups(K) == _smith_groups(K, build_complex([]))
+    assert relative_homology(K, A) == _smith_groups(K, A)
