@@ -10,6 +10,7 @@ ints.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -180,7 +181,8 @@ class LatticePath:
 
 
 def parse_lattice_paths(text: str) -> list[LatticePath]:
-    """One component per line; semicolon-separated x,y,z triples.
+    """One component per line; semicolon-separated x,y,z triples of
+    integers, each an optional sign and ASCII digits.
 
     A line whose last point repeats its first denotes a closed path.
     """
@@ -194,10 +196,10 @@ def parse_lattice_paths(text: str) -> list[LatticePath]:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            coords = tuple(int(c) for c in chunk.split(","))
-            if len(coords) != 3:
+            coords = chunk.split(",")
+            if len(coords) != 3 or not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", c) for c in coords):
                 raise BuildError(f"bad lattice point: {chunk!r}")
-            pts.append(coords)
+            pts.append(tuple(int(c) for c in coords))
         closed = len(pts) > 1 and pts[0] == pts[-1]
         if closed:
             pts = pts[:-1]

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal-consistency
-failure.  All results are printed as deterministic JSON (sorted keys).
+failure (also meridian rewriting that does not stabilize); errors are one
+stderr line.  All results are printed as deterministic JSON (sorted keys).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .links import (
     parse_pd,
     seifert_data,
 )
-from .groups import milnor_mubar
+from .groups import RewriteDepthError, milnor_mubar
 
 
 def _load_complex(args) -> MarkedComplex:
@@ -220,7 +221,7 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         result = args.func(args)
-    except InternalConsistencyError as e:
+    except (InternalConsistencyError, RewriteDepthError) as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return 1
     except (ComplexError, DiagramError, BuildError, ValueError) as e:

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Simplex = tuple[int, ...]
 
@@ -23,6 +25,12 @@ class ComplexError(ValueError):
 def _faces(simplex: Simplex) -> list[Simplex]:
     """All codimension-1 faces, in vertex-deletion order."""
     return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
+
+
+def _position(layer: Sequence[Simplex], simplex: Simplex) -> int:
+    """Index of simplex in a sorted layer, or -1 if it is not there."""
+    i = bisect.bisect_left(layer, simplex)
+    return i if i < len(layer) and layer[i] == simplex else -1
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses")
@@ -104,13 +112,8 @@ class SimplicialComplex:
 
     def has_simplex(self, simplex: Sequence[int]) -> bool:
         s = tuple(sorted(simplex))
-        k = len(s) - 1
-        if not 0 <= k <= 3:
-            return False
         # every layer is sorted (see __init__)
-        layer = self._simplices[k]
-        i = bisect.bisect_left(layer, s)
-        return i < len(layer) and layer[i] == s
+        return 1 <= len(s) <= 4 and _position(self._simplices[len(s) - 1], s) >= 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self._simplices == other._simplices
@@ -162,18 +165,53 @@ def chain_boundary(chain: Mapping[Simplex, int]) -> dict[Simplex, int]:
     return out
 
 
+class FaceIndex(NamedTuple):
+    """Face incidence of a complex, by position in its sorted layers.
+
+    faces[d][(d + 1) * p + k] is the position in layer d - 1 of the face of
+    simplex p of layer d that omits its k-th vertex (vertex-deletion
+    order).  The cofaces of simplex p of layer d are the positions
+    cofaces[d][coface_start[d][p]:coface_start[d][p + 1]] in layer d + 1,
+    in increasing order."""
+
+    faces: tuple[array, ...]
+    coface_start: tuple[array, ...]
+    cofaces: tuple[array, ...]
+
+    def faces_of(self, d: int, p: int) -> array:
+        return self.faces[d][(d + 1) * p:(d + 1) * (p + 1)]
+
+    def cofaces_of(self, d: int, p: int) -> array:
+        start = self.coface_start[d]
+        return self.cofaces[d][start[p]:start[p + 1]]
+
+
+@derived
+def face_index(K: SimplicialComplex) -> FaceIndex:
+    """The face incidence of K, written once from its layers."""
+    layers = [K.simplices(d) for d in range(4)]
+    faces = [array("i")]
+    for below, layer in zip(layers, layers[1:]):
+        pos = {s: i for i, s in enumerate(below)}
+        faces.append(array("i", [pos[f] for s in layer for f in _faces(s)]))
+    coface_start, cofaces = [], []
+    for d, above in enumerate(faces[1:] + [array("i")]):
+        count = [0] * (len(layers[d]) + 1)
+        for p in above:
+            count[p + 1] += 1
+        coface_start.append(array("i", accumulate(count)))
+        # a stable sort keeps each simplex's cofaces in increasing order
+        order = sorted(range(len(above)), key=above.__getitem__)
+        cofaces.append(array("i", [j // (d + 2) for j in order]))
+    return FaceIndex(tuple(faces), tuple(coface_start), tuple(cofaces))
+
+
 def is_pure_3(K: SimplicialComplex) -> bool:
-    tets = K.simplices(3)
-    if not tets:
-        return False
-    # K is face-closed, so every simplex is covered iff the faces of faces
-    # of the tetrahedra, layer by layer, number as many as the simplices.
-    layer = set(tets)
-    covered = len(layer)
-    for _ in range(3):
-        layer = {f for s in layer for f in _faces(s)}
-        covered += len(layer)
-    return covered == sum(len(K.simplices(d)) for d in range(4))
+    """K has tetrahedra and every simplex below dimension 3 has a coface."""
+    # coface ranges are all nonempty iff the nondecreasing starts are distinct
+    return bool(K.simplices(3)) and all(
+        len(set(start)) == len(start) for start in face_index(K).coface_start[:3]
+    )
 
 
 @derived
@@ -181,11 +219,15 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     """Subcomplex generated by triangles incident to exactly one tetrahedron."""
     if not is_pure_3(K):
         raise ComplexError("boundary_subcomplex requires a pure 3-complex")
-    count: dict[Simplex, int] = {}
-    for t in K.simplices(3):
-        for f in _faces(t):
-            count[f] = count.get(f, 0) + 1
-    return build_complex([f for f, c in count.items() if c == 1])
+    index = face_index(K)
+    start = index.coface_start[2]
+    tris = [p for p in range(len(start) - 1) if start[p + 1] - start[p] == 1]
+    edges = sorted({e for t in tris for e in index.faces_of(2, t)})
+    verts = sorted({v for e in edges for v in index.faces_of(1, e)})
+    # positions in increasing order keep K's sorted order
+    return SimplicialComplex(
+        [[K.simplices(d)[p] for p in ps] for d, ps in enumerate((verts, edges, tris))] + [[]]
+    )
 
 
 @derived
@@ -320,24 +362,14 @@ class SurfaceInfo:
         return tuple(c.genus for c in self.components)
 
 
-def _edge_triangles(S: SimplicialComplex) -> dict[Simplex, list[tuple[Simplex, int]]]:
-    """Edge -> [(triangle, coefficient of the edge in the boundary of the
-    triangle), ...] for every edge of S, in one pass over the triangles."""
-    table: dict[Simplex, list[tuple[Simplex, int]]] = {e: [] for e in S.simplices(1)}
-    for t in S.simplices(2):
-        a, b, c = t
-        table[(b, c)].append((t, 1))
-        table[(a, c)].append((t, -1))
-        table[(a, b)].append((t, 1))
-    return table
-
-
 def _check_closed_surface(S: SimplicialComplex) -> None:
     if S.simplices(3):
         raise ComplexError("not a surface: contains tetrahedra")
-    for e, tris in _edge_triangles(S).items():
-        if len(tris) != 2:
-            raise ComplexError(f"not a closed surface: edge {e} has {len(tris)} triangles")
+    index = face_index(S)
+    for q, e in enumerate(S.simplices(1)):
+        n = len(index.cofaces_of(1, q))
+        if n != 2:
+            raise ComplexError(f"not a closed surface: edge {e} has {n} triangles")
 
 
 @derived
@@ -351,30 +383,32 @@ def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
     first.  The result is memoized on S and shared by every caller, so it
     must not be mutated.
     """
-    at_edge = _edge_triangles(S)
-    sign: dict[Simplex, int] = {}
-    for t0 in S.simplices(2):
+    index = face_index(S)
+    tris = S.simplices(2)
+    sign: dict[int, int] = {}  # triangle position -> sign
+    for t0 in range(len(tris)):
         if t0 in sign:
             continue
         sign[t0] = 1
         stack = [t0]
         while stack:
             t = stack.pop()
-            for e in _faces(t):
-                pair = at_edge[e]
+            for k, e in enumerate(index.faces_of(2, t)):
+                pair = index.cofaces_of(1, e)
                 if len(pair) != 2:
                     continue
-                (t1, c1), (t2, c2) = pair
-                other = t2 if t == t1 else t1
-                # opposite induced orientations on the shared edge
-                want = -sign[t] * c1 * c2
+                other = pair[1] if t == pair[0] else pair[0]
+                # opposite induced orientations on the shared edge, whose
+                # coefficient in the boundary of a triangle is (-1) ** (its
+                # position among the triangle's faces)
+                want = -sign[t] * (-1) ** (k + index.faces_of(2, other).index(e))
                 if other in sign:
                     if sign[other] != want:
                         return None
                 else:
                     sign[other] = want
                     stack.append(other)
-    return sign
+    return {tris[p]: v for p, v in sign.items()}
 
 
 @derived
@@ -459,12 +493,14 @@ def product_with_interval(S: SimplicialComplex, steps: int = 1) -> MarkedComplex
 
 
 def _maximal(S: SimplicialComplex) -> list[Simplex]:
-    faces: set[Simplex] = set()
-    for d in (3, 2, 1):
-        for s in S.simplices(d):
-            for f in _faces(s):
-                faces.add(f)
-    return [s for d in range(4) for s in S.simplices(d) if s not in faces]
+    """The simplices of S with no coface, layer by layer."""
+    starts = face_index(S).coface_start
+    return [
+        s
+        for d in range(4)
+        for p, s in enumerate(S.simplices(d))
+        if starts[d][p] == starts[d][p + 1]
+    ]
 
 
 def mapping_torus(

@@ -15,18 +15,18 @@ which fixes their homology; they need not be 3-manifolds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .complexes import (
     ComplexError,
     MarkedComplex,
     Simplex,
     SimplicialComplex,
-    _edge_triangles,
-    _faces,
+    _position,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
     connected_components,
+    face_index,
     last_vertex_map,
     orient_surface,
     push_cycle,
@@ -89,13 +89,8 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
     KC = M.complex
     if not KC.simplices(3):
         raise ComplexError("surface systems live in pure 3-dimensional complexes")
-    tri_tets: dict[Simplex, list[Simplex]] = {}
-    for tet in KC.simplices(3):
-        for f in _faces(tet):
-            tri_tets.setdefault(f, []).append(tet)
-    bdK = boundary_subcomplex(KC)
-    bd_edges = set(bdK.simplices(1))
-    bd_tris = set(bdK.simplices(2))
+    bd_edges = set(boundary_subcomplex(KC).simplices(1))
+    index = face_index(KC)
 
     surfaces = []
     seen: dict[Simplex, str] = {}
@@ -116,14 +111,12 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
                     )
                 seen[s] = name
         # manifold condition and boundary behaviour
-        edge_tris = _edge_triangles(S)
-        for e, tris_here in edge_tris.items():
-            if len(tris_here) > 2:
-                raise SurfaceSystemError(
-                    "non-surface", f"edge {e} of {name} has {len(tris_here)} triangles"
-                )
-        for e, tris_here in edge_tris.items():
-            c = len(tris_here)
+        s_index = face_index(S)
+        counts = [len(s_index.cofaces_of(1, q)) for q in range(len(S.simplices(1)))]
+        for e, c in zip(S.simplices(1), counts):
+            if c > 2:
+                raise SurfaceSystemError("non-surface", f"edge {e} of {name} has {c} triangles")
+        for e, c in zip(S.simplices(1), counts):
             if c == 1 and e not in bd_edges:
                 raise SurfaceSystemError(
                     "boundary-leak", f"boundary edge {e} of {name} is not on the domain boundary"
@@ -132,26 +125,23 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
                 raise SurfaceSystemError(
                     "boundary-leak", f"interior edge {e} of {name} lies on the domain boundary"
                 )
+        # a boundary triangle of the domain has one tetrahedron
         for t in S.simplices(2):
-            if t in bd_tris or len(tri_tets[t]) != 2:
+            if len(index.cofaces_of(2, _position(KC.simplices(2), t))) != 2:
                 raise SurfaceSystemError(
                     "boundary-leak", f"triangle {t} of {name} is not interior to the domain"
                 )
-        _check_two_sided(edge_tris, name, tri_tets)
+        _check_two_sided(KC, S, name)
         surfaces.append(S)
     return surfaces
 
 
-def _check_two_sided(
-    edge_tris: Mapping[Simplex, list[tuple[Simplex, int]]],
-    name: str,
-    tri_tets: Mapping[Simplex, list[Simplex]],
-) -> None:
+def _check_two_sided(KC: SimplicialComplex, S: SimplicialComplex, name: str) -> None:
     """Two-sidedness: a consistent transverse orientation must propagate
-    across the interior edges of the surface S given by its edge table
-    (complexes._edge_triangles).  A side of a triangle is one of its two
-    incident tetrahedra; walking the tetrahedron fan around a shared edge
-    links a side of one triangle to a side of the other."""
+    across the interior edges of the surface S in KC.  A side of a triangle
+    is one of its two incident tetrahedra; walking the tetrahedron fan
+    around a shared edge links a side of one triangle to a side of the
+    other.  Triangles and tetrahedra are positions in KC's layers."""
     # union-find over (triangle, side) pairs
     parent: dict = {}
 
@@ -167,34 +157,34 @@ def _check_two_sided(
         if rx != ry:
             parent[rx] = ry
 
-    s_tris = {t for tris_here in edge_tris.values() for t, _ in tris_here}
+    index = face_index(KC)
+    s_tris = {_position(KC.simplices(2), t) for t in S.simplices(2)}
     # fan structures around each interior edge of S
-    for e, tris_here in edge_tris.items():
-        if len(tris_here) != 2:
+    for e in S.simplices(1):
+        e_K = _position(KC.simplices(1), e)
+        pair = [t for t in index.cofaces_of(1, e_K) if t in s_tris]
+        if len(pair) != 2:
             continue
-        t1 = tris_here[0][0]
+        t1 = pair[0]
         # walk the fan of K around e starting at t1 into each of its sides
-        for start_tet in tri_tets[t1]:
+        for start_tet in index.cofaces_of(2, t1):
             tri, tet = t1, start_tet
             while True:
-                # next triangle of the fan: the other face of tet containing e
-                nxt = [
-                    f for f in _faces(tet) if set(e) <= set(f) and f != tri
-                ]
-                if len(nxt) != 1:
-                    raise ComplexError(f"bad tetrahedron fan around edge {e}")
-                tri = nxt[0]
+                # next triangle of the fan: the other of the two faces of
+                # tet that contain e
+                tri = next(
+                    f for f in index.faces_of(3, tet) if f != tri and e_K in index.faces_of(2, f)
+                )
                 if tri in s_tris:
                     break
-                tets = tri_tets[tri]
-                others = [x for x in tets if x != tet]
+                others = [x for x in index.cofaces_of(2, tri) if x != tet]
                 if len(others) != 1:
                     raise ComplexError(f"edge {e} has a non-circular fan")
                 tet = others[0]
             # side (t1, start_tet) faces side (tri, tet) across this arc
             union((t1, start_tet), (tri, tet))
     for t in s_tris:
-        tets = tri_tets[t]
+        tets = index.cofaces_of(2, t)
         if len(tets) == 2 and find((t, tets[0])) == find((t, tets[1])):
             raise SurfaceSystemError("one-sided", f"{name} has no consistent transverse orientation")
 

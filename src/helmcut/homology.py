@@ -13,16 +13,19 @@ and reused by every caller, so induced-map matrices are stable.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Container, Mapping, Sequence
 
 from .complexes import (
     ComplexError,
     Simplex,
     SimplicialComplex,
-    _faces,
+    _position,
     chain_boundary,
     derived,
+    face_index,
     vertex_roots,
 )
 from .exact_linalg import IntegerMatrix, smith_normal_form
@@ -123,11 +126,12 @@ def _dot(row: Sequence[int], x: Sequence[int]) -> int:
 class ComplexHomology:
     """Homology of K relative to the simplices in `dropped` (a subcomplex).
 
-    The cells are the simplices of K not in `dropped`, numbered by
-    consecutive integers in the order of K's sorted layers; all public
-    chains are keyed by the simplices.  The integer boundary is written
-    straight from the simplices' faces and handed to the reduction, which
-    consumes it: only the reduced complex is kept.
+    The cells are the simplices of K not in `dropped`.  A cell is numbered
+    by its position in K's sorted layers (see complexes.FaceIndex) plus the
+    sizes of the layers below, so every homology of K shares one
+    numbering; all public chains are keyed by the simplices.  The integer
+    boundary is written straight from K's face index and handed to the
+    reduction, which consumes it: only the reduced complex is kept.
 
     The root of each component that does not meet `dropped` (see the
     module docstring) is left out of the cells too; degree 0 comes from
@@ -140,27 +144,33 @@ class ComplexHomology:
         self.roots: list[int] = [v for v, r in root.items() if v == r and r not in met]
         self._root_of = root
         self._root_index = {r: i for i, r in enumerate(self.roots)}
-        self.id_of: dict = {}
-        self.cell_of: list = []
+        self._dropped = dropped
+        # the layers, not K: a value derived from K must not refer back to it
+        self._layers = tuple(K.simplices(d) for d in range(4))
+        self._offsets = [0, *accumulate(len(layer) for layer in self._layers[:3])]
+        index = face_index(K)
+        # one int object per cell, shared by every boundary row naming it,
+        # and None for each simplex that is not a cell
+        number: list = list(range(self._offsets[3] + len(self._layers[3])))
         int_cells: list[list[int]] = []
         bd: dict[int, dict[int, int]] = {}
-        for d in range(4):
+        for d, layer in enumerate(self._layers):
             row = []
-            for s in K.simplices(d):
+            off, below, n = self._offsets[d], self._offsets[d - 1], d + 1
+            # the layer below is complete, so its entries of number are final
+            face_cells = [number[below + f] for f in index.faces[d]]
+            for p, s in enumerate(layer):
                 if s in dropped or (not d and s[0] in self._root_index):
+                    number[off + p] = None
                     continue
-                i = len(self.cell_of)
-                self.id_of[s] = i
-                self.cell_of.append(s)
+                i = number[off + p]
                 row.append(i)
-                faces: dict[int, int] = {}
-                if d:
-                    for k, f in enumerate(_faces(s)):
-                        j = self.id_of.get(f)
-                        if j is not None:
-                            faces[j] = -1 if k % 2 else 1
-                bd[i] = faces
+                # face k of p with sign (-1) ** k, less the faces that are
+                # not cells (all keyed None)
+                bd[i] = faces = dict(zip(face_cells[n * p:n * p + n], (1, -1, 1, -1)))
+                faces.pop(None, None)
             int_cells.append(row)
+        del number, face_cells
         self.reduced: ReducedComplex = reduce_complex(ChainComplexData(int_cells, bd))
         cbd = self.reduced.cells_by_dim
         while len(cbd) < 5:
@@ -172,6 +182,15 @@ class ComplexHomology:
         # every component meets dropped + roots, so nothing is left in degree 0
         if not self.dims[0].group.is_trivial:
             raise InternalConsistencyError("relative H0 survived the rooting")
+
+    def _cell(self, s) -> int | None:
+        """The cell number of simplex s, or None if s is not a cell."""
+        d = len(s) - 1
+        if 0 <= d <= 3 and s not in self._dropped and not (d == 0 and s[0] in self._root_index):
+            p = _position(self._layers[d], s)
+            if p >= 0:
+                return self._offsets[d] + p
+        return None
 
     # -- public queries ----------------------------------------------------
 
@@ -193,7 +212,7 @@ class ComplexHomology:
         out: Chain = {}
         for c, v in chain.items():
             if v:
-                i = self.id_of.get(c)
+                i = self._cell(c)
                 if i is not None:
                     out[i] = v
                 elif len(c) != 1 or c[0] not in self._root_index:
@@ -201,13 +220,17 @@ class ComplexHomology:
         return out
 
     def _to_cells(self, chain: Chain) -> Chain:
-        return {self.cell_of[i]: v for i, v in chain.items()}
+        out: Chain = {}
+        for i, v in chain.items():
+            d = bisect.bisect_right(self._offsets, i) - 1
+            out[self._layers[d][i - self._offsets[d]]] = v
+        return out
 
     def _cycle_ids(self, chain: Mapping) -> Chain:
         """The chain renumbered, once checked to be a (relative) cycle: its
         boundary in K may only have faces outside the cells."""
         ids = self._to_ids(chain)
-        if any(f in self.id_of for f in chain_boundary(chain)):
+        if any(self._cell(f) is not None for f in chain_boundary(chain)):
             raise NotACycleError("chain has nonzero boundary")
         return ids
 
@@ -272,7 +295,7 @@ class ComplexHomology:
             # dw - chain may only have faces in dropped: no cells, no roots
             rest = chain_boundary(w)
             add_scaled(rest, chain, -1)
-            if any(f in self.id_of or f[0] in self._root_index for f in rest):
+            if any(self._cell(f) is not None or f[0] in self._root_index for f in rest):
                 raise InternalConsistencyError("degree-0 boundary lift failed")
         return w
 

@@ -16,7 +16,12 @@ from helmcut.builders import (
     surface_shell,
     unknot_box,
 )
-from helmcut.complexes import boundary_subcomplex, euler_characteristic, surface_info
+from helmcut.complexes import (
+    boundary_subcomplex,
+    build_complex,
+    euler_characteristic,
+    surface_info,
+)
 from helmcut.homology import betti_numbers, homology_groups
 
 EXPECTED = {
@@ -42,7 +47,10 @@ def test_preset_homology_and_boundary(name):
     betti, genera = EXPECTED[name]
     M = preset(name)
     assert betti_numbers(M.complex) == betti
-    info = surface_info(boundary_subcomplex(M.complex))
+    bd = boundary_subcomplex(M.complex)
+    # built with the trusted constructor: sorted and face-closed
+    assert bd == build_complex(bd.all_simplices())
+    info = surface_info(bd)
     assert tuple(sorted(info.genus_list)) == tuple(sorted(genera))
     # domains of this corpus are torsion-free in every degree
     assert all(not g.torsion for g in homology_groups(M.complex))
@@ -84,6 +92,16 @@ def test_lattice_path_parsing():
         parse_lattice_paths("0,0,0; 2,0,0; 0,0,0")  # non-unit step
     with pytest.raises(BuildError):
         parse_lattice_paths("0,0,0; 1,0,0; 0,0,0")  # repeated edge
+    assert parse_lattice_paths(" +1, -0 ,0; 1,1,0")[0].points == ((1, 0, 0), (1, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "chunk", ["1,a,0", "1.5,0,0", "1_0,0,0", "1,0", "1,0,0,0", ",0,0", "1,0,\u0661", "0x1,0,0"]
+)
+def test_lattice_path_rejects_malformed_point(chunk):
+    with pytest.raises(BuildError, match="bad lattice point") as err:
+        parse_lattice_paths(f"0,0,0;{chunk}")
+    assert repr(chunk) in str(err.value)
 
 
 def test_link_complement_marks_and_validation():

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helmcut import groups
 from helmcut.cli import run
 
 
@@ -127,3 +133,78 @@ def test_determinism_byte_identical(capsys):
         _, out1, _ = run_capture(capsys, *cmd)
         _, out2, _ = run_capture(capsys, *cmd)
         assert out1 == out2 and out1
+
+
+def test_rewrite_depth_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def fail(D, q):
+        raise groups.RewriteDepthError("meridian rewriting did not stabilize")
+
+    monkeypatch.setattr(groups, "_meridian_series", fail)
+    # a freshly parsed diagram has no derived expansions yet
+    pd = tmp_path / "whitehead.pd"
+    pd.write_text("X(6,1,7,2) X(10,7,5,8) X(2,10,3,9) X(8,4,9,3) X(4,5,1,6)\n")
+    code, out, err = run_capture(capsys, "link-verdict", "--pd", str(pd))
+    assert (code, out) == (1, "")
+    assert err.startswith("internal consistency failure: ") and err.count("\n") == 1
+
+
+def _run_on_file(text: str, suffix: str, *argv):
+    """Exit code and stderr of the CLI on argv plus a file holding text."""
+    fd, path = tempfile.mkstemp(suffix=suffix)
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([*argv, path])
+    finally:
+        os.unlink(path)
+    return code, err.getvalue()
+
+
+def _assert_cli_contract(code: int, err: str) -> None:
+    """Exit 0 with nothing on stderr, or exit 2 with one error line."""
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+_simplex_lists = st.lists(st.lists(st.integers(-2, 6) | _json_values, max_size=5), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _json_values
+    | st.fixed_dictionaries(
+        {"simplices": _simplex_lists},
+        optional={
+            "marked_subcomplexes": st.dictionaries(
+                st.text(max_size=2), _simplex_lists | _json_values, max_size=2
+            )
+        },
+    )
+)
+def test_homology_input_contract(data):
+    _assert_cli_contract(*_run_on_file(json.dumps(data), ".json", "homology", "--input"))
+
+
+_pd_tokens = st.one_of(
+    st.builds("X({},{},{},{})".format, *[st.integers(-1, 6)] * 4),
+    st.builds("U({})".format, st.integers(0, 6)),
+    st.sampled_from(["X(1,2)", "U()", "X(", ",", " ", "\n", "# c\n", "Y(1)", "X(1,2,3,4,5)"]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_pd_tokens, max_size=6).map(" ".join))
+def test_link_lk_pd_contract(text):
+    _assert_cli_contract(*_run_on_file(text, ".pd", "link-lk", "--pd"))

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helmcut.complexes import (
     ComplexError,
@@ -12,6 +13,7 @@ from helmcut.complexes import (
     chain_boundary,
     connected_components,
     euler_characteristic,
+    face_index,
     is_pure_3,
     last_vertex_map,
     mapping_torus,
@@ -22,6 +24,7 @@ from helmcut.complexes import (
     push_cycle,
     surface_info,
 )
+from helmcut.cuts import _cut
 
 TORUS7 = [((i % 7), ((i + 1) % 7), ((i + 3) % 7)) for i in range(7)] + [
     ((i % 7), ((i + 2) % 7), ((i + 3) % 7)) for i in range(7)
@@ -88,6 +91,63 @@ def test_boundary_subcomplex_of_tetrahedron_is_sphere():
     for extra in [(3, 4), (2, 3, 4), (5,)]:
         assert not is_pure_3(build_complex([(0, 1, 2, 3), extra]))
     assert not is_pure_3(build_complex([(0, 1, 2)]))
+
+
+def _simplices(size: int):
+    return st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True)
+
+
+@st.composite
+def _tets_and_extras(draw):
+    """A few tetrahedra plus a few simplices of any dimension."""
+    tets = draw(st.lists(_simplices(4), min_size=1, max_size=5))
+    extras = draw(st.lists(st.integers(1, 4).flatmap(_simplices), max_size=3))
+    return build_complex(tets + extras)
+
+
+def _deletions(s):
+    """The faces of s in vertex-deletion order."""
+    return [s[:k] + s[k + 1:] for k in range(len(s))]
+
+
+def _assert_trusted(K):
+    """K, built by the trusted constructor, is sorted and face-closed."""
+    assert K == build_complex(K.all_simplices())
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tets_and_extras(), st.data())
+def test_trusted_constructions_are_sorted_and_face_closed(K, data):
+    _assert_trusted(barycentric_subdivide_with_map(K)[0])
+    for comp in connected_components(K):
+        _assert_trusted(comp)
+    gens = data.draw(st.lists(st.sampled_from(K.all_simplices()), min_size=1, max_size=4))
+    S = K.subcomplex(gens)
+    for piece in _cut(K, [S]).components:
+        _assert_trusted(piece)
+    # pure iff every simplex below the top lies in a tetrahedron
+    covered = build_complex(K.simplices(3))
+    assert is_pure_3(K) == (covered == K)
+    if covered == K:
+        bd = boundary_subcomplex(K)
+        _assert_trusted(bd)
+        once = [t for t in K.simplices(2) if sum(t in _deletions(x) for x in K.simplices(3)) == 1]
+        assert bd == build_complex(once)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tets_and_extras())
+def test_face_index_lists_faces_and_cofaces_by_position(K):
+    index = face_index(K)
+    for d in range(1, 4):
+        below = K.simplices(d - 1)
+        for p, s in enumerate(K.simplices(d)):
+            assert [below[f] for f in index.faces_of(d, p)] == _deletions(s)
+        for p, f in enumerate(below):
+            assert [K.simplices(d)[q] for q in index.cofaces_of(d - 1, p)] == [
+                s for s in K.simplices(d) if f in _deletions(s)
+            ]
+    assert not index.faces_of(0, 0) and not index.cofaces_of(3, 0)
 
 
 def test_connected_components():

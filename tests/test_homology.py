@@ -16,6 +16,7 @@ from helmcut.complexes import (
     chain_boundary,
     euler_characteristic,
 )
+from helmcut.domains import analyze_domain
 from helmcut.homology import (
     ComplexHomology,
     HomologyGroup,
@@ -72,6 +73,18 @@ def test_homology_lives_as_long_as_its_complex():
     del H, K
     gc.collect()
     assert ref() is None
+    # a domain and everything derived from it hold no reference cycle, so
+    # reference counting alone frees them
+    K = cubes_to_complex([(x, y, 0) for x in range(3) for y in range(3) if (x, y) != (1, 1)])
+    report = analyze_domain(K)
+    assert report.betti == (1, 1, 0, 0)
+    refs = [weakref.ref(x) for x in (homology_of(K), homology_of_pair(K, boundary_subcomplex(K)))]
+    gc.disable()
+    try:
+        del K, report
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_class_coords_rejects_non_cycle():
