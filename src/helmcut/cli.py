@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -140,11 +141,11 @@ def _cmd_link_verdict(args):
 
 def _cmd_milnor(args):
     D = _load_diagram(args)
-    try:
-        I = tuple(int(x) for x in args.indices.split(","))
-    except (AttributeError, ValueError):
-        raise DiagramError("--indices must be a comma list of component numbers")
-    return milnor_mubar(D, I, args.q).to_json()
+    entries = args.indices.split(",")
+    for x in entries:
+        if not re.fullmatch(r"\s*[0-9]+\s*", x):
+            raise DiagramError(f"--indices must be a comma list of component numbers: {x!r}")
+    return milnor_mubar(D, tuple(int(x) for x in entries), args.q).to_json()
 
 
 def _cmd_preset_list(args):

@@ -230,26 +230,33 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     )
 
 
-@derived
-def vertex_roots(K: SimplicialComplex) -> dict[int, int]:
-    """Vertex -> the smallest vertex of its connected component (vertex-edge
-    connectivity), in K's vertex order.  The roots are the vertices that
-    map to themselves.  The result is shared, so it must not be mutated."""
-    parent: dict[int, int] = {v: v for v in K.vertices}
+def _class_roots(items: Iterable, pairs: Iterable[Sequence]) -> dict:
+    """Item -> the smallest item of its class under the equivalence that
+    the pairs generate, in the order of items.  Every pair member must be
+    an item."""
+    parent = {x: x for x in items}
 
-    def find(x: int) -> int:
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for a, b in K.simplices(1):
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra < rb:
             parent[rb] = ra
         elif rb < ra:
             parent[ra] = rb
-    return {v: find(v) for v in parent}
+    return {x: find(x) for x in parent}
+
+
+@derived
+def vertex_roots(K: SimplicialComplex) -> dict[int, int]:
+    """Vertex -> the smallest vertex of its connected component (vertex-edge
+    connectivity), in K's vertex order.  The roots are the vertices that
+    map to themselves.  The result is shared, so it must not be mutated."""
+    return _class_roots(K.vertices, K.simplices(1))
 
 
 @derived
@@ -362,7 +369,11 @@ class SurfaceInfo:
         return tuple(c.genus for c in self.components)
 
 
+@derived
 def _check_closed_surface(S: SimplicialComplex) -> None:
+    """Raise ComplexError unless S is a closed surface: no tetrahedra, two
+    triangles on every edge, and the link of every vertex one circle.
+    Memoized on S, so each surface is checked once."""
     if S.simplices(3):
         raise ComplexError("not a surface: contains tetrahedra")
     index = face_index(S)
@@ -370,6 +381,21 @@ def _check_closed_surface(S: SimplicialComplex) -> None:
         n = len(index.cofaces_of(1, q))
         if n != 2:
             raise ComplexError(f"not a closed surface: edge {e} has {n} triangles")
+    for p, (v,) in enumerate(S.simplices(0)):
+        edges = index.cofaces_of(0, p)
+        if not edges:
+            raise ComplexError(f"not a closed surface: vertex {v} has no edges")
+        # walk around v from an edge, through a triangle, to that triangle's
+        # other edge at v; with two triangles on every edge the walk closes,
+        # and the link of v is one circle iff the walk meets every edge at v
+        e, t, walked = edges[0], -1, 0
+        while walked == 0 or e != edges[0]:
+            pair = index.cofaces_of(1, e)
+            t = pair[1] if pair[0] == t else pair[0]
+            e = next(f for f in index.faces_of(2, t) if f != e and f in edges)
+            walked += 1
+        if walked != len(edges):
+            raise ComplexError(f"not a closed surface: link of vertex {v} is not a single circle")
 
 
 @derived
@@ -414,9 +440,9 @@ def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
 @derived
 def surface_info(S: SimplicialComplex) -> SurfaceInfo:
     """Per-component Euler characteristic, orientability and genus."""
-    _check_closed_surface(S)
     infos = []
     for comp in connected_components(S):
+        _check_closed_surface(comp)
         chi = euler_characteristic(comp)
         orientable = orient_surface(comp) is not None
         genus: int | None = None

@@ -22,6 +22,7 @@ from .complexes import (
     MarkedComplex,
     Simplex,
     SimplicialComplex,
+    _class_roots,
     _position,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
@@ -142,23 +143,9 @@ def _check_two_sided(KC: SimplicialComplex, S: SimplicialComplex, name: str) -> 
     is one of its two incident tetrahedra; walking the tetrahedron fan
     around a shared edge links a side of one triangle to a side of the
     other.  Triangles and tetrahedra are positions in KC's layers."""
-    # union-find over (triangle, side) pairs
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     index = face_index(KC)
     s_tris = {_position(KC.simplices(2), t) for t in S.simplices(2)}
+    linked = []  # pairs of (triangle, side) that face each other
     # fan structures around each interior edge of S
     for e in S.simplices(1):
         e_K = _position(KC.simplices(1), e)
@@ -182,10 +169,11 @@ def _check_two_sided(KC: SimplicialComplex, S: SimplicialComplex, name: str) -> 
                     raise ComplexError(f"edge {e} has a non-circular fan")
                 tet = others[0]
             # side (t1, start_tet) faces side (tri, tet) across this arc
-            union((t1, start_tet), (tri, tet))
+            linked.append(((t1, start_tet), (tri, tet)))
+    side = _class_roots([(t, x) for t in s_tris for x in index.cofaces_of(2, t)], linked)
     for t in s_tris:
         tets = index.cofaces_of(2, t)
-        if len(tets) == 2 and find((t, tets[0])) == find((t, tets[1])):
+        if len(tets) == 2 and side[(t, tets[0])] == side[(t, tets[1])]:
             raise SurfaceSystemError("one-sided", f"{name} has no consistent transverse orientation")
 
 

@@ -190,8 +190,6 @@ def _vertex_fans(S: SimplicialComplex) -> dict[int, dict[Simplex, int]]:
         while e not in order:
             order[e] = len(order)
             e = nxt[e]
-        if len(order) != len(nxt):
-            raise ComplexError(f"link of vertex {v} is not a single circle")
         fans[v] = order
     return fans
 
@@ -275,15 +273,6 @@ class ComponentProjection:
     """P_j: the projection of Ker(i_*) into H1 of one boundary component."""
 
     coords: tuple[tuple[int, ...], ...]  # generating vectors in the H1(S_j) basis
-    cycles: tuple[Chain, ...]            # the same generators as 1-cycles on S_j
-
-    @property
-    def rank(self) -> int:
-        if not self.coords:
-            return 0
-        n = len(self.coords[0])
-        M = IntegerMatrix(n, len(self.coords), [[c[i] for c in self.coords] for i in range(n)])
-        return smith_normal_form(M).rank
 
 
 @dataclass(frozen=True)
@@ -291,7 +280,6 @@ class BoundaryKernelData:
     components: tuple[SimplicialComplex, ...]
     genus_list: tuple[int, ...]
     kernel_coords: tuple[tuple[int, ...], ...]  # basis of Ker(i_*), concatenated basis
-    kernel_cycles: tuple[Chain, ...]            # the same basis as 1-cycles on the boundary
     projections: tuple[ComponentProjection, ...]
     inclusion_surjective: bool
 
@@ -337,17 +325,9 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
     kernel_coords = []
     for j in range(snf.rank, m + nt):
         vec = tuple(V[i][j] for i in range(m))
+        # drop the pure-helper kernel directions (zero on the generator part)
         if any(vec):
             kernel_coords.append(vec)
-    # drop the pure-helper kernel directions (zero on the generator part)
-    kernel_cycles = []
-    for vec in kernel_coords:
-        cyc: Chain = {}
-        for i, c in enumerate(vec):
-            if c:
-                for e, val in gens[i].items():
-                    cyc[e] = cyc.get(e, 0) + c * val
-        kernel_cycles.append({e: v for e, v in cyc.items() if v})
     if len(kernel_coords) != sum(info.genus_list):
         raise InternalConsistencyError(
             f"kernel rank {len(kernel_coords)} != total boundary genus {sum(info.genus_list)}"
@@ -362,21 +342,17 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
     else:
         surjective = True
     projections = []
-    for (start, stop), S in zip(slices, comps):
+    for start, stop in slices:
         pcoords = []
-        pcycles = []
-        edge_set = set(S.simplices(1))
-        for vec, cyc in zip(kernel_coords, kernel_cycles):
+        for vec in kernel_coords:
             sub = vec[start:stop]
             if any(sub):
                 pcoords.append(tuple(sub))
-                pcycles.append({e: v for e, v in cyc.items() if e in edge_set})
-        projections.append(ComponentProjection(tuple(pcoords), tuple(pcycles)))
+        projections.append(ComponentProjection(tuple(pcoords)))
     return BoundaryKernelData(
         comps,
         info.genus_list,
         tuple(kernel_coords),
-        tuple(kernel_cycles),
         tuple(projections),
         surjective,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .complexes import derived
+from .complexes import _class_roots, derived
 from .homology import HomologyGroup
 from .exact_linalg import IntegerMatrix, smith_normal_form
 from .links import DiagramError, LinkDiagram
@@ -48,28 +48,16 @@ class GroupPresentation:
     component_of: tuple[tuple[int, int], ...] = ()  # generator -> component index
 
 
+@derived
 def _arc_reps(D: LinkDiagram) -> dict[int, int]:
     """Merge PD edge labels across over-passes: the over-strand is unbroken,
     so its two edge labels carry the same group generator.  Representative =
-    smallest label in the merged class."""
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for comp in D.components:
-        for arc in comp:
-            find(arc)
-    for k in range(len(D.crossings)):
-        o_in, o_out = D.over_direction(k)
-        ra, rb = find(o_in), find(o_out)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {arc: find(arc) for arc in parent}
+    smallest label in the merged class.  The result is shared, so it must
+    not be mutated."""
+    return _class_roots(
+        [arc for comp in D.components for arc in comp],
+        [D.over_direction(k) for k in range(len(D.crossings))],
+    )
 
 
 def wirtinger(D: LinkDiagram) -> GroupPresentation:

@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass, field
 from math import gcd
 
+from .complexes import _class_roots
+
 
 class DiagramError(ValueError):
     """Malformed PD text or inconsistent diagram."""
@@ -146,11 +148,14 @@ def _trace(crossings, unknots) -> LinkDiagram:
 
     propagate()
     # pure over-components: orient from the lowest arc to its lower neighbour
+    over_class = None
     for x, y, eid in sorted(over_edges, key=lambda e: min(e[0], e[1])):
         if eid in oriented:
             continue
+        if over_class is None:
+            over_class = _class_roots(counts, [(b, d) for b, d, _ in over_edges])
         lo = min(
-            arc for arc in counts if arc not in succ and _reaches(incident, x, arc)
+            arc for arc in counts if arc not in succ and over_class[arc] == over_class[x]
         )
         nbrs = sorted(incident[lo], key=lambda p: (p[0], p[1]))
         set_succ(lo, nbrs[0][0], nbrs[0][1])
@@ -189,19 +194,6 @@ def _trace(crossings, unknots) -> LinkDiagram:
         else:
             raise DiagramError(f"over-strand of crossing {k} is not traced")
     return LinkDiagram(tuple(crossings), tuple(sorted(unknots)), tuple(components), tuple(signs))
-
-
-def _reaches(incident, start, target) -> bool:
-    stack, seen = [start], {start}
-    while stack:
-        x = stack.pop()
-        if x == target:
-            return True
-        for y, _ in incident.get(x, []):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return False
 
 
 # -- invariants ------------------------------------------------------------
@@ -275,49 +267,25 @@ def seifert_data(D: LinkDiagram) -> SeifertData:
     """Seifert's algorithm on the oriented diagram: smooth every crossing
     coherently, count circles, and compute the genus of the resulting
     Seifert surface, per split part and in total."""
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     # Seifert circles: orientation-coherent smoothing joins the incoming
     # under-arc with the outgoing over-arc and vice versa
+    smoothing = []
     for k, (a, b, c, d) in enumerate(D.crossings):
         o_in, o_out = D.over_direction(k)
-        union(a, o_out)
-        union(o_in, c)
-    for arc in D.unknot_arcs:
-        find(arc)
+        smoothing += [(a, o_out), (o_in, c)]
+    circle = _class_roots([arc for comp in D.components for arc in comp], smoothing)
     # split parts: components sharing a crossing belong to one part
     n = D.component_count
-    part_parent = list(range(n))
-
-    def pfind(i):
-        while part_parent[i] != i:
-            part_parent[i] = part_parent[part_parent[i]]
-            i = part_parent[i]
-        return i
-
-    for a, b, c, d in D.crossings:
-        i, j = pfind(D.component_of(a)), pfind(D.component_of(b))
-        if i != j:
-            part_parent[i] = j
+    part = _class_roots(
+        range(n), [(D.component_of(a), D.component_of(b)) for a, b, c, d in D.crossings]
+    )
     parts_map: dict[int, list[int]] = {}
-    for i in range(n):
-        parts_map.setdefault(pfind(i), []).append(i)
+    for i, root in part.items():
+        parts_map.setdefault(root, []).append(i)
     parts = []
     for comp_idx in sorted(parts_map.values()):
         arcs = [arc for i in comp_idx for arc in D.components[i]]
-        circles = len({find(arc) for arc in arcs})
+        circles = len({circle[arc] for arc in arcs})
         cr = sum(
             1 for a, b, c, d in D.crossings if D.component_of(a) in comp_idx
         )
@@ -326,7 +294,7 @@ def seifert_data(D: LinkDiagram) -> SeifertData:
         if two_g % 2:
             raise DiagramError("non-integral Seifert genus")
         parts.append(SeifertPart(tuple(comp_idx), circles, cr, mu, two_g // 2))
-    total_circles = len({find(arc) for comp in D.components for arc in comp})
+    total_circles = len(set(circle.values()))
     return SeifertData(
         total_circles,
         len(D.crossings),
@@ -337,12 +305,6 @@ def seifert_data(D: LinkDiagram) -> SeifertData:
 
 
 # -- Reidemeister-I reduction and verdicts ---------------------------------
-
-
-def _pd_text(D: LinkDiagram) -> str:
-    toks = [f"X({a},{b},{c},{d})" for a, b, c, d in D.crossings]
-    toks += [f"U({a})" for a in D.unknot_arcs]
-    return " ".join(toks)
 
 
 def remove_kinks(D: LinkDiagram) -> LinkDiagram:

@@ -116,6 +116,44 @@ def test_malformed_json_complex_exits_2_with_one_line(tmp_path, capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"simplices": [[0, 1, 2, 3], [0, 4, 5, 6]]}',
+        '{"simplices": [[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9]]}',
+    ],
+)
+def test_boundary_pinched_at_a_vertex_exits_2_with_one_line(tmp_path, capsys, text):
+    bad = tmp_path / "pinched.json"
+    bad.write_text(text)
+    code, out, err = run_capture(capsys, "analyze", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: not a closed surface: link of vertex 0 is not a single circle\n"
+
+
+@pytest.mark.parametrize(
+    "indices, bad",
+    [
+        ("\u0661,\u0662", "\u0661"),
+        ("1,\u00b2", "\u00b2"),
+        ("1,+2", "+2"),
+        ("1,-2", "-2"),
+        ("1,,2", ""),
+        ("1,2.0", "2.0"),
+        ("1_0,2", "1_0"),
+        ("1, 0x2", " 0x2"),
+        (" 1 , 2 ", None),
+    ],
+)
+def test_milnor_indices_are_ascii_digits(capsys, indices, bad):
+    code, out, err = run_capture(capsys, "milnor", "--pd", "whitehead", "--indices", indices)
+    if bad is None:
+        assert code == 0 and json.loads(out)["indices"] == [1, 2]
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(f": {bad!r}\n") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert run(["frobnicate"]) == 2
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from helmcut.complexes import (
     ComplexError,
     MarkedComplex,
+    _class_roots,
     barycentric_subdivide,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
@@ -197,6 +198,44 @@ def test_surface_info_projective_plane_nonorientable():
     assert info.component_count == 1
     assert not info.orientable
     assert orient_surface(S) is None
+
+
+def test_surface_info_rejects_a_surface_pinched_at_a_vertex():
+    # two or three tetrahedron boundaries sharing vertex 0: every edge has
+    # two triangles, but the link of vertex 0 is two or three circles
+    for tets in ([(0, 1, 2, 3), (0, 4, 5, 6)], [(0, 1, 2, 3), (0, 4, 5, 6), (0, 7, 8, 9)]):
+        with pytest.raises(ComplexError, match="link of vertex 0 is not a single circle"):
+            surface_info(boundary_subcomplex(build_complex(tets)))
+    with pytest.raises(ComplexError, match="vertex 9 has no edges"):
+        surface_info(build_complex(TORUS7 + [(9,)]))
+
+
+@st.composite
+def _items_and_pairs(draw):
+    """Distinct items in any order, and pairs of them with self-pairs and
+    repeats."""
+    items = draw(st.lists(st.integers(-5, 20), min_size=1, max_size=12, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(items), st.sampled_from(items)), max_size=15))
+    return items, pairs + pairs[: draw(st.integers(0, len(pairs)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_items_and_pairs())
+def test_class_roots_equal_a_naive_search(case):
+    items, pairs = case
+    nbrs = {x: set() for x in items}
+    for a, b in pairs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    naive = {}
+    for x in items:
+        seen, todo = {x}, [x]
+        while todo:
+            for y in nbrs[todo.pop()] - seen:
+                seen.add(y)
+                todo.append(y)
+        naive[x] = min(seen)
+    assert list(_class_roots(items, pairs).items()) == list(naive.items())
 
 
 def test_product_with_interval_marks():

@@ -12,6 +12,7 @@ from helmcut.builders import (
 )
 from helmcut.complexes import (
     ComplexError,
+    _check_closed_surface,
     boundary_subcomplex,
     build_complex,
     orient_surface,
@@ -103,14 +104,17 @@ def test_intersection_pairing_rejects_foreign_edges_and_non_cycles():
 def test_each_boundary_component_is_oriented_once():
     # shell: two spheres; handlebody(2): one genus-2 surface; the unknot
     # box: a sphere and a torus, which lattice_link_complement's own check
-    # orients, so the count starts before the build
+    # orients, so the count starts before the build.  Each component is
+    # also checked to be a closed surface once.
     for build in (shell, lambda: handlebody(2), lambda: unknot_box().complex):
         before = orient_surface.cache_info().misses
+        checked = _check_closed_surface.cache_info().misses
         K = build()
         analyze_domain(K)
         is_simple(K)
         lagrangian_obstruction(K)
         assert orient_surface.cache_info().misses - before == len(boundary_components(K))
+        assert _check_closed_surface.cache_info().misses - checked == len(boundary_components(K))
 
 
 def test_non_orientable_boundary_is_rejected():

@@ -4,6 +4,7 @@ import helmcut.groups
 from helmcut.groups import (
     GroupPresentation,
     MagnusSeries,
+    _arc_reps,
     abelianize,
     longitude_word,
     magnus_expand,
@@ -128,9 +129,12 @@ def test_milnor_search_builds_the_presentation_once(monkeypatch):
         return wirtinger(D)
 
     monkeypatch.setattr(helmcut.groups, "wirtinger", counting_wirtinger)
+    before = _arc_reps.cache_info().misses
     verdict = link_helmholtz_verdict(diagram("whitehead"))
     assert verdict.certificates[0]["type"] == "milnor_mubar"
     assert len(calls) == 1
+    # the wirtinger call and every longitude share one set of arc classes
+    assert _arc_reps.cache_info().misses - before == 1
 
 
 def test_split_unlink_all_mu_vanish():
