@@ -197,8 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link-verdict", help="Helmholtz verdicts for a link diagram")
     link_opts(p)
-    p.add_argument("--q", type=int, default=5, help="Magnus truncation degree")
-    p.add_argument("--mubar-length", type=int, default=4, help="max Milnor index length searched")
+    p.add_argument(
+        "--q",
+        type=int,
+        default=5,
+        help="Magnus truncation degree, at least 2; a length-p index sequence is "
+        "expanded at max(q, p+1)",
+    )
+    p.add_argument(
+        "--mubar-length", type=int, default=4, help="max Milnor index length searched, at least 2"
+    )
     p.set_defaults(func=_cmd_link_verdict)
 
     p = sub.add_parser("milnor", help="Milnor mu / mu-bar invariant")

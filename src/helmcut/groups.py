@@ -4,6 +4,15 @@ Wirtinger presentations from diagrams, abelianization, preferred
 longitudes, truncated Magnus expansion, and Milnor mu / mu-bar invariants
 computed by rewriting arc generators as meridian words in the free
 nilpotent quotient.
+
+The rewriting repeats ascending passes over the Wirtinger relations until
+a pass changes nothing; a pass skips a relation whose over-arc and in-arc
+series are unchanged since it last read them.  Delta(I), the gcd that
+mu-bar(I) is taken modulo, is found by recursion: every proper
+subsequence of I of length at least 2 is a subsequence of I with one
+entry deleted, so Delta(I) = gcd over k of S(I without entry k), where S(J) is the gcd
+of Delta(J) and the mu of every cyclic permutation of J.  A Milnor search
+memoizes S and mu across its sequences and reads each mu once.
 """
 
 from __future__ import annotations
@@ -168,10 +177,16 @@ class MagnusSeries:
 
     def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
         q = self.q
+        # the right factor's terms by degree, so that a left term of degree
+        # d meets only the terms of degree below q - d
+        by_degree: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(q)]
+        for w, c in other.terms.items():
+            if len(w) < q:
+                by_degree[len(w)].append((w, c))
         out: dict[tuple[int, ...], int] = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) < q:
+            for d in range(q - len(w1)):
+                for w2, c2 in by_degree[d]:
                     w = w1 + w2
                     out[w] = out.get(w, 0) + c1 * c2
         return MagnusSeries(q, out)
@@ -190,13 +205,6 @@ class MagnusSeries:
             for w, c in power.terms.items():
                 out.terms[w] = out.terms.get(w, 0) + s * c
         out.terms = {w: c for w, c in out.terms.items() if c}
-        return out
-
-    def __pow__(self, e: int) -> "MagnusSeries":
-        base = self if e >= 0 else self.inverse()
-        out = MagnusSeries.one(self.q)
-        for _ in range(abs(e)):
-            out = out * base
         return out
 
     def __repr__(self) -> str:
@@ -219,30 +227,49 @@ def magnus_expand(word: Word, variable_of: dict[int, int], q: int) -> MagnusSeri
 def _meridian_series(D: LinkDiagram, q: int):
     """Express every arc generator as a Magnus series in the component
     meridian variables z_1..z_n (components numbered from 1), by iterated
-    substitution of the Wirtinger relations truncated at degree q."""
+    substitution of the Wirtinger relations truncated at degree q.
+
+    Returns the presentation, the series of each generator and a function
+    giving the inverse of a generator's series, computed once per series."""
     P = wirtinger(D)
     comp_of = dict(P.component_of)
     series: dict[int, MagnusSeries] = {
         g: MagnusSeries.generator(comp_of[g] + 1, q) for g in P.generators
     }
+    inverses: dict[int, MagnusSeries] = {}  # of the current series[g]
+
+    def inverse(g: int) -> MagnusSeries:
+        if g not in inverses:
+            inverses[g] = series[g].inverse()
+        return inverses[g]
+
     # defining relation of each non-meridian generator: the crossing where
     # its arc begins; rewriting order ascending by arc label
     defining: dict[int, WirtingerRelation] = {}
     for rel in P.relations:
         if rel.out not in P.meridians and rel.out not in defining:
             defining[rel.out] = rel
+    read: dict[int, tuple[MagnusSeries, MagnusSeries]] = {}  # g -> (over, in) last read
     bound = 2 * q + 4
     for _ in range(bound):
         changed = False
         for g in sorted(defining):
             rel = defining[g]
-            o = series[rel.over]
-            new = (o ** -rel.eps) * series[rel.inn] * (o ** rel.eps)
+            o, i = series[rel.over], series[rel.inn]
+            last = read.get(g)
+            if last is not None and last[0] is o and last[1] is i:
+                continue  # the same series would come out again
+            read[g] = (o, i)
+            if rel.eps == 1:
+                new = inverse(rel.over) * i * o
+            else:
+                new = o * i * inverse(rel.over)
             if new != series[g]:
                 series[g] = new
+                inverses.pop(g, None)
                 changed = True
         if not changed:
-            return P, series
+            return P, series, inverse
     raise RewriteDepthError(
         f"meridian rewriting did not stabilize within {bound} passes at degree {q}"
     )
@@ -252,12 +279,12 @@ def _meridian_series(D: LinkDiagram, q: int):
 def _longitudes(D: LinkDiagram, q: int) -> tuple[MagnusSeries, ...]:
     """Magnus expansion at truncation q of every component's longitude,
     with arc generators rewritten as meridian series."""
-    _, series = _meridian_series(D, q)
+    _, series, inverse = _meridian_series(D, q)
     out = []
     for j in range(D.component_count):
         s = MagnusSeries.one(q)
         for g, e in longitude_word(D, j):
-            s = s * (series[g] ** e)
+            s = s * (series[g] if e == 1 else inverse(g))
         out.append(s)
     return tuple(out)
 
@@ -283,22 +310,6 @@ def milnor_mu(D: LinkDiagram, I: tuple[int, ...], q: int) -> int:
     return _longitudes(D, q)[I[-1] - 1].coefficient(I[:-1])
 
 
-def _proper_subsequences(I: tuple[int, ...]):
-    """Order-preserving subsequences of I: proper, length >= 2."""
-    from itertools import combinations
-
-    p = len(I)
-    out = set()
-    for r in range(2, p):
-        for pos in combinations(range(p), r):
-            out.add(tuple(I[i] for i in pos))
-    return sorted(out)
-
-
-def _cyclic_permutations(J: tuple[int, ...]):
-    return sorted({J[i:] + J[:i] for i in range(len(J))})
-
-
 @dataclass(frozen=True)
 class MubarValue:
     indices: tuple[int, ...]
@@ -319,11 +330,34 @@ def milnor_mubar(D: LinkDiagram, I: tuple[int, ...], q: int) -> MubarValue:
     """mu-bar(I) = mu(I) modulo Delta(I), where Delta(I) is the gcd of the
     mu values of all cyclic permutations of proper subsequences of I
     (gcd of the empty set is 0)."""
-    I = tuple(I)
-    mu = milnor_mu(D, I, q)
-    delta = 0
-    for J in _proper_subsequences(I):
-        for Jc in _cyclic_permutations(J):
-            delta = gcd(delta, milnor_mu(D, Jc, q))
-    residue = mu % delta if delta else mu
-    return MubarValue(I, mu, delta, residue)
+    return _mubar(D, tuple(I), q, {}, {})
+
+
+def _mubar(D: LinkDiagram, I: tuple[int, ...], q: int, mu: dict, S: dict) -> MubarValue:
+    """milnor_mubar with the memos of one search at one q: mu maps a
+    sequence J to its mu, S to gcd(Delta(J), mu of every cyclic
+    permutation of J).  Delta(I) is the gcd over k of S(I without entry
+    k), and S of a length-1 sequence is 0."""
+
+    def mu_of(J):
+        if J not in mu:
+            mu[J] = milnor_mu(D, J, q)
+        return mu[J]
+
+    def delta(J):
+        out = 0
+        for k in range(len(J)):
+            K = J[:k] + J[k + 1 :]
+            if len(K) < 2:
+                continue
+            if K not in S:
+                s = delta(K)
+                for i in range(len(K)):
+                    s = gcd(s, mu_of(K[i:] + K[:i]))
+                S[K] = s
+            out = gcd(out, S[K])
+        return out
+
+    value = mu_of(I)
+    d = delta(I)
+    return MubarValue(I, value, d, value % d if d else value)

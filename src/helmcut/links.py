@@ -361,9 +361,14 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4, q: int = 5
     "yes" for Helmholtz only when the diagram reduces to a zero-crossing
     split unlink by kink removal (unknot recognition is out of scope);
     "no" only with a certificate: a nonzero linking number, or a nonzero
-    Milnor residue of length <= mubar_max_length found at truncation q.
-    Everything else is "unknown".
+    Milnor residue of length <= mubar_max_length.  A length-p index
+    sequence is expanded at truncation max(q, p + 1).  Everything else is
+    "unknown".  Raises DiagramError when q or mubar_max_length is below 2.
     """
+    if q < 2:
+        raise DiagramError(f"truncation degree q must be at least 2, got {q}")
+    if mubar_max_length < 2:
+        raise DiagramError(f"mu-bar length must be at least 2, got {mubar_max_length}")
     certs: list[dict] = []
     reduced = remove_kinks(D)
     trivial = not reduced.crossings
@@ -376,10 +381,12 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4, q: int = 5
                     {"type": "linking_number", "components": [i + 1, j + 1], "value": lk[i][j]}
                 )
     if not certs and n >= 2:
-        from .groups import milnor_mubar
+        from .groups import _mubar
 
+        memos: dict[int, tuple[dict, dict]] = {}  # truncation -> (mu, S) of the search
         for I in _index_sequences(n, mubar_max_length):
-            val = milnor_mubar(D, I, max(q, len(I) + 1))
+            qI = max(q, len(I) + 1)
+            val = _mubar(D, I, qI, *memos.setdefault(qI, ({}, {})))
             if val.residue:
                 certs.append(
                     {

@@ -16,6 +16,7 @@ elsewhere.  All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Hashable, Mapping
 
 Cell = Hashable
@@ -145,9 +146,10 @@ class ReducedComplex:
 def reduce_complex(data: ChainComplexData) -> ReducedComplex:
     bd, cb, dim = data.bd, data.cb, data.dim
     rules: list[ReductionRule] = []
-    # zero-cost pairs (free faces and coreductions) are cascaded on a plain
-    # stack; only pairs with genuine fill-in pay for a heap
-    stack: list[tuple[Cell, Cell]] = []
+    # zero-cost pairs (free faces and coreductions) are cascaded first in,
+    # first out, so the cascade sweeps outward from where it started; only
+    # pairs with genuine fill-in pay for a heap
+    queue: deque[tuple[Cell, Cell]] = deque()
     heap: list[tuple[int, Cell, Cell]] = []
 
     def maybe_free(a: Cell) -> None:
@@ -155,14 +157,14 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
         if len(co) == 1:
             b, coeff = next(iter(co.items()))
             if coeff in (1, -1):
-                stack.append((a, b))
+                queue.append((a, b))
 
     def maybe_core(b: Cell) -> None:
         row = bd[b]
         if len(row) == 1:
             a, coeff = next(iter(row.items()))
             if coeff in (1, -1):
-                stack.append((a, b))
+                queue.append((a, b))
 
     def execute(a: Cell, b: Cell, lam: int) -> None:
         bd_b = dict(bd[b])
@@ -204,8 +206,8 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
         del dim[a], dim[b]
 
     def cascade() -> None:
-        while stack:
-            a, b = stack.pop()
+        while queue:
+            a, b = queue.popleft()
             if a not in bd or b not in bd:
                 continue
             lam = bd[b].get(a, 0)

@@ -154,6 +154,24 @@ def test_milnor_indices_are_ascii_digits(capsys, indices, bad):
         assert err.startswith("error: ") and err.endswith(f": {bad!r}\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--q", "-3"),
+        ("--q", "0"),
+        ("--q", "1"),
+        ("--mubar-length", "-2"),
+        ("--mubar-length", "0"),
+        ("--mubar-length", "1"),
+    ],
+)
+@pytest.mark.parametrize("pd", ["hopf", "whitehead"])
+def test_link_verdict_rejects_q_or_length_below_2(capsys, pd, option, value):
+    code, out, err = run_capture(capsys, "link-verdict", "--pd", pd, option, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and value in err and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert run(["frobnicate"]) == 2
 
