@@ -66,8 +66,10 @@ def _load_diagram(args):
 
 def _system(M: MarkedComplex, args):
     names = None
-    if args.system:
-        names = [s for s in args.system.split(",") if s]
+    if args.system is not None:
+        names = args.system.split(",")
+        if "" in names:
+            raise ComplexError(f"--system must be a comma list of marked surface names: {args.system!r}")
     return surface_system_from_marks(M, names)
 
 

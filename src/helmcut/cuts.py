@@ -65,9 +65,11 @@ def surface_system_from_marks(M: MarkedComplex, names: Sequence[str] | None = No
     if names is None:
         names = sorted(M.marks)
     tris = []
-    for name in names:
+    for i, name in enumerate(names):
         if name not in M.marks:
             raise ComplexError(f"unknown marked subcomplex: {name!r}")
+        if name in names[:i]:
+            raise ComplexError(f"marked subcomplex named twice: {name!r}")
         tris.append(tuple(M.marks[name]))
     return SurfaceSystem(tuple(names), tuple(tris))
 

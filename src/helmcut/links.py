@@ -6,8 +6,10 @@ Conventions (fixed so signs are reproducible):
   - A crossing "X(a,b,c,d)" lists its four arc labels counterclockwise
     starting from the incoming under-strand; the under-strand runs a -> c.
   - "U(a)" declares a closed zero-crossing component with arc label a.
-  - Components are oriented by tracing; a component never passing under is
-    oriented from its lowest arc label toward its lower-labelled neighbour.
+  - Each strand is walked once through the crossings and oriented by its
+    under-passes; a component never passing under is oriented from its
+    lowest arc label toward its lower-labelled neighbour (ties go to the
+    lower crossing index, and b = d runs b -> d).
   - A right-handed crossing has sign +1 (the over-strand runs d -> b).
 """
 
@@ -92,107 +94,50 @@ def parse_pd(text: str) -> LinkDiagram:
 
 
 def _trace(crossings, unknots) -> LinkDiagram:
-    counts: dict[int, int] = {}
-    for x in crossings:
-        for arc in x:
-            counts[arc] = counts.get(arc, 0) + 1
+    # slot 4k + i holds label i of crossing k; a strand entering at slot s
+    # leaves at s ^ 2, and other[s] is the other slot of the same arc
+    labels = [arc for x in crossings for arc in x]
+    slots: dict[int, list[int]] = {}
+    for s, arc in enumerate(labels):
+        slots.setdefault(arc, []).append(s)
     for arc in unknots:
-        if arc in counts or unknots.count(arc) > 1:
+        if arc in slots or unknots.count(arc) > 1:
             raise DiagramError(f"arc {arc} of a zero-crossing component reused")
-    for arc, n in counts.items():
-        if n != 2:
-            raise DiagramError(f"arc {arc} appears {n} times (must be 2)")
-
-    # edges: (tail_arc?, head_arc?, id); under-edges are directed a -> c,
-    # over-edges {b, d} get their direction from propagation
-    succ: dict[int, tuple[int, tuple]] = {}  # arc -> (next arc, edge id)
-    pred: dict[int, tuple[int, tuple]] = {}
-
-    def set_succ(x, y, eid):
-        if x in succ and succ[x] != (y, eid):
-            raise DiagramError(f"inconsistent orientation at arc {x}")
-        if y in pred and pred[y] != (x, eid):
-            raise DiagramError(f"inconsistent orientation at arc {y}")
-        succ[x] = (y, eid)
-        pred[y] = (x, eid)
-
-    over_edges = []
-    for k, (a, b, c, d) in enumerate(crossings):
-        set_succ(a, c, (k, "under"))
-        over_edges.append((b, d, (k, "over")))
-
-    incident: dict[int, list] = {}
-    for b, d, eid in over_edges:
-        incident.setdefault(b, []).append((d, eid))
-        incident.setdefault(d, []).append((b, eid))
-
-    oriented: set[tuple] = set()
-
-    def propagate() -> None:
-        again = True
-        while again:
-            again = False
-            for x, y, eid in over_edges:
-                if eid in oriented:
-                    continue
-                # an arc with its successor known must receive this edge,
-                # an arc with its predecessor known must emit it
-                if x in succ or y in pred:
-                    set_succ(y, x, eid)
-                elif y in succ or x in pred:
-                    set_succ(x, y, eid)
-                else:
-                    continue
-                oriented.add(eid)
-                again = True
-
-    propagate()
-    # pure over-components: orient from the lowest arc to its lower neighbour
-    over_class = None
-    for x, y, eid in sorted(over_edges, key=lambda e: min(e[0], e[1])):
-        if eid in oriented:
-            continue
-        if over_class is None:
-            over_class = _class_roots(counts, [(b, d) for b, d, _ in over_edges])
-        lo = min(
-            arc for arc in counts if arc not in succ and over_class[arc] == over_class[x]
-        )
-        nbrs = sorted(incident[lo], key=lambda p: (p[0], p[1]))
-        set_succ(lo, nbrs[0][0], nbrs[0][1])
-        oriented.add(nbrs[0][1])
-        propagate()
+    for arc, at in slots.items():
+        if len(at) != 2:
+            raise DiagramError(f"arc {arc} appears {len(at)} times (must be 2)")
+    other = [0] * len(labels)
+    for s, t in slots.values():
+        other[s], other[t] = t, s
 
     components: list[tuple[int, ...]] = []
+    signs = [0] * len(crossings)
     seen: set[int] = set()
-    for start in sorted(counts):
+    for start in sorted(slots):
         if start in seen:
             continue
-        comp = [start]
-        seen.add(start)
-        arc = start
-        while True:
-            if arc not in succ:
-                raise DiagramError(f"trace does not close at arc {arc}")
-            arc = succ[arc][0]
-            if arc == start:
-                break
-            if arc in seen:
-                raise DiagramError(f"trace does not close at arc {arc}")
-            comp.append(arc)
-            seen.add(arc)
-        components.append(tuple(comp))
+        # walk the strand once, entering the second slot of its smallest arc
+        entered = [slots[start][1]]
+        while (s := other[entered[-1] ^ 2]) != entered[0]:
+            entered.append(s)
+        arcs = [labels[e] for e in entered]
+        seen.update(arcs)
+        # under-passes run a -> c, so entering at c (slot 2) means the walk
+        # runs backwards; a strand that never passes under runs from its
+        # smallest arc toward the lower-labelled neighbour, and the backward
+        # neighbour wins ties since it sits at the lower slot
+        unders = {e & 2 for e in entered if not e & 1}
+        if len(unders) == 2:
+            raise DiagramError(f"inconsistent orientation at arc {start}")
+        flip = unders.pop() if unders else 2 * (arcs[-1] <= arcs[1 % len(arcs)])
+        if flip:
+            arcs[1:] = arcs[:0:-1]
+        components.append(tuple(arcs))
+        for e in entered:
+            if e & 1:  # over-strand entering at b is left-handed, at d right-handed
+                signs[e >> 2] = 1 if (e ^ flip) & 2 else -1
     for arc in sorted(unknots):
         components.append((arc,))
-
-    signs = []
-    for k, (a, b, c, d) in enumerate(crossings):
-        eid = (k, "over")
-        if succ.get(b) == (d, eid):
-            signs.append(-1)
-        elif succ.get(d) == (b, eid):
-            signs.append(+1)
-        else:
-            raise DiagramError(f"over-strand of crossing {k} is not traced")
     return LinkDiagram(tuple(crossings), tuple(sorted(unknots)), tuple(components), tuple(signs))
 
 
@@ -222,6 +167,9 @@ def linking_matrix(D: LinkDiagram) -> list[list[int]]:
 
 
 def linking_number(D: LinkDiagram, i: int, j: int) -> int:
+    n = D.component_count
+    if not (0 <= i < n and 0 <= j < n):
+        raise DiagramError(f"component indices must be in 0..{n - 1}, got {i} and {j}")
     if i == j:
         raise DiagramError("linking number needs two distinct components")
     return linking_matrix(D)[i][j]

@@ -172,6 +172,24 @@ def test_link_verdict_rejects_q_or_length_below_2(capsys, pd, option, value):
     assert err.startswith("error: ") and value in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "system, needle",
+    [
+        (",", "names: ','"),
+        ("", "names: ''"),
+        ("disk_0,", "names: 'disk_0,'"),
+        ("disk_0,,disk_1", "names: 'disk_0,,disk_1'"),
+        ("disk_0,disk_0", "named twice: 'disk_0'"),
+        ("disk_1,disk_0,disk_1", "named twice: 'disk_1'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["cut", "classify-cuts"])
+def test_system_rejects_empty_and_repeated_names(capsys, command, system, needle):
+    code, out, err = run_capture(capsys, command, "--preset", "handlebody2", "--system", system)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and needle in err and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -264,3 +282,17 @@ _pd_tokens = st.one_of(
 @given(st.lists(_pd_tokens, max_size=6).map(" ".join))
 def test_link_lk_pd_contract(text):
     _assert_cli_contract(*_run_on_file(text, ".pd", "link-lk", "--pd"))
+
+
+_system_entries = st.sampled_from(["disk_0", "disk_1", "disk_2", "", " ", "disk_0 "]) | st.text(
+    max_size=3
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_system_entries, max_size=3).map(",".join))
+def test_classify_cuts_system_contract(system):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["classify-cuts", "--preset", "handlebody2", "--system", system])
+    _assert_cli_contract(code, err.getvalue())

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helmcut.links import (
     DiagramError,
+    _trace,
     diagram,
     diagram_names,
     link_helmholtz_verdict,
@@ -33,6 +35,8 @@ def test_parse_rejects_malformed():
         parse_pd("Y(1,2,3,4) X(1,2,3,4)")  # unknown token
     with pytest.raises(DiagramError):
         parse_pd("U(1) X(1,2,2,1)")  # unknot arc reused
+    with pytest.raises(DiagramError, match="^inconsistent orientation at arc 1$"):
+        parse_pd("X(1,2,3,4) X(1,4,3,2)")  # arc 1 passes under both ways
 
 
 def test_linking_matrix_hopf_and_whitehead():
@@ -107,3 +111,70 @@ def test_orientation_data_consistency():
         for comp in D.components:
             for arc in comp:
                 assert D.successor(arc) in comp
+
+
+def test_linking_number_checks_component_indices():
+    hopf = diagram("hopf")
+    assert linking_number(hopf, 0, 1) == linking_number(hopf, 1, 0) == 1
+    for i, j in [(-1, 0), (0, -1), (5, 0), (0, 2)]:
+        with pytest.raises(DiagramError, match="component indices must be in 0..1"):
+            linking_number(hopf, i, j)
+
+
+@st.composite
+def _slot_pairings(draw):
+    """1-6 crossings whose 4n slots carry 2n labels exactly twice each,
+    optionally with one zero-crossing component."""
+    n = draw(st.integers(1, 6))
+    labels = draw(st.permutations([arc for arc in range(1, 2 * n + 1) for _ in range(2)]))
+    crossings = [tuple(labels[4 * k : 4 * k + 4]) for k in range(n)]
+    return crossings, draw(st.sampled_from([[], [2 * n + 1]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_slot_pairings())
+def test_trace_orients_every_slot_pairing(pairing):
+    crossings, unknots = pairing
+    try:
+        D = _trace(crossings, unknots)
+    except DiagramError as e:
+        assert str(e).startswith("inconsistent orientation at arc")
+        return
+    arcs = [arc for comp in D.components for arc in comp]
+    assert sorted(arcs) == sorted({arc for x in crossings for arc in x} | set(unknots))
+    assert len(D.signs) == len(crossings) and set(D.signs) <= {-1, 1}
+    for k, (a, b, c, d) in enumerate(D.crossings):
+        assert D.successor(a) == c
+        over_in, over_out = D.over_direction(k)
+        assert D.successor(over_in) == over_out
+    assert _trace(D.crossings, D.unknot_arcs) == D
+
+
+# components and signs as traced before the one-walk-per-strand rewrite; the
+# first two PD literals are bench braid closures (bench/inputs.braid_pd): the
+# Borromean rings (s1 s2^-1)^3 and the knot s1 s1 s2^-1 s1 s2 s2; in the
+# other three the component (2) or (4, ...) never passes under
+_PINNED = {
+    "hopf": (((1, 2), (3, 4)), (1, 1)),
+    "trefoil": (((1, 2, 3, 4, 5, 6),), (-1, -1, -1)),
+    "trefoil4": (((1, 2, 3, 4, 5, 6, 7, 8),), (-1, -1, -1, 1)),
+    "whitehead": (((1, 2, 3, 4), (5, 6, 7, 8, 9, 10)), (-1, -1, 1, 1, -1)),
+    "unlink2": (((1,), (2,)), ()),
+    "X(2,5,4,1) X(5,3,7,6) X(6,9,8,4) X(9,7,11,10) X(10,12,1,8) X(12,11,3,2)": (
+        ((1, 5, 7, 10), (2, 4, 9, 11), (3, 6, 8, 12)),
+        (1, -1, 1, -1, 1, -1),
+    ),
+    "X(2,5,4,1) X(5,7,6,4) X(7,3,9,8) X(8,10,1,6) X(9,12,11,10) X(12,3,2,11)": (
+        ((1, 5, 6, 10, 12, 2, 4, 7, 9, 11, 3, 8),),
+        (1, 1, -1, 1, 1, 1),
+    ),
+    "X(1,2,1,2)": (((1,), (2,)), (-1,)),
+    "X(1,3,2,4) X(2,4,1,3)": (((1, 2), (3, 4)), (-1, -1)),
+    "X(1,4,2,6) X(2,5,3,4) X(3,6,1,5)": (((1, 2, 3), (4, 5, 6)), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("source", list(_PINNED))
+def test_traced_components_and_signs_are_pinned(source):
+    D = diagram(source) if source in diagram_names() else parse_pd(source)
+    assert (D.components, D.signs) == _PINNED[source]
