@@ -52,13 +52,6 @@ def encode_point(p: Point) -> int:
     return ((x + _OFF) * _SPAN + (y + _OFF)) * _SPAN + (z + _OFF)
 
 
-def decode_point(label: int) -> Point:
-    z = label % _SPAN - _OFF
-    label //= _SPAN
-    y = label % _SPAN - _OFF
-    return (label // _SPAN - _OFF, y, z)
-
-
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -151,7 +144,7 @@ def surface_shell(g: int) -> MarkedComplex:
     info = surface_info(surface)
     if info.component_count != 1 or info.genus_list != (g,):
         raise BuildError("handlebody boundary is not the expected surface")
-    return product_with_interval(surface, steps=1)
+    return product_with_interval(surface)
 
 
 # -- lattice paths and link box-domains ------------------------------------
@@ -230,18 +223,15 @@ def _dilate(cubes: set[Cube]) -> set[Cube]:
     return out
 
 
-def lattice_link_complement(
-    paths: Sequence[LatticePath], box_margin: int = 1
-) -> MarkedComplex:
+def lattice_link_complement(paths: Sequence[LatticePath]) -> MarkedComplex:
     """Box-domain of a lattice link: a cube box minus tubes around each path.
 
     The tube around a path is the union of closed unit cubes touching it,
     plus one layer of cube padding taken from the complement (this keeps the
-    tube boundary an embedded torus).  Boundary tori are marked "tube_i";
-    the outer box boundary is marked "outer".
+    tube boundary an embedded torus).  The box leaves one layer of cubes
+    around the tubes.  Boundary tori are marked "tube_i"; the outer box
+    boundary is marked "outer".
     """
-    if box_margin < 1:
-        raise BuildError("box_margin must be >= 1")
     excluded: list[set[Cube]] = []
     for path in paths:
         if not path.closed:
@@ -254,8 +244,8 @@ def lattice_link_complement(
     all_excluded = set().union(*excluded) if excluded else set()
     if not all_excluded:
         raise BuildError("need at least one path")
-    los = [min(c[a] for c in all_excluded) - box_margin for a in range(3)]
-    his = [max(c[a] for c in all_excluded) + box_margin for a in range(3)]
+    los = [min(c[a] for c in all_excluded) - 1 for a in range(3)]
+    his = [max(c[a] for c in all_excluded) + 1 for a in range(3)]
     domain = {
         (x, y, z)
         for x in range(los[0], his[0] + 1)

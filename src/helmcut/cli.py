@@ -138,7 +138,7 @@ def _cmd_link_seifert(args):
 
 def _cmd_link_verdict(args):
     D = _load_diagram(args)
-    return link_helmholtz_verdict(D, mubar_max_length=args.mubar_length, q=args.q).to_json()
+    return link_helmholtz_verdict(D, mubar_max_length=args.mubar_length).to_json()
 
 
 def _cmd_milnor(args):
@@ -147,7 +147,8 @@ def _cmd_milnor(args):
     for x in entries:
         if not re.fullmatch(r"\s*[0-9]+\s*", x):
             raise DiagramError(f"--indices must be a comma list of component numbers: {x!r}")
-    return milnor_mubar(D, tuple(int(x) for x in entries), args.q).to_json()
+    I = tuple(int(x) for x in entries)
+    return milnor_mubar(D, I, len(I) + 1).to_json()
 
 
 def _cmd_preset_list(args):
@@ -200,21 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("link-verdict", help="Helmholtz verdicts for a link diagram")
     link_opts(p)
     p.add_argument(
-        "--q",
+        "--mubar-length",
         type=int,
-        default=5,
-        help="Magnus truncation degree, at least 2; a length-p index sequence is "
-        "expanded at max(q, p+1)",
-    )
-    p.add_argument(
-        "--mubar-length", type=int, default=4, help="max Milnor index length searched, at least 2"
+        default=4,
+        help="max Milnor index length searched, at least 2; the Magnus expansion is "
+        "truncated one degree above it",
     )
     p.set_defaults(func=_cmd_link_verdict)
 
     p = sub.add_parser("milnor", help="Milnor mu / mu-bar invariant")
     link_opts(p)
     p.add_argument("--indices", required=True, help="comma list, e.g. 1,1,2,2")
-    p.add_argument("--q", type=int, default=5, help="Magnus truncation degree")
     p.set_defaults(func=_cmd_milnor)
 
     p = sub.add_parser("preset-list", help="list bundled domains and diagrams")

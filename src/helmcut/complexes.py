@@ -498,22 +498,21 @@ class MarkedComplex:
         return self.complex.subcomplex(self.marks[name])
 
 
-def product_with_interval(S: SimplicialComplex, steps: int = 1) -> MarkedComplex:
-    """Triangulated S x [0,1] with marked copies "bottom" (S x 0) and "top" (S x 1)."""
+def product_with_interval(S: SimplicialComplex) -> MarkedComplex:
+    """Triangulated S x [0,1], one prism layer thick, with marked copies
+    "bottom" (S x 0) and "top" (S x 1)."""
     if S.dimension > 2:
         raise ComplexError("product_with_interval requires dim <= 2")
-    if steps < 1:
-        raise ComplexError("steps must be positive")
     verts = sorted(S.vertices)
     idx = {v: i for i, v in enumerate(verts)}
 
     def label(v: int, t: int) -> int:
-        return idx[v] * (steps + 1) + t
+        return idx[v] * 2 + t
 
-    K = build_complex(_product_simplices(S, steps, label))
+    K = build_complex(_product_simplices(S, 1, label))
     marks = {
         "bottom": [tuple(label(v, 0) for v in s) for s in _maximal(S)],
-        "top": [tuple(label(v, steps) for v in s) for s in _maximal(S)],
+        "top": [tuple(label(v, 1) for v in s) for s in _maximal(S)],
     }
     return MarkedComplex(K, marks)
 

@@ -341,11 +341,14 @@ def classify_cut_system(K, F: SurfaceSystem) -> CutVerdict:
     )
 
 
-def find_minimal_weak_subsets(K, F: SurfaceSystem, max_size: int = 6) -> list[tuple[str, ...]]:
-    """Exhaustive search (|F| <= max_size) for subsets of the system that
-    are minimal weak cut-systems with connected cut."""
-    if len(F) > max_size:
-        raise ComplexError(f"subset search limited to systems of size <= {max_size}")
+_SUBSET_SEARCH_LIMIT = 6  # the search classifies up to C(|F|, b1) cuts
+
+
+def find_minimal_weak_subsets(K, F: SurfaceSystem) -> list[tuple[str, ...]]:
+    """Exhaustive search (|F| <= 6) for subsets of the system that are
+    minimal weak cut-systems with connected cut."""
+    if len(F) > _SUBSET_SEARCH_LIMIT:
+        raise ComplexError(f"subset search limited to systems of size <= {_SUBSET_SEARCH_LIMIT}")
     from itertools import combinations
 
     KC = _as_marked(K).complex

@@ -257,7 +257,8 @@ def seifert_data(D: LinkDiagram) -> SeifertData:
 
 def remove_kinks(D: LinkDiagram) -> LinkDiagram:
     """Greedily remove Reidemeister-I kinks (crossings where two cyclically
-    adjacent slots carry the same arc) until none remain."""
+    adjacent slots carry the same arc) until none remain.  A diagram
+    without kinks is returned itself."""
     crossings = list(D.crossings)
     unknots = list(D.unknot_arcs)
     changed = True
@@ -286,6 +287,8 @@ def remove_kinks(D: LinkDiagram) -> LinkDiagram:
                         unknots.append(keep)
             changed = True
             break
+    if len(crossings) == len(D.crossings):
+        return D
     return _trace(crossings, unknots)
 
 
@@ -303,18 +306,18 @@ class LinkVerdict:
         }
 
 
-def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4, q: int = 5) -> LinkVerdict:
+def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4) -> LinkVerdict:
     """Three-valued Helmholtz / weakly-Helmholtz verdicts for a link.
 
     "yes" for Helmholtz only when the diagram reduces to a zero-crossing
     split unlink by kink removal (unknot recognition is out of scope);
     "no" only with a certificate: a nonzero linking number, or a nonzero
-    Milnor residue of length <= mubar_max_length.  A length-p index
-    sequence is expanded at truncation max(q, p + 1).  Everything else is
-    "unknown".  Raises DiagramError when q or mubar_max_length is below 2.
+    Milnor residue of length <= mubar_max_length.  Every index sequence is
+    expanded at truncation mubar_max_length + 1: mu(I) depends only on the
+    longitude modulo the |I|-th lower central series term (Milnor, "Isotopy
+    of links", 1957), so one truncation serves the whole search.  Everything
+    else is "unknown".  Raises DiagramError when mubar_max_length is below 2.
     """
-    if q < 2:
-        raise DiagramError(f"truncation degree q must be at least 2, got {q}")
     if mubar_max_length < 2:
         raise DiagramError(f"mu-bar length must be at least 2, got {mubar_max_length}")
     certs: list[dict] = []
@@ -331,10 +334,9 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4, q: int = 5
     if not certs and n >= 2:
         from .groups import _mubar
 
-        memos: dict[int, tuple[dict, dict]] = {}  # truncation -> (mu, S) of the search
+        mu, S = {}, {}  # the memos of _mubar, shared by the whole search
         for I in _index_sequences(n, mubar_max_length):
-            qI = max(q, len(I) + 1)
-            val = _mubar(D, I, qI, *memos.setdefault(qI, ({}, {})))
+            val = _mubar(D, I, mubar_max_length + 1, mu, S)
             if val.residue:
                 certs.append(
                     {

@@ -64,8 +64,8 @@ class ReductionRule:
         self.a = a
         self.b = b
         self.lam = lam      # +1 or -1; its own inverse
-        self.bd_b = bd_b    # snapshot of boundary of b at removal time
-        self.cb_a = cb_a    # snapshot of coboundary of a at removal time
+        self.bd_b = bd_b    # boundary of b at removal time
+        self.cb_a = cb_a    # coboundary of a at removal time
 
 
 class ReducedComplex:
@@ -167,8 +167,10 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
                 queue.append((a, b))
 
     def execute(a: Cell, b: Cell, lam: int) -> None:
-        bd_b = dict(bd[b])
-        cb_a = dict(cb[a])
+        # the rule keeps the rows themselves: nothing below writes to them,
+        # and both leave bd and cb at the end
+        bd_b = bd[b]
+        cb_a = cb[a]
         rules.append(ReductionRule(dim[a], a, b, lam, bd_b, cb_a))
         for f in bd[a]:
             del cb[f][a]

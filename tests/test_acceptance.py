@@ -165,7 +165,7 @@ def test_criterion_10_determinism(capsys):
         ["link-lk", "--pd", "hopf"],
         ["link-seifert", "--pd", "trefoil"],
         ["link-verdict", "--pd", "whitehead"],
-        ["milnor", "--pd", "whitehead", "--indices", "1,1,2,2", "--q", "5"],
+        ["milnor", "--pd", "whitehead", "--indices", "1,1,2,2"],
         ["preset-list"],
     ]
     for cmd in commands:

@@ -1,11 +1,13 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helmcut.builders import (
     BuildError,
     LatticePath,
     cube_tetrahedra,
     cubes_to_complex,
-    decode_point,
     domain_corpus,
     encode_point,
     lattice_link_complement,
@@ -17,6 +19,7 @@ from helmcut.builders import (
     unknot_box,
 )
 from helmcut.complexes import (
+    ComplexError,
     boundary_subcomplex,
     build_complex,
     euler_characteristic,
@@ -62,10 +65,12 @@ def test_unknown_preset():
 
 
 def test_point_encoding_round_trip():
-    for p in [(0, 0, 0), (-5, 7, 100), (55, -3, 2)]:
-        assert decode_point(encode_point(p)) == p
-    with pytest.raises(BuildError):
-        encode_point((500, 0, 0))
+    # distinct points get distinct labels, out to the ends of the range
+    grid = list(product((-99, -98, -1, 0, 1, 154, 155), repeat=3))
+    assert len({encode_point(p) for p in grid}) == len(grid)
+    for p in [(500, 0, 0), (0, -100, 0), (0, 0, 156)]:
+        with pytest.raises(BuildError):
+            encode_point(p)
 
 
 def test_cube_tetrahedralization_is_compatible():
@@ -148,6 +153,38 @@ def test_link_complement_rejects_face_to_face_tubes():
     # the hopf.path layout keeps a free layer of cubes between the tubes
     M = lattice_link_complement([_square(10), _rectangle(5, 15, 5, -5, 5)])
     assert set(M.marks) == {"outer", "tube_0", "tube_1"}
+
+
+@st.composite
+def _closed_walks(draw):
+    """Text of one or two closed lattice walks near the origin: random unit
+    steps, then back to the start one axis at a time."""
+    lines = []
+    for _ in range(draw(st.integers(1, 2))):
+        start = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        pts = [start]
+        moves = st.tuples(st.integers(0, 2), st.sampled_from((-1, 1)))
+        for axis, d in draw(st.lists(moves, min_size=1, max_size=6)):
+            p = list(pts[-1])
+            p[axis] += d
+            pts.append(tuple(p))
+        for axis in draw(st.permutations(range(3))):
+            while pts[-1][axis] != start[axis]:
+                p = list(pts[-1])
+                p[axis] += 1 if start[axis] > p[axis] else -1
+                pts.append(tuple(p))
+        lines.append(";".join(",".join(map(str, p)) for p in pts))
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="0123456789+-,; \n#", max_size=60) | _closed_walks())
+def test_lattice_link_input_raises_only_complex_errors(text):
+    # BuildError is a ComplexError
+    try:
+        lattice_link_complement(parse_lattice_paths(text))
+    except ComplexError:
+        pass
 
 
 def test_surface_shell_structure():

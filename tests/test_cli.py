@@ -57,11 +57,14 @@ def test_cut_handlebody2(capsys):
 
 def test_milnor_whitehead(capsys):
     code, out, _ = run_capture(
-        capsys, "milnor", "--pd", "whitehead.pd", "--indices", "1,1,2,2", "--q", "5"
+        capsys, "milnor", "--pd", "whitehead.pd", "--indices", "1,1,2,2"
     )
     assert code == 0
     data = json.loads(out)
     assert data["delta"] == 0 and abs(data["mu"]) == 1
+    # the truncation follows the index length, so no length is too long
+    code, out, _ = run_capture(capsys, "milnor", "--pd", "whitehead", "--indices", "1,1,2,1,2")
+    assert code == 0 and json.loads(out)["indices"] == [1, 1, 2, 1, 2]
 
 
 def test_link_commands(capsys):
@@ -88,7 +91,10 @@ def test_input_file_and_output_file(tmp_path, capsys):
 def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert run_capture(capsys, "analyze", "--preset", "nosuch")[0] == 2
     assert run_capture(capsys, "homology")[0] == 2  # neither preset nor input
-    assert run_capture(capsys, "milnor", "--pd", "hopf", "--indices", "1", "--q", "4")[0] == 2
+    assert run_capture(capsys, "milnor", "--pd", "hopf", "--indices", "1")[0] == 2
+    # the Magnus truncation is derived, not an option
+    assert run_capture(capsys, "link-verdict", "--pd", "hopf", "--q", "5")[0] == 2
+    assert run_capture(capsys, "milnor", "--pd", "hopf", "--indices", "1,2", "--q", "4")[0] == 2
     assert run_capture(capsys, "link-lk", "--pd", "missing-file.pd")[0] == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -157,9 +163,6 @@ def test_milnor_indices_are_ascii_digits(capsys, indices, bad):
 @pytest.mark.parametrize(
     "option, value",
     [
-        ("--q", "-3"),
-        ("--q", "0"),
-        ("--q", "1"),
         ("--mubar-length", "-2"),
         ("--mubar-length", "0"),
         ("--mubar-length", "1"),
@@ -200,7 +203,7 @@ def test_determinism_byte_identical(capsys):
         ("analyze", "--preset", "torus_shell"),
         ("classify-cuts", "--preset", "handlebody2"),
         ("link-verdict", "--pd", "whitehead"),
-        ("milnor", "--pd", "hopf", "--indices", "1,2", "--q", "4"),
+        ("milnor", "--pd", "hopf", "--indices", "1,2"),
         ("preset-list",),
     ]
     for cmd in commands:

@@ -208,6 +208,17 @@ def test_mubar_delta_matches_the_definition(name):
             assert (v.mu, v.delta, v.residue) == (mu, delta, mu % delta if delta else mu), I
 
 
+@pytest.mark.parametrize("name", ["whitehead", "hopf", "unlink2", "borromean"])
+def test_mubar_does_not_depend_on_the_truncation(name):
+    # mu(I) depends only on the longitude modulo the |I|-th lower central
+    # series term (Milnor 1957), so any truncation above |I| gives it
+    D = _link(name)
+    n = D.component_count
+    for p in (2, 3, 4):
+        for I in product(range(1, n + 1), repeat=p):
+            assert milnor_mubar(D, I, p + 1) == milnor_mubar(D, I, 5) == milnor_mubar(D, I, 7), I
+
+
 def test_borromean_rings_have_mubar_123():
     D = parse_pd(BORROMEAN_PD)
     assert linking_matrix(D) == [[0, 0, 0]] * 3

@@ -76,6 +76,14 @@ def test_reidemeister_smoke_two_trefoil_diagrams():
     assert seifert_data(remove_kinks(t4)).genus == seifert_data(t3).genus
 
 
+def test_remove_kinks_keeps_a_kink_free_diagram():
+    for name in ("hopf", "trefoil", "whitehead", "unlink2"):
+        D = diagram(name)
+        assert remove_kinks(D) is D
+    t4 = diagram("trefoil4")
+    assert len(remove_kinks(t4).crossings) == len(t4.crossings) - 1
+
+
 def test_kink_removal_reduces_unknots():
     assert not remove_kinks(parse_pd("X(1,1,2,2)")).crossings
     assert not remove_kinks(parse_pd("X(1,2,2,3) X(3,4,4,1)")).crossings
