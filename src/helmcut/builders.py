@@ -246,6 +246,9 @@ def lattice_link_complement(paths: Sequence[LatticePath]) -> MarkedComplex:
         raise BuildError("need at least one path")
     los = [min(c[a] for c in all_excluded) - 1 for a in range(3)]
     his = [max(c[a] for c in all_excluded) + 1 for a in range(3)]
+    # the box corners bound every vertex, so check them before building
+    encode_point(tuple(los))
+    encode_point(tuple(h + 1 for h in his))
     domain = {
         (x, y, z)
         for x in range(los[0], his[0] + 1)

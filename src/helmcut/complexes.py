@@ -571,9 +571,12 @@ def mapping_torus(
 def marked_complex_from_json(data: Mapping) -> MarkedComplex:
     """Parsed JSON {"simplices": [[v, ...], ...], "marked_subcomplexes":
     {name: [[v, ...], ...]}} with integer (not boolean) vertex labels; any
-    other shape raises ComplexError."""
+    other shape, an unknown key included, raises ComplexError."""
     if not isinstance(data, Mapping) or "simplices" not in data:
         raise ComplexError('JSON complex must have a "simplices" array')
+    for key in data:
+        if key not in ("simplices", "marked_subcomplexes"):
+            raise ComplexError(f"unknown key in JSON complex: {key!r}")
     K = build_complex(_json_simplices(data["simplices"], '"simplices"'))
     marks_raw = data.get("marked_subcomplexes", {})
     if not isinstance(marks_raw, Mapping):

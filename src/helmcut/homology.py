@@ -129,9 +129,10 @@ class ComplexHomology:
     The cells are the simplices of K not in `dropped`.  A cell is numbered
     by its position in K's sorted layers (see complexes.FaceIndex) plus the
     sizes of the layers below, so every homology of K shares one
-    numbering; all public chains are keyed by the simplices.  The integer
-    boundary is written straight from K's face index and handed to the
-    reduction, which consumes it: only the reduced complex is kept.
+    numbering; all public chains are keyed by the simplices.  The
+    reduction reads K's face index and writes integer rows only for the
+    cells that survive its zero-cost cascade: only the reduced complex is
+    kept.
 
     The root of each component that does not meet `dropped` (see the
     module docstring) is left out of the cells too; degree 0 comes from
@@ -144,34 +145,19 @@ class ComplexHomology:
         self.roots: list[int] = [v for v, r in root.items() if v == r and r not in met]
         self._root_of = root
         self._root_index = {r: i for i, r in enumerate(self.roots)}
-        self._dropped = dropped
         # the layers, not K: a value derived from K must not refer back to it
         self._layers = tuple(K.simplices(d) for d in range(4))
         self._offsets = [0, *accumulate(len(layer) for layer in self._layers[:3])]
-        index = face_index(K)
-        # one int object per cell, shared by every boundary row naming it,
-        # and None for each simplex that is not a cell
-        number: list = list(range(self._offsets[3] + len(self._layers[3])))
-        int_cells: list[list[int]] = []
-        bd: dict[int, dict[int, int]] = {}
-        for d, layer in enumerate(self._layers):
-            row = []
-            off, below, n = self._offsets[d], self._offsets[d - 1], d + 1
-            # the layer below is complete, so its entries of number are final
-            face_cells = [number[below + f] for f in index.faces[d]]
-            for p, s in enumerate(layer):
-                if s in dropped or (not d and s[0] in self._root_index):
-                    number[off + p] = None
-                    continue
-                i = number[off + p]
-                row.append(i)
-                # face k of p with sign (-1) ** k, less the faces that are
-                # not cells (all keyed None)
-                bd[i] = faces = dict(zip(face_cells[n * p:n * p + n], (1, -1, 1, -1)))
-                faces.pop(None, None)
-            int_cells.append(row)
-        del number, face_cells
-        self.reduced: ReducedComplex = reduce_complex(ChainComplexData(int_cells, bd))
+        # the dropped simplices and the roots are not cells
+        non_cells = [
+            self._offsets[d] + p
+            for d, layer in enumerate(self._layers)
+            for p, s in enumerate(layer)
+            if s in dropped or (not d and s[0] in self._root_index)
+        ]
+        data = ChainComplexData(face_index(K), non_cells)
+        self._rank = data.rank  # -1 marks a simplex that is not a cell
+        self.reduced: ReducedComplex = reduce_complex(data)
         cbd = self.reduced.cells_by_dim
         while len(cbd) < 5:
             cbd = cbd + [[]]
@@ -186,10 +172,9 @@ class ComplexHomology:
     def _cell(self, s) -> int | None:
         """The cell number of simplex s, or None if s is not a cell."""
         d = len(s) - 1
-        if 0 <= d <= 3 and s not in self._dropped and not (d == 0 and s[0] in self._root_index):
-            p = _position(self._layers[d], s)
-            if p >= 0:
-                return self._offsets[d] + p
+        p = _position(self._layers[d], s) if 0 <= d <= 3 else -1
+        if p >= 0 and self._rank[self._offsets[d] + p] >= 0:
+            return self._offsets[d] + p
         return None
 
     # -- public queries ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact reduction of based integer chain complexes.
+"""Exact reduction of simplicial integer chain complexes.
 
 Elementary reductions (Gaussian elimination on a +-1 incidence) shrink a
 chain complex while preserving its integral homology on the nose.  The
@@ -8,19 +8,35 @@ sequence of reductions is logged so chains can be transported both ways:
   include:  C(residual) -> C(original)   (chain map)
   homotopy: id - include.project = d H + H d   (for witness extraction)
 
-Pivots are chosen by a lazy-heap Markowitz rule (least fill-in first), which
-makes free-face collapses and coreductions zero-cost and keeps fill-in low
-elsewhere.  All arithmetic is exact integer arithmetic.
+Free faces and coreductions (Mrozek and Batko, "Coreduction homology
+algorithm", Discrete Comput. Geom. 41, 2009) cause no fill-in, so which of
+them go, and in what order, depends only on how many live faces and
+cofaces each cell has.  They are cascaded first, first in, first out,
+on integer counters over the face index, and logged as integer pairs
+with a removal rank per cell; a pair's rows are read back through the
+index.
+The survivors are the critical cells of an acyclic matching (Harker,
+Mischaikow, Mrozek and Nanda, Found. Comput. Math. 14, 2014).  Only they
+get sparse rows, which a lazy-heap Markowitz rule (least fill-in first)
+reduces further.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+from array import array
 from collections import deque
-from typing import Hashable, Mapping
+from itertools import accumulate
+from operator import sub
+from typing import Hashable, Iterable, Mapping
+
+from .complexes import FaceIndex
 
 Cell = Hashable
 Chain = dict  # Cell -> int
+
+LIVE = 2**31 - 1  # the rank of a cell that no rule has removed
 
 
 def add_scaled(target: Chain, source: Mapping, factor: int) -> None:
@@ -35,25 +51,43 @@ def add_scaled(target: Chain, source: Mapping, factor: int) -> None:
 
 
 class ChainComplexData:
-    """Mutable based chain complex with sparse boundary and coboundary.
+    """The chain complex of a simplicial complex, read through its face
+    index: face k of a simplex has sign (-1)**k (vertex-deletion order).
+    Simplex p of layer d is numbered offsets[d] + p, and every simplex is
+    a cell except the given non-cells.
 
-    The given boundary becomes the working `bd` that the reduction mutates,
-    so the caller must not use it afterwards.  It must map every cell to its
-    boundary chain, with no zero coefficients and only cells as faces; this
-    is not checked.
+    rank[c] is the index of the rule that removed cell c: LIVE while c is
+    live, -1 if c is not a cell.  dim maps each live cell to its
+    dimension.  The reduction writes into bd the boundary rows of the cells
+    that survive its zero-cost cascade, and leaves the residual rows there.
     """
 
-    def __init__(self, cells_by_dim: list[list[Cell]], boundary: dict[Cell, Chain]):
-        self.cells_by_dim = cells_by_dim
-        self.dim: dict[Cell, int] = {}
-        for d, cells in enumerate(cells_by_dim):
-            for c in cells:
-                self.dim[c] = d
-        self.bd = boundary
-        self.cb: dict[Cell, Chain] = {c: {} for c in self.dim}
-        for cell, row in boundary.items():
-            for face, coeff in row.items():
-                self.cb[face][cell] = coeff
+    def __init__(self, index: FaceIndex, non_cells: Iterable[int]):
+        self.index = index
+        self.offsets = [0, *accumulate(len(start) - 1 for start in index.coface_start)]
+        self.rank = array("i", [LIVE]) * self.offsets[4]
+        for c in non_cells:
+            self.rank[c] = -1
+        self.dim = _LiveDims(self.rank, self.offsets)
+        self.bd: dict[int, Chain] = {}
+
+
+class _LiveDims(Mapping):
+    """Cell -> dimension, over the cells of rank LIVE."""
+
+    def __init__(self, rank: array, offsets: list[int]):
+        self._rank, self._offsets = rank, offsets
+
+    def __getitem__(self, c: int) -> int:
+        if not (0 <= c < len(self._rank) and self._rank[c] == LIVE):
+            raise KeyError(c)
+        return bisect.bisect_right(self._offsets, c) - 1
+
+    def __iter__(self):
+        return (c for c, r in enumerate(self._rank) if r == LIVE)
+
+    def __len__(self) -> int:
+        return self._rank.count(LIVE)
 
 
 class ReductionRule:
@@ -70,16 +104,19 @@ class ReductionRule:
 
 class ReducedComplex:
     """Residual complex plus transport maps to/from the original.
-    `heap_pops` counts the Markowitz heap pops the reduction made."""
 
-    def __init__(self, data: ChainComplexData, rules: list[ReductionRule], heap_pops: int):
+    Rule r < len(pairs[0]) is the cascade pair (pairs[0][r], pairs[1][r]);
+    the Markowitz rules follow it.  `heap_pops` counts the Markowitz heap
+    pops the reduction made."""
+
+    def __init__(self, data: ChainComplexData, pairs: tuple[array, array],
+                 rules: list[ReductionRule], heap_pops: int):
         self._data = data
+        self.pairs = pairs
         self.rules = rules
         self.heap_pops = heap_pops
-        alive = set(data.dim)
-        self.cells_by_dim = [
-            [c for c in cells if c in alive] for cells in data.cells_by_dim
-        ]
+        off = data.offsets
+        self.cells_by_dim = [[c for c in data.bd if off[d] <= c < off[d + 1]] for d in range(4)]
 
     def cells(self, dim: int) -> list[Cell]:
         if not 0 <= dim < len(self.cells_by_dim):
@@ -105,25 +142,86 @@ class ReducedComplex:
         proj = self._forward(chain, dim, terms)
         return proj, self._backward({}, dim + 1, terms)
 
+    def _sign(self, d: int, c: int, f: int) -> int:
+        """(-1)**k, where f is face k of the cell c of dimension d."""
+        off = self._data.offsets
+        k = self._data.index.faces_of(d, c - off[d]).index(f - off[d - 1])
+        return -1 if k & 1 else 1
+
     def _forward(self, chain: Mapping[Cell, int], dim: int, terms: dict[int, int]) -> Chain:
         """Apply the rules in order, recording in terms the homotopy term of
-        each rule that acts: rule index -> coefficient of that rule's b."""
+        each rule that acts: rule index -> coefficient of that rule's b.
+
+        A rule acts only on a chain that holds its a or its b, and the rank
+        of a cell is the index of the rule that removed it, so the rules
+        are visited in the order of the ranks of the cells the chain
+        reaches.  A cascade pair's boundary of b is the faces of b that are
+        live at its rank."""
         out = {c: v for c, v in chain.items() if v}
-        for i, rule in enumerate(self.rules):
-            if dim == rule.p:
-                ca = out.get(rule.a, 0)
-                if ca:
-                    terms[i] = rule.lam * ca
-                    add_scaled(out, rule.bd_b, -rule.lam * ca)
-            elif dim == rule.p + 1:
-                out.pop(rule.b, None)
+        rank, off = self._data.rank, self._data.offsets
+        A, B = self.pairs
+        n = len(A)
+        todo = [r for r in {rank[c] for c in out} if 0 <= r < LIVE]
+        heapq.heapify(todo)
+        last = -1
+        while todo:
+            r = heapq.heappop(todo)
+            if r == last:
+                continue
+            last = r
+            if r < n:
+                a, b = A[r], B[r]
+                p = bisect.bisect_right(off, a) - 1
+            else:
+                rule = self.rules[r - n]
+                a, b, p = rule.a, rule.b, rule.p
+            if p == dim - 1:
+                out.pop(b, None)
+                continue
+            ca = out.get(a) if p == dim else None
+            if not ca:
+                continue
+            bd_b = self._boundary_at(r) if r < n else rule.bd_b
+            lam = bd_b[a]
+            terms[r] = lam * ca
+            add_scaled(out, bd_b, -lam * ca)
+            for f in bd_b:
+                if f != a and rank[f] < LIVE:
+                    heapq.heappush(todo, rank[f])
         return out
+
+    def _boundary_at(self, r: int) -> Chain:
+        """The boundary of b of cascade pair r when the pair was removed:
+        the faces of b of rank at least r."""
+        b, rank, off = self.pairs[1][r], self._data.rank, self._data.offsets
+        d = bisect.bisect_right(off, b) - 1
+        row = {}
+        for k, q in enumerate(self._data.index.faces_of(d, b - off[d])):
+            if rank[off[d - 1] + q] >= r:
+                row[off[d - 1] + q] = -1 if k & 1 else 1
+        return row
 
     def _backward(self, chain: Mapping[Cell, int], dim: int, terms: Mapping[int, int]) -> Chain:
         """Undo the rules in reverse order, adding terms[i] to rule i's b
         after its step has read the chain, which assembles
-        H(chain) = sum_i include_{<i}(h_i(project_{<i}(chain)))."""
+        H(chain) = sum_i include_{<i}(h_i(project_{<i}(chain))).
+
+        A cascade pair's coboundary of a is the cofaces of a that are live
+        at its rank, so it acts only if a is a face of a cell of the chain
+        or the pair has a homotopy term: the pairs are visited by the ranks
+        of the faces of the cells the chain reaches."""
         out = {c: v for c, v in chain.items() if v}
+
+        def add(b: int, delta: int) -> None:
+            if delta:
+                new = out.get(b, 0) + delta
+                if new:
+                    out[b] = new
+                else:
+                    out.pop(b, None)
+
+        A, B = self.pairs
+        n = len(A)
         for i in range(len(self.rules) - 1, -1, -1):
             rule = self.rules[i]
             if dim != rule.p + 1:
@@ -133,22 +231,154 @@ class ReducedComplex:
                 v = out.get(e, 0)
                 if v:
                     s += v * coeff
-            delta = terms.get(i, 0) - rule.lam * s
+            add(rule.b, terms.get(n + i, 0) - rule.lam * s)
+        if not 1 <= dim <= 3:  # no cascade pair has its b there
+            return out
+        rank, index, off = self._data.rank, self._data.index, self._data.offsets
+        lo, hi, top = off[dim - 1], off[dim], off[dim + 1]  # the layers of a and b
+
+        def push_faces(c: int, below: int) -> None:
+            for q in index.faces_of(dim, c - hi):
+                if 0 <= rank[lo + q] < below:
+                    heapq.heappush(todo, -rank[lo + q])
+
+        todo = [-r for r in terms if r < n]
+        heapq.heapify(todo)
+        for c in out:
+            if hi <= c < top:
+                push_faces(c, n)
+        last = -1
+        while todo:
+            r = -heapq.heappop(todo)
+            if r == last:
+                continue
+            last = r
+            a, b = A[r], B[r]
+            if not lo <= a < hi:
+                continue
+            s = 0
+            for q in index.cofaces_of(dim - 1, a - lo):
+                v = out.get(hi + q)
+                if v and rank[hi + q] >= r:
+                    s += v * self._sign(dim, hi + q, a)
+            delta = terms.get(r, 0) - (self._sign(dim, b, a) * s if s else 0)
             if delta:
-                new = out.get(rule.b, 0) + delta
-                if new:
-                    out[rule.b] = new
-                else:
-                    out.pop(rule.b, None)
+                add(b, delta)
+                push_faces(b, r)
         return out
 
 
+def _cascade(data: ChainComplexData) -> tuple[array, array]:
+    """Remove every zero-cost pair, first in, first out, on counts of live
+    faces and cofaces; each removed cell gets its pair's index as rank.
+    The pairs (a, b), in removal order.
+
+    The state is kept per layer, by position, in lists, which index
+    faster than arrays: rank[d][p], and nf[d][p] and nc[d][p], the
+    numbers of live faces and cofaces of simplex p of layer d."""
+    faces, start, cofaces = data.index
+    off = data.offsets
+    # a fifth, empty layer stands above the tetrahedra
+    rank = [data.rank[off[d]:off[d + 1]].tolist() for d in range(4)] + [[]]
+    nf = [[d + 1 if d else 0] * (off[d + 1] - off[d]) for d in range(4)] + [[]]
+    nc = [list(map(sub, st[1:], st)) for st in start] + [[]]
+    for d in range(4):
+        for p, r in enumerate(rank[d]):
+            if r < 0:
+                for q in data.index.faces_of(d, p):
+                    nc[d - 1][q] -= 1
+                for q in data.index.cofaces_of(d, p):
+                    nf[d + 1][q] -= 1
+    queue: deque[tuple[int, int, int]] = deque()  # (d, a, b): a in layer d, b in d + 1
+    push = queue.append
+
+    def free(d: int, p: int) -> None:
+        st, ranks = start[d], rank[d + 1]
+        for q in cofaces[d][st[p]:st[p + 1]]:
+            if ranks[q] == LIVE:
+                push((d, p, q))
+                return
+
+    def core(d: int, p: int) -> None:
+        ranks = rank[d - 1]
+        for q in faces[d][(d + 1) * p:(d + 1) * p + d + 1]:
+            if ranks[q] == LIVE:
+                push((d - 1, q, p))
+                return
+
+    for d in range(1, 4):
+        for p, n in enumerate(nf[d]):
+            if n == 1 and rank[d][p] == LIVE:
+                core(d, p)
+    for d in range(3):
+        for p, n in enumerate(nc[d]):
+            if n == 1 and rank[d][p] == LIVE:
+                free(d, p)
+    A, B = array("i"), array("i")
+    while queue:
+        d, pa, pb = queue.popleft()
+        ra, rb = rank[d], rank[d + 1]
+        if ra[pa] != LIVE or rb[pb] != LIVE or (nc[d][pa] != 1 and nf[d + 1][pb] != 1):
+            continue
+        ra[pa] = rb[pb] = len(A)
+        A.append(off[d] + pa)
+        B.append(off[d + 1] + pb)
+        # the faces of a lose a coface
+        if d:
+            ranks, count = rank[d - 1], nc[d - 1]
+            for q in faces[d][(d + 1) * pa:(d + 1) * pa + d + 1]:
+                if ranks[q] == LIVE:
+                    count[q] -= 1
+                    if count[q] == 1:
+                        free(d - 1, q)
+        # so do the other faces of b, which are checked last
+        count = nc[d]
+        rest = [q for q in faces[d + 1][(d + 2) * pb:(d + 2) * pb + d + 2] if ra[q] == LIVE]
+        for q in rest:
+            count[q] -= 1
+        # the cofaces of b and the other cofaces of a lose a face
+        st, ranks, count2 = start[d + 1], rank[d + 2], nf[d + 2]
+        for q in cofaces[d + 1][st[pb]:st[pb + 1]]:
+            if ranks[q] == LIVE:
+                count2[q] -= 1
+                if count2[q] == 1:
+                    core(d + 2, q)
+        st, count2 = start[d], nf[d + 1]
+        for q in cofaces[d][st[pa]:st[pa + 1]]:
+            if rb[q] == LIVE:
+                count2[q] -= 1
+                if count2[q] == 1:
+                    core(d + 1, q)
+        for q in rest:
+            if count[q] == 1:
+                free(d, q)
+    for d in range(4):
+        data.rank[off[d]:off[d + 1]] = array("i", rank[d])
+    return A, B
+
+
 def reduce_complex(data: ChainComplexData) -> ReducedComplex:
-    bd, cb, dim = data.bd, data.cb, data.dim
+    # phase 1: exhaust the zero-cost pairs on the face index
+    pairs = _cascade(data)
+    n_pairs = len(pairs[0])
+    # sparse rows for the survivors, of which no zero-cost pair is left
+    bd, dim, rank, off = data.bd, data.dim, data.rank, data.offsets
+    faces = data.index.faces
+    cb: dict[int, Chain] = {}
+    for d in range(4):
+        o = off[d - 1]
+        for p, r in enumerate(rank[off[d]:off[d + 1]]):
+            if r == LIVE:
+                c = off[d] + p
+                bd[c] = row = {}
+                cb[c] = {}
+                for k, q in enumerate(faces[d][(d + 1) * p:(d + 1) * p + d + 1]):
+                    if rank[o + q] == LIVE:
+                        row[o + q] = cb[o + q][c] = -1 if k & 1 else 1
     rules: list[ReductionRule] = []
-    # zero-cost pairs (free faces and coreductions) are cascaded first in,
-    # first out, so the cascade sweeps outward from where it started; only
-    # pairs with genuine fill-in pay for a heap
+    # zero-cost pairs made by fill-in are cascaded first in, first out, so
+    # the cascade sweeps outward from where it started; only pairs with
+    # genuine fill-in pay for a heap
     queue: deque[tuple[Cell, Cell]] = deque()
     heap: list[tuple[int, Cell, Cell]] = []
 
@@ -205,7 +435,7 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
             if f != a and f in cb:
                 maybe_free(f)
         del bd[a], cb[a], bd[b], cb[b]
-        del dim[a], dim[b]
+        rank[a] = rank[b] = n_pairs + len(rules) - 1
 
     def cascade() -> None:
         while queue:
@@ -218,14 +448,6 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
             if len(cb[a]) != 1 and len(bd[b]) != 1:
                 continue
             execute(a, b, lam)
-
-    # phase 1: exhaust all zero-cost reductions
-    for b, row in bd.items():
-        if row:
-            maybe_core(b)
-    for a in cb:
-        maybe_free(a)
-    cascade()
 
     # phase 2: Markowitz heap on the (much smaller) survivor complex
     def cost(a: Cell, b: Cell) -> int:
@@ -264,4 +486,4 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
         for e in cb_b_cells:
             if e in bd:
                 push_pairs_of(e)
-    return ReducedComplex(data, rules, pops)
+    return ReducedComplex(data, pairs, rules, pops)

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helmcut import builders
 from helmcut.builders import (
     BuildError,
     LatticePath,
@@ -153,6 +154,17 @@ def test_link_complement_rejects_face_to_face_tubes():
     # the hopf.path layout keeps a free layer of cubes between the tubes
     M = lattice_link_complement([_square(10), _rectangle(5, 15, 5, -5, 5)])
     assert set(M.marks) == {"outer", "tube_0", "tube_1"}
+
+
+def test_link_complement_rejects_out_of_range_box_before_building(monkeypatch):
+    # a box reaching x = 20,000 would hold millions of cubes
+    def fail(cubes):
+        raise AssertionError("the box was built")
+
+    monkeypatch.setattr(builders, "cubes_to_complex", fail)
+    far = LatticePath(tuple((x + 20_000, y, z) for x, y, z in _square(4).points), closed=True)
+    with pytest.raises(BuildError, match="lattice point out of supported range"):
+        lattice_link_complement([_square(4), far])
 
 
 @st.composite

@@ -112,6 +112,7 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         '{"simplices": [[0, 1, 2]], "marked_subcomplexes": {"m": [7]}}',
         '{"simplices": [[0.9, 1, 2, 3], [0.2, 1, 2, 4]]}',
         '{"simplices": [[true, 2, 3]]}',
+        '{"simplices": [[0, 1, 2, 3]], "marks": {"a": [[0, 1, 2]]}}',
     ],
 )
 def test_malformed_json_complex_exits_2_with_one_line(tmp_path, capsys, text):
@@ -265,12 +266,17 @@ _simplex_lists = st.lists(st.lists(st.integers(-2, 6) | _json_values, max_size=5
         optional={
             "marked_subcomplexes": st.dictionaries(
                 st.text(max_size=2), _simplex_lists | _json_values, max_size=2
-            )
+            ),
+            "marks": _json_values,
         },
     )
 )
 def test_homology_input_contract(data):
-    _assert_cli_contract(*_run_on_file(json.dumps(data), ".json", "homology", "--input"))
+    code, err = _run_on_file(json.dumps(data), ".json", "homology", "--input")
+    _assert_cli_contract(code, err)
+    # an unknown key is an error, never ignored
+    if isinstance(data, dict) and set(data) - {"simplices", "marked_subcomplexes"}:
+        assert code == 2
 
 
 _pd_tokens = st.one_of(

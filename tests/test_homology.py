@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import time
 import weakref
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import zeros
 from sympy.matrices.normalforms import invariant_factors
 
-from helmcut.builders import cubes_to_complex
+from helmcut.builders import cubes_to_complex, preset
 from helmcut.complexes import (
     ComplexError,
     boundary_subcomplex,
@@ -30,6 +31,7 @@ from helmcut.homology import (
     is_boundary_witness,
     relative_homology,
 )
+from helmcut.reduction import add_scaled
 
 from test_complexes import RP2_6, TORUS7
 
@@ -277,3 +279,80 @@ def test_homology_matches_smith_form_of_the_boundary_matrices(K, picks):
     A = K.subcomplex([simplices[i % len(simplices)] for i in picks])
     assert homology_groups(K) == _smith_groups(K, build_complex([]))
     assert relative_homology(K, A) == _smith_groups(K, A)
+
+
+def _cell_boundary(H, chain):
+    """Boundary of a chain of H's cell numbers in the chain complex of H:
+    faces that are not cells (dropped simplices, roots) drop out."""
+    out = {}
+    for f, v in chain_boundary(H._to_cells(chain)).items():
+        i = H._cell(f)
+        if i is not None:
+            out[i] = v
+    return out
+
+
+def _residual_boundary(R, chain):
+    out = {}
+    for c, v in chain.items():
+        add_scaled(out, R.boundary(c), v)
+    return out
+
+
+def _random_chain(rng, cells):
+    return {c: v for c in rng.sample(cells, min(len(cells), 4)) if (v := rng.randint(-3, 3))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_complexes(), st.lists(st.integers(0, 999), max_size=4), st.integers(0, 2**32))
+@example(build_complex(RP2_6 + [(20, 21), (22,)]), [], 0)
+@example(build_complex(TORUS7), [3], 1)
+def test_transport_is_a_chain_homotopy_equivalence(K, picks, seed):
+    # c - include(project(c)) = dH(c) + H(dc), with project and include
+    # chain maps, on the cascade pairs and the Markowitz rules alike
+    rng = random.Random(seed)
+    simplices = K.all_simplices()
+    A = K.subcomplex([simplices[i % len(simplices)] for i in picks])
+    for H in (homology_of(K), homology_of_pair(K, A)):
+        R = H.reduced
+        for n in range(4):
+            cells = [i for i in map(H._cell, K.simplices(n)) if i is not None]
+            c = _random_chain(rng, cells)
+            dc = _cell_boundary(H, c)
+            proj, h = R.project_with_homotopy(c, n)
+            assert _residual_boundary(R, proj) == R.project(dc, n - 1)
+            x = _random_chain(rng, R.cells(n))
+            assert _cell_boundary(H, R.include(x, n)) == R.include(_residual_boundary(R, x), n - 1)
+            rest = dict(c)
+            add_scaled(rest, R.include(proj, n), -1)
+            homotopy = _cell_boundary(H, h)
+            add_scaled(homotopy, R.project_with_homotopy(dc, n - 1)[1], 1)
+            assert rest == homotopy
+
+
+# preset -> (heap pops, residual cells by dimension) of its homology and of
+# its homology relative to its boundary; the two link boxes' relative
+# reductions take seconds, so only their absolute ones are pinned
+PRESET_REDUCTIONS = {
+    "ball": ((0, (0, 0, 0, 0)), (0, (0, 0, 0, 1))),
+    "handlebody2": ((0, (0, 2, 0, 0)), (173, (0, 0, 2, 1))),
+    "hopf_box": ((1338, (0, 2, 2, 0)), None),
+    "shell": ((0, (0, 0, 1, 0)), (2037, (0, 1, 0, 1))),
+    "solid_torus": ((0, (0, 1, 0, 0)), (84, (0, 0, 1, 1))),
+    "solid_torus_with_meridian_disk": ((0, (0, 1, 0, 0)), (84, (0, 0, 1, 1))),
+    "torus_shell": ((94, (0, 2, 1, 0)), (3762, (0, 1, 2, 1))),
+    "trefoil_box": ((1340, (0, 1, 1, 0)), None),
+    "trefoil_mapping_torus": ((172, (0, 1, 0, 0)), (1426, (0, 0, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_REDUCTIONS))
+def test_preset_reductions_keep_their_heap_pops_and_residues(name):
+    K = preset(name).complex
+    absolute, relative = PRESET_REDUCTIONS[name]
+    homologies = [(homology_of(K), absolute)]
+    if relative is not None:
+        homologies.append((homology_of_pair(K, boundary_subcomplex(K)), relative))
+    for H, (pops, residues) in homologies:
+        assert H.reduced.heap_pops == pops
+        assert tuple(len(cells) for cells in H.reduced.cells_by_dim) == residues
