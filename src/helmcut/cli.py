@@ -35,6 +35,14 @@ from .links import (
 from .groups import RewriteDepthError, milnor_mubar
 
 
+def _read(path: str, error: type[Exception]) -> str:
+    """The text of an input file; one that cannot be read is bad input."""
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise error(f"cannot read {path}: {e}")
+
+
 def _load_complex(args) -> MarkedComplex:
     if args.preset and args.input:
         raise DiagramError("give either --preset or --input, not both")
@@ -42,9 +50,7 @@ def _load_complex(args) -> MarkedComplex:
         return preset(args.preset)
     if args.input:
         try:
-            data = json.loads(Path(args.input).read_text())
-        except OSError as e:
-            raise ComplexError(f"cannot read {args.input}: {e}")
+            data = json.loads(_read(args.input, ComplexError))
         except json.JSONDecodeError as e:
             raise ComplexError(f"malformed JSON in {args.input}: {e}")
         return marked_complex_from_json(data)
@@ -55,9 +61,8 @@ def _load_diagram(args):
     src = args.pd
     if src is None:
         raise DiagramError("a diagram is required: --pd FILE-or-NAME")
-    p = Path(src)
-    if p.exists():
-        return parse_pd(p.read_text())
+    if Path(src).exists():
+        return parse_pd(_read(src, DiagramError))
     name = src[:-3] if src.endswith(".pd") else src
     if name in diagram_names():
         return diagram(name)
@@ -76,7 +81,10 @@ def _system(M: MarkedComplex, args):
 def _emit(result: dict, args) -> None:
     text = json.dumps(result, sort_keys=True, indent=2) + "\n"
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {args.output}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -228,14 +236,13 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        result = args.func(args)
+        _emit(args.func(args), args)
     except (InternalConsistencyError, RewriteDepthError) as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return 1
     except (ComplexError, DiagramError, BuildError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(result, args)
     return 0
 
 

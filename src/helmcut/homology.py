@@ -158,13 +158,10 @@ class ComplexHomology:
         data = ChainComplexData(face_index(K), non_cells)
         self._rank = data.rank  # -1 marks a simplex that is not a cell
         self.reduced: ReducedComplex = reduce_complex(data)
-        cbd = self.reduced.cells_by_dim
-        while len(cbd) < 5:
-            cbd = cbd + [[]]
-        self.dims: list[_DimData] = []
-        for n in range(4):
-            prev = cbd[n - 1] if n > 0 else []
-            self.dims.append(_DimData(prev, cbd[n], cbd[n + 1], self.reduced.boundary))
+        R = self.reduced
+        self.dims: list[_DimData] = [
+            _DimData(R.cells(n - 1), R.cells(n), R.cells(n + 1), R.boundary) for n in range(4)
+        ]
         # every component meets dropped + roots, so nothing is left in degree 0
         if not self.dims[0].group.is_trivial:
             raise InternalConsistencyError("relative H0 survived the rooting")

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from math import gcd
 
-from .complexes import _class_roots
+from .complexes import _class_roots, derived
 
 
 class DiagramError(ValueError):
@@ -42,10 +42,10 @@ class LinkDiagram:
         return len(self.components)
 
     def component_of(self, arc: int) -> int:
-        for i, comp in enumerate(self.components):
-            if arc in comp:
-                return i
-        raise DiagramError(f"unknown arc {arc}")
+        i = _arc_components(self).get(arc)
+        if i is None:
+            raise DiagramError(f"unknown arc {arc}")
+        return i
 
     @property
     def writhes(self) -> tuple[int, ...]:
@@ -64,8 +64,14 @@ class LinkDiagram:
 
     def successor(self, arc: int) -> int:
         comp = self.components[self.component_of(arc)]
-        i = comp.index(arc)
-        return comp[(i + 1) % len(comp)]
+        return comp[(comp.index(arc) + 1) % len(comp)]
+
+
+@derived
+def _arc_components(D: LinkDiagram) -> dict[int, int]:
+    """Arc -> index of its component.  The result is shared, so it must not
+    be mutated."""
+    return {arc: i for i, comp in enumerate(D.components) for arc in comp}
 
 
 def parse_pd(text: str) -> LinkDiagram:

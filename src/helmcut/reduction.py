@@ -12,13 +12,16 @@ Free faces and coreductions (Mrozek and Batko, "Coreduction homology
 algorithm", Discrete Comput. Geom. 41, 2009) cause no fill-in, so which of
 them go, and in what order, depends only on how many live faces and
 cofaces each cell has.  They are cascaded first, first in, first out,
-on integer counters over the face index, and logged as integer pairs
-with a removal rank per cell; a pair's rows are read back through the
-index.
-The survivors are the critical cells of an acyclic matching (Harker,
-Mischaikow, Mrozek and Nanda, Found. Comput. Math. 14, 2014).  Only they
-get sparse rows, which a lazy-heap Markowitz rule (least fill-in first)
-reduces further.  All arithmetic is exact integer arithmetic.
+on integer counters over the face index.  The survivors are the critical
+cells of an acyclic matching (Harker, Mischaikow, Mrozek and Nanda, Found.
+Comput. Math. 14, 2014).  Only they get sparse rows, which a lazy-heap
+Markowitz rule (least fill-in first) reduces further.
+
+Every removed pair, cascade and Markowitz alike, is logged once, as two
+integers, and both its cells get the pair's index in the log as their
+removal rank.  A cascade pair's rows are read back through the index;
+only a Markowitz pair keeps its fill-in rows.  All arithmetic is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .complexes import FaceIndex
 Cell = Hashable
 Chain = dict  # Cell -> int
 
-LIVE = 2**31 - 1  # the rank of a cell that no rule has removed
+LIVE = 2**31 - 1  # the rank of a cell that no pair has removed
 
 
 def add_scaled(target: Chain, source: Mapping, factor: int) -> None:
@@ -56,10 +59,10 @@ class ChainComplexData:
     Simplex p of layer d is numbered offsets[d] + p, and every simplex is
     a cell except the given non-cells.
 
-    rank[c] is the index of the rule that removed cell c: LIVE while c is
-    live, -1 if c is not a cell.  dim maps each live cell to its
-    dimension.  The reduction writes into bd the boundary rows of the cells
-    that survive its zero-cost cascade, and leaves the residual rows there.
+    rank[c] is the index of the pair that removed cell c: LIVE while c is
+    live, -1 if c is not a cell; len(dim) is the number of live cells.  The
+    reduction writes into bd the boundary rows of the cells that survive
+    its zero-cost cascade, and leaves the residual rows there.
     """
 
     def __init__(self, index: FaceIndex, non_cells: Iterable[int]):
@@ -68,52 +71,34 @@ class ChainComplexData:
         self.rank = array("i", [LIVE]) * self.offsets[4]
         for c in non_cells:
             self.rank[c] = -1
-        self.dim = _LiveDims(self.rank, self.offsets)
+        self.dim = _LiveCells(self.rank)
         self.bd: dict[int, Chain] = {}
 
 
-class _LiveDims(Mapping):
-    """Cell -> dimension, over the cells of rank LIVE."""
+class _LiveCells:
+    """len() is the number of cells of rank LIVE."""
 
-    def __init__(self, rank: array, offsets: list[int]):
-        self._rank, self._offsets = rank, offsets
-
-    def __getitem__(self, c: int) -> int:
-        if not (0 <= c < len(self._rank) and self._rank[c] == LIVE):
-            raise KeyError(c)
-        return bisect.bisect_right(self._offsets, c) - 1
-
-    def __iter__(self):
-        return (c for c, r in enumerate(self._rank) if r == LIVE)
+    def __init__(self, rank: array):
+        self._rank = rank
 
     def __len__(self) -> int:
         return self._rank.count(LIVE)
 
 
-class ReductionRule:
-    __slots__ = ("p", "a", "b", "lam", "bd_b", "cb_a")
-
-    def __init__(self, p, a, b, lam, bd_b, cb_a):
-        self.p = p          # dim of a; b has dim p + 1
-        self.a = a
-        self.b = b
-        self.lam = lam      # +1 or -1; its own inverse
-        self.bd_b = bd_b    # boundary of b at removal time
-        self.cb_a = cb_a    # coboundary of a at removal time
-
-
 class ReducedComplex:
     """Residual complex plus transport maps to/from the original.
 
-    Rule r < len(pairs[0]) is the cascade pair (pairs[0][r], pairs[1][r]);
-    the Markowitz rules follow it.  `heap_pops` counts the Markowitz heap
-    pops the reduction made."""
+    Pair r removed cells a = pairs[0][r] and b = pairs[1][r], b a coface
+    of a, and r is the rank of both.  A Markowitz pair's rows at removal
+    are _fill[r] = (boundary of b, coboundary of a); a cascade pair has no
+    fill entry.  `heap_pops` counts the Markowitz heap pops the reduction
+    made."""
 
     def __init__(self, data: ChainComplexData, pairs: tuple[array, array],
-                 rules: list[ReductionRule], heap_pops: int):
+                 fill: dict[int, tuple[Chain, Chain]], heap_pops: int):
         self._data = data
         self.pairs = pairs
-        self.rules = rules
+        self._fill = fill
         self.heap_pops = heap_pops
         off = data.offsets
         self.cells_by_dim = [[c for c in data.bd if off[d] <= c < off[d + 1]] for d in range(4)]
@@ -142,25 +127,16 @@ class ReducedComplex:
         proj = self._forward(chain, dim, terms)
         return proj, self._backward({}, dim + 1, terms)
 
-    def _sign(self, d: int, c: int, f: int) -> int:
-        """(-1)**k, where f is face k of the cell c of dimension d."""
-        off = self._data.offsets
-        k = self._data.index.faces_of(d, c - off[d]).index(f - off[d - 1])
-        return -1 if k & 1 else 1
-
     def _forward(self, chain: Mapping[Cell, int], dim: int, terms: dict[int, int]) -> Chain:
-        """Apply the rules in order, recording in terms the homotopy term of
-        each rule that acts: rule index -> coefficient of that rule's b.
+        """Apply the pairs in order, recording in terms the homotopy term of
+        each pair that acts: rank -> coefficient of that pair's b.
 
-        A rule acts only on a chain that holds its a or its b, and the rank
-        of a cell is the index of the rule that removed it, so the rules
+        A pair acts only on a chain that holds its a or its b, so the pairs
         are visited in the order of the ranks of the cells the chain
-        reaches.  A cascade pair's boundary of b is the faces of b that are
-        live at its rank."""
+        reaches."""
         out = {c: v for c, v in chain.items() if v}
         rank, off = self._data.rank, self._data.offsets
         A, B = self.pairs
-        n = len(A)
         todo = [r for r in {rank[c] for c in out} if 0 <= r < LIVE]
         heapq.heapify(todo)
         last = -1
@@ -169,19 +145,15 @@ class ReducedComplex:
             if r == last:
                 continue
             last = r
-            if r < n:
-                a, b = A[r], B[r]
-                p = bisect.bisect_right(off, a) - 1
-            else:
-                rule = self.rules[r - n]
-                a, b, p = rule.a, rule.b, rule.p
+            a, b = A[r], B[r]
+            p = bisect.bisect_right(off, a) - 1
             if p == dim - 1:
                 out.pop(b, None)
                 continue
             ca = out.get(a) if p == dim else None
             if not ca:
                 continue
-            bd_b = self._boundary_at(r) if r < n else rule.bd_b
+            bd_b = self._boundary_at(r)
             lam = bd_b[a]
             terms[r] = lam * ca
             add_scaled(out, bd_b, -lam * ca)
@@ -191,8 +163,10 @@ class ReducedComplex:
         return out
 
     def _boundary_at(self, r: int) -> Chain:
-        """The boundary of b of cascade pair r when the pair was removed:
-        the faces of b of rank at least r."""
+        """The boundary of b of pair r when the pair was removed: for a
+        cascade pair, the faces of b of rank at least r."""
+        if r in self._fill:
+            return self._fill[r][0]
         b, rank, off = self.pairs[1][r], self._data.rank, self._data.offsets
         d = bisect.bisect_right(off, b) - 1
         row = {}
@@ -202,38 +176,19 @@ class ReducedComplex:
         return row
 
     def _backward(self, chain: Mapping[Cell, int], dim: int, terms: Mapping[int, int]) -> Chain:
-        """Undo the rules in reverse order, adding terms[i] to rule i's b
+        """Undo the pairs in reverse order, adding terms[r] to pair r's b
         after its step has read the chain, which assembles
-        H(chain) = sum_i include_{<i}(h_i(project_{<i}(chain))).
+        H(chain) = sum_r include_{<r}(h_r(project_{<r}(chain))).
 
         A cascade pair's coboundary of a is the cofaces of a that are live
         at its rank, so it acts only if a is a face of a cell of the chain
         or the pair has a homotopy term: the pairs are visited by the ranks
-        of the faces of the cells the chain reaches."""
+        of the faces of the cells the chain reaches, and of the Markowitz
+        pairs, whose fill-in cofaces the index does not hold."""
         out = {c: v for c, v in chain.items() if v}
-
-        def add(b: int, delta: int) -> None:
-            if delta:
-                new = out.get(b, 0) + delta
-                if new:
-                    out[b] = new
-                else:
-                    out.pop(b, None)
-
-        A, B = self.pairs
-        n = len(A)
-        for i in range(len(self.rules) - 1, -1, -1):
-            rule = self.rules[i]
-            if dim != rule.p + 1:
-                continue
-            s = 0
-            for e, coeff in rule.cb_a.items():
-                v = out.get(e, 0)
-                if v:
-                    s += v * coeff
-            add(rule.b, terms.get(n + i, 0) - rule.lam * s)
-        if not 1 <= dim <= 3:  # no cascade pair has its b there
+        if not 1 <= dim <= 3:  # no pair has its b there
             return out
+        A, B, fill = *self.pairs, self._fill
         rank, index, off = self._data.rank, self._data.index, self._data.offsets
         lo, hi, top = off[dim - 1], off[dim], off[dim + 1]  # the layers of a and b
 
@@ -242,11 +197,11 @@ class ReducedComplex:
                 if 0 <= rank[lo + q] < below:
                     heapq.heappush(todo, -rank[lo + q])
 
-        todo = [-r for r in terms if r < n]
+        todo = [-r for r in terms] + [-r for r in fill if lo <= A[r] < hi]
         heapq.heapify(todo)
         for c in out:
             if hi <= c < top:
-                push_faces(c, n)
+                push_faces(c, LIVE)
         last = -1
         while todo:
             r = -heapq.heappop(todo)
@@ -257,13 +212,26 @@ class ReducedComplex:
             if not lo <= a < hi:
                 continue
             s = 0
-            for q in index.cofaces_of(dim - 1, a - lo):
-                v = out.get(hi + q)
-                if v and rank[hi + q] >= r:
-                    s += v * self._sign(dim, hi + q, a)
-            delta = terms.get(r, 0) - (self._sign(dim, b, a) * s if s else 0)
+            if r in fill:
+                cb_a = fill[r][1]
+                for e, coeff in cb_a.items():
+                    v = out.get(e)
+                    if v:
+                        s += v * coeff
+                lam = cb_a[b]
+            else:  # signs only for the cofaces the chain holds
+                for q in index.cofaces_of(dim - 1, a - lo):
+                    v = out.get(hi + q)
+                    if v and rank[hi + q] >= r:
+                        s += v * (-1) ** index.faces_of(dim, q).index(a - lo)
+                lam = (-1) ** index.faces_of(dim, b - hi).index(a - lo) if s else 0
+            delta = terms.get(r, 0) - lam * s
             if delta:
-                add(b, delta)
+                new = out.get(b, 0) + delta
+                if new:
+                    out[b] = new
+                else:
+                    del out[b]
                 push_faces(b, r)
         return out
 
@@ -359,10 +327,9 @@ def _cascade(data: ChainComplexData) -> tuple[array, array]:
 
 def reduce_complex(data: ChainComplexData) -> ReducedComplex:
     # phase 1: exhaust the zero-cost pairs on the face index
-    pairs = _cascade(data)
-    n_pairs = len(pairs[0])
+    A, B = pairs = _cascade(data)
     # sparse rows for the survivors, of which no zero-cost pair is left
-    bd, dim, rank, off = data.bd, data.dim, data.rank, data.offsets
+    bd, rank, off = data.bd, data.rank, data.offsets
     faces = data.index.faces
     cb: dict[int, Chain] = {}
     for d in range(4):
@@ -375,7 +342,7 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
                 for k, q in enumerate(faces[d][(d + 1) * p:(d + 1) * p + d + 1]):
                     if rank[o + q] == LIVE:
                         row[o + q] = cb[o + q][c] = -1 if k & 1 else 1
-    rules: list[ReductionRule] = []
+    fill: dict[int, tuple[Chain, Chain]] = {}
     # zero-cost pairs made by fill-in are cascaded first in, first out, so
     # the cascade sweeps outward from where it started; only pairs with
     # genuine fill-in pay for a heap
@@ -396,12 +363,16 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
             if coeff in (1, -1):
                 queue.append((a, b))
 
-    def execute(a: Cell, b: Cell, lam: int) -> None:
-        # the rule keeps the rows themselves: nothing below writes to them,
+    def execute(a: Cell, b: Cell) -> None:
+        # the log keeps the rows themselves: nothing below writes to them,
         # and both leave bd and cb at the end
         bd_b = bd[b]
         cb_a = cb[a]
-        rules.append(ReductionRule(dim[a], a, b, lam, bd_b, cb_a))
+        lam = bd_b[a]
+        rank[a] = rank[b] = len(A)
+        fill[len(A)] = bd_b, cb_a
+        A.append(a)
+        B.append(b)
         for f in bd[a]:
             del cb[f][a]
             maybe_free(f)
@@ -435,19 +406,15 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
             if f != a and f in cb:
                 maybe_free(f)
         del bd[a], cb[a], bd[b], cb[b]
-        rank[a] = rank[b] = n_pairs + len(rules) - 1
 
     def cascade() -> None:
         while queue:
             a, b = queue.popleft()
-            if a not in bd or b not in bd:
-                continue
-            lam = bd[b].get(a, 0)
-            if lam not in (1, -1):
+            if a not in bd or b not in bd or bd[b].get(a, 0) not in (1, -1):
                 continue
             if len(cb[a]) != 1 and len(bd[b]) != 1:
                 continue
-            execute(a, b, lam)
+            execute(a, b)
 
     # phase 2: Markowitz heap on the (much smaller) survivor complex
     def cost(a: Cell, b: Cell) -> int:
@@ -467,10 +434,7 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
     while heap:
         c0, a, b = heapq.heappop(heap)
         pops += 1
-        if a not in bd or b not in bd:
-            continue
-        lam = bd[b].get(a, 0)
-        if lam not in (1, -1):
+        if a not in bd or b not in bd or bd[b].get(a, 0) not in (1, -1):
             continue
         current = cost(a, b)
         if current > c0:
@@ -478,7 +442,7 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
             continue
         cb_b_cells = list(cb[b])
         changed = [e for e in cb[a] if e != b]
-        execute(a, b, lam)
+        execute(a, b)
         cascade()
         for e in changed:
             if e in bd:
@@ -486,4 +450,4 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
         for e in cb_b_cells:
             if e in bd:
                 push_pairs_of(e)
-    return ReducedComplex(data, pairs, rules, pops)
+    return ReducedComplex(data, pairs, fill, pops)

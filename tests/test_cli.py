@@ -104,6 +104,21 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("link-lk", "--pd", "{tmp}"),
+        ("link-lk", "--pd", "hopf", "--output", "{tmp}/missing/x.json"),
+        ("homology", "--input", "{tmp}"),
+        ("homology", "--preset", "ball", "--output", "{tmp}"),
+    ],
+)
+def test_unreadable_input_or_unwritable_output_exits_2_with_one_line(tmp_path, capsys, argv):
+    code, out, err = run_capture(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"simplices": 5}',

@@ -31,7 +31,7 @@ from helmcut.homology import (
     is_boundary_witness,
     relative_homology,
 )
-from helmcut.reduction import add_scaled
+from helmcut.reduction import LIVE, add_scaled
 
 from test_complexes import RP2_6, TORUS7
 
@@ -299,6 +299,17 @@ def _residual_boundary(R, chain):
     return out
 
 
+def _assert_one_ranked_log(H):
+    """Both cells of logged pair r have rank r, every residual cell is live,
+    and every cell is in one pair or residual."""
+    R = H.reduced
+    A, B = R.pairs
+    assert all(H._rank[a] == H._rank[b] == r for r, (a, b) in enumerate(zip(A, B)))
+    residual = [c for cells in R.cells_by_dim for c in cells]
+    assert all(H._rank[c] == LIVE for c in residual)
+    assert sum(r >= 0 for r in H._rank) == 2 * len(A) + len(residual)
+
+
 def _random_chain(rng, cells):
     return {c: v for c in rng.sample(cells, min(len(cells), 4)) if (v := rng.randint(-3, 3))}
 
@@ -314,6 +325,7 @@ def test_transport_is_a_chain_homotopy_equivalence(K, picks, seed):
     simplices = K.all_simplices()
     A = K.subcomplex([simplices[i % len(simplices)] for i in picks])
     for H in (homology_of(K), homology_of_pair(K, A)):
+        _assert_one_ranked_log(H)
         R = H.reduced
         for n in range(4):
             cells = [i for i in map(H._cell, K.simplices(n)) if i is not None]
@@ -356,3 +368,4 @@ def test_preset_reductions_keep_their_heap_pops_and_residues(name):
     for H, (pops, residues) in homologies:
         assert H.reduced.heap_pops == pops
         assert tuple(len(cells) for cells in H.reduced.cells_by_dim) == residues
+        _assert_one_ranked_log(H)
