@@ -3,8 +3,10 @@
 Most solids are unions of unit lattice cubes, each triangulated by the
 ordered (Kuhn) split into 6 tetrahedra; this is globally consistent across
 neighbouring cubes, so any set of cubes yields a valid simplicial complex.
-Lattice points are encoded as single integers so vertex labels stay plain
-ints.
+The simplices of a split cube are exactly the chains of its corner lattice
+{0,1}^3 under the coordinatewise order (Kuhn, 1960), so a cube set is
+written face-closed and sorted from one table of chains.  Lattice points
+are encoded as single integers so vertex labels stay plain ints.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, combinations, permutations, product
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -47,55 +49,74 @@ Cube = tuple[int, int, int]  # min corner
 
 def encode_point(p: Point) -> int:
     x, y, z = p
+    if not all(type(c) is int for c in p):
+        raise BuildError(f"lattice point must have integer coordinates: {p}")
     if not all(-_OFF < c < _SPAN - _OFF for c in p):
         raise BuildError(f"lattice point out of supported range: {p}")
     return ((x + _OFF) * _SPAN + (y + _OFF)) * _SPAN + (z + _OFF)
 
 
-_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# The 8 corners of a cube as offsets from its encoded min corner: corner
+# 4x + 2y + z is the min corner plus (x, y, z).
+_CORNERS = tuple((x * _SPAN + y) * _SPAN + z for x, y, z in product((0, 1), repeat=3))
+
+# The chains of the corner lattice {0,1}^3, as tuples of corner numbers, by
+# dimension: 8 vertices, 19 edges, 18 triangles, and the 6 maximal chains
+# (one per axis permutation, in the order of permutations) that are the
+# tetrahedra of the Kuhn split.  Corner numbers and encoded labels both
+# grow with each coordinate, so every chain is a sorted simplex.
+_TETS = tuple(
+    tuple(accumulate((4 >> a for a in perm), initial=0)) for perm in permutations(range(3))
+)
+_KUHN = tuple(sorted({c for t in _TETS for c in combinations(t, n)}) for n in (1, 2, 3)) + (_TETS,)
+
+
+def _corner_labels(cube: Cube) -> list[int]:
+    """The encoded corners of cube by corner number, once its min and max
+    corners are in range (then so are the 6 between them)."""
+    base = encode_point(cube)
+    encode_point(tuple(x + 1 for x in cube))
+    return [base + o for o in _CORNERS]
 
 
 def cube_tetrahedra(cube: Cube) -> list[tuple[int, int, int, int]]:
     """Kuhn triangulation: one tetrahedron per axis permutation."""
-    out = []
-    for perm in permutations(range(3)):
-        p = list(cube)
-        verts = [encode_point(tuple(p))]
-        for axis in perm:
-            p[axis] += 1
-            verts.append(encode_point(tuple(p)))
-        out.append(tuple(verts))
-    return out
+    c = _corner_labels(cube)
+    return [(c[i], c[j], c[k], c[m]) for i, j, k, m in _KUHN[3]]
 
 
 def cubes_to_complex(cubes: Iterable[Cube]) -> SimplicialComplex:
-    tets = []
-    for cube in sorted(set(cubes)):
-        tets.extend(cube_tetrahedra(cube))
-    return build_complex(tets)
+    """The union of the Kuhn-split cubes, written face-closed and sorted.
+
+    Every simplex of a cube holds the cube's own 8 label ints, not new
+    ones, so the layers take no more memory than a face closure that
+    slices the tetrahedra."""
+    labels = [_corner_labels(cube) for cube in sorted(set(cubes))]
+    verts, edges, tris, tets = _KUHN
+    layers = (
+        {(c[i],) for c in labels for (i,) in verts},
+        {(c[i], c[j]) for c in labels for i, j in edges},
+        {(c[i], c[j], c[k]) for c in labels for i, j, k in tris},
+        {(c[i], c[j], c[k], c[m]) for c in labels for i, j, k, m in tets},
+    )
+    return SimplicialComplex([sorted(layer) for layer in layers])
 
 
 def square_face_triangles(cube: Cube, axis: int) -> list[Simplex]:
     """The 2 triangles of the face between cube and cube + e_axis.
 
-    The Kuhn triangulation puts the diagonal from the smallest to the
-    largest corner of the square.
+    They are the last three corners of the 2 tetrahedra of cube whose walk
+    starts along axis, so the Kuhn triangulation puts the diagonal from
+    the smallest to the largest corner of the square.
     """
     lo = list(cube)
     lo[axis] += 1
-    others = [a for a in range(3) if a != axis]
-    corners = {}
-    for da in (0, 1):
-        for db in (0, 1):
-            q = list(lo)
-            q[others[0]] += da
-            q[others[1]] += db
-            corners[(da, db)] = encode_point(tuple(q))
-    lo_v, hi_v = corners[(0, 0)], corners[(1, 1)]
-    return [
-        tuple(sorted((lo_v, corners[(1, 0)], hi_v))),
-        tuple(sorted((lo_v, corners[(0, 1)], hi_v))),
-    ]
+    # range-check the smallest and largest corners of the square; the min
+    # corner of cube itself may lie below the range
+    base = encode_point(tuple(lo)) - _CORNERS[4 >> axis]
+    encode_point(tuple(x + 1 for x in cube))
+    c = [base + o for o in _CORNERS]
+    return [(c[j], c[k], c[m]) for _, j, k, m in _KUHN[3][2 * axis:2 * axis + 2]]
 
 
 # -- elementary solids -----------------------------------------------------

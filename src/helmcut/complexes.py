@@ -27,6 +27,13 @@ def _faces(simplex: Simplex) -> list[Simplex]:
     return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
 
 
+def _layer_faces(layer: Iterable[Simplex]) -> list[Iterable[Simplex]]:
+    """The faces of every simplex of a layer of d-simplices, one iterator
+    per deleted position k = 0..d, each in the order of the layer."""
+    cols = list(zip(*layer))
+    return [zip(*cols[:k], *cols[k + 1:]) for k in range(len(cols))]
+
+
 def _position(layer: Sequence[Simplex], simplex: Simplex) -> int:
     """Index of simplex in a sorted layer, or -1 if it is not there."""
     i = bisect.bisect_left(layer, simplex)
@@ -73,17 +80,17 @@ class SimplicialComplex:
     def from_simplices(simplex_list: Iterable[Sequence[int]]) -> "SimplicialComplex":
         by_dim: list[set[Simplex]] = [set(), set(), set(), set()]
         for raw in simplex_list:
-            verts = tuple(sorted(int(v) for v in raw))
+            verts = tuple(raw)
+            if not all(type(v) is int for v in verts):
+                raise ComplexError(f"vertex labels must be integers: {raw!r}")
             if len(verts) == 0 or len(verts) > 4:
                 raise ComplexError(f"simplex must have 1-4 vertices: {raw!r}")
             if len(set(verts)) != len(verts):
                 raise ComplexError(f"malformed simplex (repeated vertex): {raw!r}")
-            by_dim[len(verts) - 1].add(verts)
-        # face closure
+            by_dim[len(verts) - 1].add(tuple(sorted(verts)))
+        # face closure, one layer at a time
         for dim in (3, 2, 1):
-            for s in list(by_dim[dim]):
-                for f in _faces(s):
-                    by_dim[dim - 1].add(f)
+            by_dim[dim - 1].update(*_layer_faces(by_dim[dim]))
         return SimplicialComplex([sorted(d) for d in by_dim])
 
     # -- basic queries -----------------------------------------------------
@@ -191,9 +198,12 @@ def face_index(K: SimplicialComplex) -> FaceIndex:
     """The face incidence of K, written once from its layers."""
     layers = [K.simplices(d) for d in range(4)]
     faces = [array("i")]
-    for below, layer in zip(layers, layers[1:]):
+    for d, (below, layer) in enumerate(zip(layers, layers[1:]), 1):
         pos = {s: i for i, s in enumerate(below)}
-        faces.append(array("i", [pos[f] for s in layer for f in _faces(s)]))
+        flat = array("i", [0]) * ((d + 1) * len(layer))
+        for k, deleted in enumerate(_layer_faces(layer)):
+            flat[k::d + 1] = array("i", map(pos.__getitem__, deleted))
+        faces.append(flat)
     coface_start, cofaces = [], []
     for d, above in enumerate(faces[1:] + [array("i")]):
         count = [0] * (len(layers[d]) + 1)

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +27,7 @@ from helmcut.complexes import (
     surface_info,
 )
 from helmcut.homology import betti_numbers, homology_groups
+from test_complexes import _assert_trusted
 
 EXPECTED = {
     # preset -> (betti, boundary genus list)
@@ -72,6 +73,11 @@ def test_point_encoding_round_trip():
     for p in [(500, 0, 0), (0, -100, 0), (0, 0, 156)]:
         with pytest.raises(BuildError):
             encode_point(p)
+    # cube complexes go to the trusted constructor, so no float or bool
+    # coordinate may reach a vertex label
+    for cube in [(0.5, 0, 0), (0, True, 0), (0, 0, 1.0)]:
+        with pytest.raises(BuildError, match="lattice point must have integer coordinates"):
+            cubes_to_complex([cube])
 
 
 def test_cube_tetrahedralization_is_compatible():
@@ -86,6 +92,67 @@ def test_cube_tetrahedralization_is_compatible():
         tets = [tet for tet in K.simplices(3) if set(t) <= set(tet)]
         assert len(tets) == 2
     assert len(cube_tetrahedra((3, 4, 5))) == 6
+
+
+def _permutation_split(cube):
+    """The Kuhn split written out: one tetrahedron per axis permutation,
+    walking from the min corner one axis at a time."""
+    out = []
+    for perm in permutations(range(3)):
+        p = list(cube)
+        verts = [encode_point(tuple(p))]
+        for axis in perm:
+            p[axis] += 1
+            verts.append(encode_point(tuple(p)))
+        out.append(tuple(verts))
+    return out
+
+
+def _square_split(cube, axis):
+    """The 2 triangles of the face between cube and cube + e_axis, the
+    diagonal from the smallest to the largest corner of the square."""
+    lo = list(cube)
+    lo[axis] += 1
+    a, b = [i for i in range(3) if i != axis]
+    corner = {}
+    for da, db in product((0, 1), repeat=2):
+        q = list(lo)
+        q[a] += da
+        q[b] += db
+        corner[da, db] = encode_point(tuple(q))
+    return [
+        tuple(sorted((corner[0, 0], corner[1, 0], corner[1, 1]))),
+        tuple(sorted((corner[0, 0], corner[0, 1], corner[1, 1]))),
+    ]
+
+
+def test_kuhn_table_gives_the_permutation_split():
+    # marks and the cut disks depend on these tuples and their order
+    for cube in [(3, 4, 5)] + list(product((-99, -1, 0, 2, 154), repeat=3)):
+        assert cube_tetrahedra(cube) == _permutation_split(cube)
+        for axis in range(3):
+            assert square_face_triangles(cube, axis) == _square_split(cube, axis)
+    # a square on the lowest plane of the range, of a cube below it
+    assert square_face_triangles((-100, 0, 0), 0) == _square_split((-100, 0, 0), 0)
+
+
+_coords = st.integers(-99, -97) | st.integers(-2, 2) | st.integers(152, 154)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coords, _coords, _coords), max_size=8))
+def test_cubes_to_complex_equals_the_closure_of_its_tetrahedra(cubes):
+    K = cubes_to_complex(cubes)
+    assert K == build_complex([t for c in sorted(set(cubes)) for t in cube_tetrahedra(c)])
+    _assert_trusted(K)
+
+
+def test_cube_out_of_range_at_either_corner():
+    for cube in [(155, 0, 0), (0, 0, 155), (-100, 0, 0)]:
+        with pytest.raises(BuildError, match="lattice point out of supported range"):
+            cubes_to_complex([(0, 0, 0), cube])
+        with pytest.raises(BuildError, match="lattice point out of supported range"):
+            cube_tetrahedra(cube)
 
 
 def test_lattice_path_parsing():

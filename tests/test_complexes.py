@@ -25,6 +25,7 @@ from helmcut.complexes import (
     push_cycle,
     surface_info,
 )
+from helmcut.builders import cubes_to_complex
 from helmcut.cuts import _cut
 
 TORUS7 = [((i % 7), ((i + 1) % 7), ((i + 3) % 7)) for i in range(7)] + [
@@ -136,19 +137,43 @@ def test_trusted_constructions_are_sorted_and_face_closed(K, data):
         assert bd == build_complex(once)
 
 
+def _assert_face_index(K):
+    """face_index(K) lists each simplex's faces in vertex-deletion order
+    and its cofaces in increasing position."""
+    index = face_index(K)
+    for d in range(1, 4):
+        below, layer = K.simplices(d - 1), K.simplices(d)
+        cofaces = {f: [] for f in below}
+        for p, s in enumerate(layer):
+            assert [below[f] for f in index.faces_of(d, p)] == _deletions(s)
+            for f in _deletions(s):
+                cofaces[f].append(s)
+        for p, f in enumerate(below):
+            assert [layer[q] for q in index.cofaces_of(d - 1, p)] == cofaces[f]
+    assert not index.faces_of(0, 0) and not index.cofaces_of(3, 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_tets_and_extras())
 def test_face_index_lists_faces_and_cofaces_by_position(K):
-    index = face_index(K)
-    for d in range(1, 4):
-        below = K.simplices(d - 1)
-        for p, s in enumerate(K.simplices(d)):
-            assert [below[f] for f in index.faces_of(d, p)] == _deletions(s)
-        for p, f in enumerate(below):
-            assert [K.simplices(d)[q] for q in index.cofaces_of(d - 1, p)] == [
-                s for s in K.simplices(d) if f in _deletions(s)
-            ]
-    assert not index.faces_of(0, 0) and not index.cofaces_of(3, 0)
+    _assert_face_index(K)
+
+
+def test_face_index_on_encoded_cube_layers():
+    # a 3x3x2 block of cubes minus one, and its subdivision: encoded
+    # lattice labels and layers of thousands of simplices
+    block = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
+    K = cubes_to_complex(c for c in block if c != (1, 1, 1))
+    K1, _ = barycentric_subdivide_with_map(K)
+    assert len(K.simplices(3)) == 102 and len(K1.simplices(2)) > 4000
+    for L in (K, K1):
+        _assert_face_index(L)
+
+
+def test_build_complex_rejects_labels_that_are_not_ints():
+    for bad in ([(0, 1.7, 2)], ["123"], [(0, True, 2)], [(False,)]):
+        with pytest.raises(ComplexError, match="vertex labels must be integers"):
+            build_complex(bad)
 
 
 def test_connected_components():
