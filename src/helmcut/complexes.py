@@ -410,41 +410,44 @@ def _check_closed_surface(S: SimplicialComplex) -> None:
 
 @derived
 def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
-    """Consistent triangle orientations (sign per sorted triangle), or None.
+    """Consistent orientations of the top simplices (sign per sorted
+    simplex), or None.  The top simplices are the tetrahedra if S has any,
+    else the triangles.
 
-    The component containing the smallest triangle gets that triangle with
-    sign +1; other components likewise from their smallest triangle.
-    Orientation propagates only across edges of exactly 2 triangles, so a
-    surface may have boundary; callers that need a closed surface check it
-    first.  The result is memoized on S and shared by every caller, so it
-    must not be mutated.
+    The component containing the smallest top simplex gets it with sign
+    +1; other components likewise from their smallest top simplex.
+    Orientation propagates only across faces of exactly 2 top simplices,
+    so a surface may have boundary; callers that need a closed surface
+    check it first.  The result is memoized on S and shared by every
+    caller, so it must not be mutated.
     """
+    d = 3 if S.simplices(3) else 2
     index = face_index(S)
-    tris = S.simplices(2)
-    sign: dict[int, int] = {}  # triangle position -> sign
-    for t0 in range(len(tris)):
+    tops = S.simplices(d)
+    sign: dict[int, int] = {}  # top simplex position -> sign
+    for t0 in range(len(tops)):
         if t0 in sign:
             continue
         sign[t0] = 1
         stack = [t0]
         while stack:
             t = stack.pop()
-            for k, e in enumerate(index.faces_of(2, t)):
-                pair = index.cofaces_of(1, e)
+            for k, e in enumerate(index.faces_of(d, t)):
+                pair = index.cofaces_of(d - 1, e)
                 if len(pair) != 2:
                     continue
                 other = pair[1] if t == pair[0] else pair[0]
-                # opposite induced orientations on the shared edge, whose
-                # coefficient in the boundary of a triangle is (-1) ** (its
-                # position among the triangle's faces)
-                want = -sign[t] * (-1) ** (k + index.faces_of(2, other).index(e))
+                # opposite induced orientations on the shared face, whose
+                # coefficient in the boundary of a top simplex is (-1) ** (its
+                # position among that simplex's faces)
+                want = -sign[t] * (-1) ** (k + index.faces_of(d, other).index(e))
                 if other in sign:
                     if sign[other] != want:
                         return None
                 else:
                     sign[other] = want
                     stack.append(other)
-    return {tris[p]: v for p, v in sign.items()}
+    return {tops[p]: v for p, v in sign.items()}
 
 
 @derived

@@ -1,7 +1,12 @@
 """Surface systems, the cut/open operation, and cut-system classification.
 
-A surface system in a domain complex K is a finite family of disjoint,
-connected, two-sided, properly embedded surfaces.  Cutting K along the
+A domain complex K stands for a connected domain in R^3 (see
+helmcut.domains), so it is orientable and at most two of its tetrahedra
+meet in a triangle; surface-system validation checks these two.  A surface
+system in K is a finite family of disjoint, connected, two-sided,
+properly embedded surfaces; in an orientable K a properly embedded
+surface is two-sided exactly when it is orientable, so sidedness is read
+from the surface's own orientation.  Cutting K along the
 system is realized combinatorially in the first barycentric subdivision
 K' of K: keep the full subcomplex of K' spanned by the barycenters of the
 simplices of K that do not lie in the surfaces.  The surfaces form a
@@ -15,6 +20,7 @@ which fixes their homology; they need not be 3-manifolds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .complexes import (
@@ -22,7 +28,6 @@ from .complexes import (
     MarkedComplex,
     Simplex,
     SimplicialComplex,
-    _class_roots,
     _position,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
@@ -93,7 +98,9 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
     if not KC.simplices(3):
         raise ComplexError("surface systems live in pure 3-dimensional complexes")
     bd_edges = set(boundary_subcomplex(KC).simplices(1))
-    index = face_index(KC)
+    start = face_index(KC).coface_start[2]
+    tri_tets = [b - a for a, b in zip(start, start[1:])]  # tetrahedra per triangle
+    fork = next((p for p, n in enumerate(tri_tets) if n > 2), None)
 
     surfaces = []
     seen: dict[Simplex, str] = {}
@@ -130,53 +137,23 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
                 )
         # a boundary triangle of the domain has one tetrahedron
         for t in S.simplices(2):
-            if len(index.cofaces_of(2, _position(KC.simplices(2), t))) != 2:
+            if tri_tets[_position(KC.simplices(2), t)] != 2:
                 raise SurfaceSystemError(
                     "boundary-leak", f"triangle {t} of {name} is not interior to the domain"
                 )
-        _check_two_sided(KC, S, name)
+        # a domain lies in R^3, so it is orientable, and in an orientable
+        # 3-manifold a properly embedded surface S is two-sided exactly when
+        # it is orientable: TK|S = TS + the normal line bundle, so w1 of that
+        # bundle is w1(S); so check K's hypothesis, then orient S
+        if fork is not None:
+            t = KC.simplices(2)[fork]
+            raise ComplexError(f"triangle {t} lies in {tri_tets[fork]} tetrahedra, not at most 2")
+        if orient_surface(KC) is None:
+            raise ComplexError("domain complex is not orientable")
+        if orient_surface(S) is None:
+            raise SurfaceSystemError("one-sided", f"{name} has no consistent transverse orientation")
         surfaces.append(S)
     return surfaces
-
-
-def _check_two_sided(KC: SimplicialComplex, S: SimplicialComplex, name: str) -> None:
-    """Two-sidedness: a consistent transverse orientation must propagate
-    across the interior edges of the surface S in KC.  A side of a triangle
-    is one of its two incident tetrahedra; walking the tetrahedron fan
-    around a shared edge links a side of one triangle to a side of the
-    other.  Triangles and tetrahedra are positions in KC's layers."""
-    index = face_index(KC)
-    s_tris = {_position(KC.simplices(2), t) for t in S.simplices(2)}
-    linked = []  # pairs of (triangle, side) that face each other
-    # fan structures around each interior edge of S
-    for e in S.simplices(1):
-        e_K = _position(KC.simplices(1), e)
-        pair = [t for t in index.cofaces_of(1, e_K) if t in s_tris]
-        if len(pair) != 2:
-            continue
-        t1 = pair[0]
-        # walk the fan of K around e starting at t1 into each of its sides
-        for start_tet in index.cofaces_of(2, t1):
-            tri, tet = t1, start_tet
-            while True:
-                # next triangle of the fan: the other of the two faces of
-                # tet that contain e
-                tri = next(
-                    f for f in index.faces_of(3, tet) if f != tri and e_K in index.faces_of(2, f)
-                )
-                if tri in s_tris:
-                    break
-                others = [x for x in index.cofaces_of(2, tri) if x != tet]
-                if len(others) != 1:
-                    raise ComplexError(f"edge {e} has a non-circular fan")
-                tet = others[0]
-            # side (t1, start_tet) faces side (tri, tet) across this arc
-            linked.append(((t1, start_tet), (tri, tet)))
-    side = _class_roots([(t, x) for t in s_tris for x in index.cofaces_of(2, t)], linked)
-    for t in s_tris:
-        tets = index.cofaces_of(2, t)
-        if len(tets) == 2 and side[(t, tets[0])] == side[(t, tets[1])]:
-            raise SurfaceSystemError("one-sided", f"{name} has no consistent transverse orientation")
 
 
 # -- cut/open --------------------------------------------------------------
@@ -250,14 +227,8 @@ def _relative_classes(
 ) -> RelativeClassData:
     bd = boundary_subcomplex(KC)
     H = homology_of_pair(KC, bd)
-    chains = []
-    cols = []
-    for S in surfaces:
-        chain = orient_surface(S)
-        if chain is None:
-            raise ComplexError("surface is not orientable")
-        chains.append(chain)
-        cols.append(H.class_coords(chain, 2)[0])
+    chains = [orient_surface(S) for S in surfaces]
+    cols = [H.class_coords(chain, 2)[0] for chain in chains]
     rows = H.betti(2)
     Mx = IntegerMatrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
     rank = smith_normal_form(Mx).rank if rows and cols else 0
@@ -349,19 +320,10 @@ def find_minimal_weak_subsets(K, F: SurfaceSystem) -> list[tuple[str, ...]]:
     minimal weak cut-systems with connected cut."""
     if len(F) > _SUBSET_SEARCH_LIMIT:
         raise ComplexError(f"subset search limited to systems of size <= {_SUBSET_SEARCH_LIMIT}")
-    from itertools import combinations
-
-    KC = _as_marked(K).complex
-    b1 = homology_of(KC).betti(1)
+    b1 = homology_of(_as_marked(K).complex).betti(1)
     hits = []
-    for k in range(len(F) + 1):
-        if k != b1:
-            continue
-        for idx in combinations(range(len(F)), k):
-            sub = SurfaceSystem(
-                tuple(F.names[i] for i in idx), tuple(F.triangles[i] for i in idx)
-            )
-            verdict = classify_cut_system(K, sub)
-            if verdict.is_minimal_weak:
-                hits.append(sub.names)
+    for idx in combinations(range(len(F)), b1):
+        sub = SurfaceSystem(tuple(F.names[i] for i in idx), tuple(F.triangles[i] for i in idx))
+        if classify_cut_system(K, sub).is_minimal_weak:
+            hits.append(sub.names)
     return hits

@@ -1,7 +1,13 @@
 """Domain-level invariants and verdicts for compact triangulated domains.
 
 A "domain complex" is a pure 3-dimensional complex with non-empty boundary,
-standing for the closure of a bounded domain with smooth-enough boundary.
+standing for the closure of a bounded domain in R^3 with smooth-enough
+boundary.  So it must be connected and orientable, with at most two
+tetrahedra on a triangle and orientable boundary surfaces, and in it a
+properly embedded surface is two-sided exactly when it is orientable.  The
+verdicts here check connectivity and the boundary; the cut engine
+(helmcut.cuts) checks the other two.
+
 This module computes the boundary decomposition, the standard numerical
 identities, the kernel of the boundary inclusion on first homology, the
 skew intersection form on each boundary surface, the Lagrangian
@@ -27,6 +33,7 @@ from .complexes import (
     orient_surface,
     surface_info,
 )
+from .cuts import classify_cut_system
 from .exact_linalg import IntegerMatrix, smith_normal_form
 from .homology import (
     Chain,
@@ -38,7 +45,8 @@ from .homology import (
 
 
 class NotADomainError(ComplexError):
-    """Input is not a pure 3-complex with non-empty boundary."""
+    """Input is not a connected pure 3-complex with non-empty, orientable
+    boundary."""
 
 
 def _as_complex(K) -> SimplicialComplex:
@@ -52,6 +60,10 @@ def _check_domain(K: SimplicialComplex) -> SimplicialComplex:
         raise NotADomainError("domain complex must be pure 3-dimensional")
     if not boundary_subcomplex(K).simplices(2):
         raise NotADomainError("domain complex must have non-empty boundary")
+    if homology_of(K).betti(0) != 1:
+        raise NotADomainError("domain complex must be connected")
+    if not surface_info(boundary_subcomplex(K)).orientable:
+        raise NotADomainError("boundary component is not orientable")
     return K
 
 
@@ -107,10 +119,7 @@ def analyze_domain(K) -> DomainReport:
     h1 = len(genus_list)
     checks = (
         ("chi_eq_1_minus_b1_plus_b2", chi == 1 - betti[1] + betti[2]),
-        (
-            "chi_eq_components_minus_genus",
-            info.orientable and chi == h1 - sum(genus_list),
-        ),
+        ("chi_eq_components_minus_genus", chi == h1 - sum(genus_list)),
         ("boundary_b1_eq_twice_b1", b1_bd == 2 * betti[1]),
         ("torsion_free", torsion_free),
         ("b3_zero", betti[3] == 0),
@@ -298,8 +307,6 @@ def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
 def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
     comps = boundary_components(K)
     info = surface_info(boundary_subcomplex(K))
-    if not info.orientable:
-        raise ComplexError("boundary component is not orientable")
     gens: list[Chain] = []
     slices: list[tuple[int, int]] = []  # generator index range per component
     for S in comps:
@@ -442,8 +449,6 @@ def corank_bounds(K, system=None) -> tuple[int, int]:
     upper = homology_of(KC).betti(1)
     lower = 0
     if system is not None:
-        from .cuts import classify_cut_system
-
         cls = classify_cut_system(K, system)
         if cls.independent and cls.cut_connected:
             lower = min(cls.system_size, upper)

@@ -23,7 +23,9 @@ class IntegerMatrix:
         for r in entries:
             if len(r) != cols:
                 raise ValueError("ragged matrix rows")
-            ent.append(tuple(int(x) for x in r))
+            if not all(type(x) is int for x in r):
+                raise ValueError(f"matrix entries must be ints, not bools or other types: {r!r}")
+            ent.append(tuple(r))
         self.rows = rows
         self.cols = cols
         self.entries = tuple(ent)

@@ -9,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from helmcut import groups
 from helmcut.cli import run
+from helmcut.complexes import build_complex, marked_complex_to_json, product_with_interval
+
+from test_complexes import RP2_6
+from test_cuts import TRIANGLE_IN_THREE_TETS, solid_klein_bottle
 
 
 def run_capture(capsys, *argv):
@@ -151,6 +155,40 @@ def test_boundary_pinched_at_a_vertex_exits_2_with_one_line(tmp_path, capsys, te
     code, out, err = run_capture(capsys, "analyze", "--input", str(bad))
     assert (code, out) == (2, "")
     assert err == "error: not a closed surface: link of vertex 0 is not a single circle\n"
+
+
+@pytest.mark.parametrize(
+    "command, data, err",
+    [
+        # the Lefschetz duality behind the relative-class criterion needs
+        # an orientable domain, so this is bad input, not an internal failure
+        (
+            "classify-cuts",
+            lambda: marked_complex_to_json(solid_klein_bottle()),
+            "domain complex is not orientable",
+        ),
+        (
+            "classify-cuts",
+            lambda: TRIANGLE_IN_THREE_TETS,
+            "triangle (0, 1, 2) lies in 3 tetrahedra, not at most 2",
+        ),
+        (
+            "analyze",
+            lambda: {"simplices": [[0, 1, 2, 3], [4, 5, 6, 7]]},
+            "domain complex must be connected",
+        ),
+        (
+            "analyze",
+            lambda: marked_complex_to_json(product_with_interval(build_complex(RP2_6))),
+            "boundary component is not orientable",
+        ),
+    ],
+)
+def test_non_domain_exits_2_with_one_line(tmp_path, capsys, command, data, err):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data()))
+    code, out, stderr = run_capture(capsys, command, "--input", str(bad))
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
 
 @pytest.mark.parametrize(

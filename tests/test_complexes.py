@@ -225,6 +225,15 @@ def test_surface_info_projective_plane_nonorientable():
     assert orient_surface(S) is None
 
 
+def test_orient_surface_orients_the_tetrahedra_of_a_3_complex():
+    # oriented tetrahedra of a domain: their boundary is carried exactly by
+    # the boundary triangles, each interior triangle cancelling
+    for K in (build_complex([(0, 1, 2, 3)]), cubes_to_complex([(0, 0, 0), (1, 0, 0), (1, 1, 0)])):
+        ori = orient_surface(K)
+        assert sorted(ori) == list(K.simplices(3))
+        assert set(chain_boundary(ori)) == set(boundary_subcomplex(K).simplices(2))
+
+
 def test_surface_info_rejects_a_surface_pinched_at_a_vertex():
     # two or three tetrahedron boundaries sharing vertex 0: every edge has
     # two triangles, but the link of vertex 0 is two or three circles

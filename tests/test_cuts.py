@@ -2,13 +2,18 @@ import time
 
 import pytest
 
-from helmcut.builders import cubes_to_complex, preset, square_face_triangles
+from helmcut.builders import cubes_to_complex, preset, preset_names, square_face_triangles
 from helmcut.complexes import (
+    ComplexError,
     MarkedComplex,
+    _class_roots,
+    _position,
     barycentric_subdivide_with_map,
     build_complex,
     euler_characteristic,
+    face_index,
     mapping_torus,
+    marked_complex_from_json,
     orient_surface,
 )
 from helmcut.cuts import (
@@ -83,9 +88,10 @@ def test_boundary_leak_diagnostic():
     assert diagnostic_of(M, F) == "boundary-leak"
 
 
-def grid_disk_with_rotation():
-    """3x3 grid square disk with the 180-degree rotation as a simplicial
-    automorphism; the middle row is an invariant diameter."""
+def grid_disk(symmetry):
+    """3x3 grid square disk and a simplicial automorphism of it: the
+    180-degree "rotation", the "transpose" 3i+j -> 3j+i or the "identity".
+    The middle row is invariant under the rotation and the identity."""
     def v(i, j):
         return 3 * i + j
 
@@ -95,26 +101,141 @@ def grid_disk_with_rotation():
             tris.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
             tris.append((v(i, j), v(i, j + 1), v(i + 1, j + 1)))
     disk = build_complex(tris)
-    rot = {v(i, j): v(2 - i, 2 - j) for i in range(3) for j in range(3)}
-    return disk, rot
+    image = {
+        "rotation": lambda i, j: v(2 - i, 2 - j),
+        "transpose": lambda i, j: v(j, i),
+        "identity": v,
+    }[symmetry]
+    return disk, {v(i, j): image(i, j) for i in range(3) for j in range(3)}
+
+
+def middle_row_surface(symmetry):
+    """The mapping torus (steps=4) of the grid disk under the symmetry, with
+    the sub-mapping-torus of the middle row: a Moebius band in a solid
+    torus for the rotation, an annulus for the identity."""
+    disk, phi = grid_disk(symmetry)
+    M = mapping_torus(disk, phi, steps=4)
+    idx = {vtx: i for i, vtx in enumerate(sorted(disk.vertices))}
+    row = {idx[d] for d in (3, 4, 5)}  # middle row of the grid
+    # label = idx * steps + t
+    band = tuple(t for t in M.complex.simplices(2) if all(lab // 4 in row for lab in t))
+    return M, band
 
 
 def test_one_sided_diagnostic_moebius_band_in_solid_torus():
     # mapping torus of a disk with a half-turn is a solid torus; the
     # sub-mapping-torus of the invariant diameter is a one-sided Moebius band
-    disk, rot = grid_disk_with_rotation()
-    M = mapping_torus(disk, rot, steps=4)
+    M, band = middle_row_surface("rotation")
     assert betti_numbers(M.complex) == (1, 1, 0, 0)
-    diameter = {3, 4, 5}  # middle row of the grid
-    idx = {vtx: i for i, vtx in enumerate(sorted(disk.vertices))}
-    diameter_idx = {idx[d] for d in diameter}
-    band = tuple(
-        t
-        for t in M.complex.simplices(2)
-        if all((lab // 4) in diameter_idx for lab in t)  # label = idx * steps + t
-    )
     F = SurfaceSystem(("moebius",), (band,))
     assert diagnostic_of(M, F) == "one-sided"
+
+
+def fan_two_sided(KC, S) -> bool:
+    """Two-sidedness of a properly embedded surface S in KC, read from
+    tetrahedron fans alone, as an oracle independent of orientations.  A
+    side of a triangle of S is one of its two tetrahedra; walking the fan
+    of KC around an interior edge of S from one side of a triangle reaches
+    a side of the next triangle of S, and the two face each other.  S is
+    two-sided iff no triangle has both its sides in one class."""
+    index = face_index(KC)
+    s_tris = {_position(KC.simplices(2), t) for t in S.simplices(2)}
+    linked = []
+    for e in S.simplices(1):
+        e_K = _position(KC.simplices(1), e)
+        pair = [t for t in index.cofaces_of(1, e_K) if t in s_tris]
+        if len(pair) != 2:
+            continue
+        for start_tet in index.cofaces_of(2, pair[0]):
+            tri, tet = pair[0], start_tet
+            while True:
+                # the other face of tet that contains e
+                tri = next(
+                    f for f in index.faces_of(3, tet) if f != tri and e_K in index.faces_of(2, f)
+                )
+                if tri in s_tris:
+                    break
+                (tet,) = [x for x in index.cofaces_of(2, tri) if x != tet]
+            linked.append(((pair[0], start_tet), (tri, tet)))
+    side = _class_roots([(t, x) for t in s_tris for x in index.cofaces_of(2, t)], linked)
+    return all(side[(t, a)] != side[(t, b)] for t in s_tris for a, b in [index.cofaces_of(2, t)])
+
+
+def plate_disks(genus):
+    """The thinnest genus-g plate (3 x (2g + 1) squares, holes at (2i + 1, 1))
+    and every disk between two of its squares that runs from boundary to
+    boundary, as a cuts benchmark round places them."""
+    squares = {(x, y) for x in range(2 * genus + 1) for y in range(3)}
+    squares -= {(2 * i + 1, 1) for i in range(genus)}
+    K = cubes_to_complex([(x, y, 0) for x, y in sorted(squares)])
+    disks = []
+    for x, y in sorted(squares):
+        for axis in (0, 1):
+            if (x + (axis == 0), y + (axis == 1)) not in squares:
+                continue
+            ends = ((x + 1, y), (x + 1, y + 1)) if axis == 0 else ((x, y + 1), (x + 1, y + 1))
+            if all(
+                sum((a - dx, b - dy) in squares for dx in (0, 1) for dy in (0, 1)) < 4
+                for a, b in ends
+            ):
+                disks.append(square_face_triangles((x, y, 0), axis))
+    return K, disks
+
+
+def test_fan_sides_agree_with_surface_orientation():
+    cases = [(*middle_row_surface("rotation"), False), (*middle_row_surface("identity"), True)]
+    cases.append((*thick_plate_layer(10), True))
+    # the preset marks that are cut surfaces; the others lie in the boundary
+    for name in preset_names():
+        M = preset(name)
+        index, tris_K = face_index(M.complex), M.complex.simplices(2)
+        for tris in M.marks.values():
+            if all(len(index.cofaces_of(2, _position(tris_K, t))) == 2 for t in tris):
+                cases.append((M, tris, True))
+    assert len(cases) == 3 + 4
+    K, disks = plate_disks(2)
+    assert len(disks) >= 3
+    cases.extend((K, tris, True) for tris in disks)
+    for M, tris, two_sided in cases:
+        KC = M.complex if isinstance(M, MarkedComplex) else M
+        S = KC.subcomplex(tris)
+        assert fan_two_sided(KC, S) == (orient_surface(S) is not None) == two_sided
+        if two_sided:
+            validate_surface_system(M, SurfaceSystem(("s",), (tuple(tris),)))
+
+
+def solid_klein_bottle():
+    """The mapping torus of the grid disk under the transpose, a reflection,
+    with its marked fiber disk: not orientable, so not a domain."""
+    disk, phi = grid_disk("transpose")
+    return mapping_torus(disk, phi, steps=4)
+
+
+# a triangle in three tetrahedra, and the triangle (1, 2, 3) marked
+TRIANGLE_IN_THREE_TETS = {
+    "simplices": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5], [1, 2, 3, 6]],
+    "marked_subcomplexes": {"t": [[1, 2, 3]]},
+}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (solid_klein_bottle, "domain complex is not orientable"),
+        (
+            lambda: marked_complex_from_json(TRIANGLE_IN_THREE_TETS),
+            "triangle (0, 1, 2) lies in 3 tetrahedra, not at most 2",
+        ),
+    ],
+)
+def test_non_domains_are_rejected_before_sidedness(build, message):
+    M = build()
+    assert homology_of(M.complex).betti(0) == 1
+    F = surface_system_from_marks(M)
+    for check in (validate_surface_system, classify_cut_system):
+        with pytest.raises(ComplexError) as e:
+            check(M, F)
+        assert type(e.value) is ComplexError and str(e.value) == message
 
 
 # -- cut/open and classification -------------------------------------------
@@ -244,11 +365,17 @@ def test_cut_along_nothing_keeps_a_connected_domain():
     assert len(r.components) == 1 and r.components[0] is M.complex
 
 
-def test_two_sided_layer_of_a_thick_plate():
-    # the z=1 layer of a 10 x 10 x 2 box is a properly embedded disk
-    n = 10
+def thick_plate_layer(n):
+    """An n x n x 2 box and the triangles of its z=1 layer, a properly
+    embedded disk."""
     K = cubes_to_complex([(i, j, k) for i in range(n) for j in range(n) for k in range(2)])
     layer = tuple(t for i in range(n) for j in range(n) for t in square_face_triangles((i, j, 0), 2))
+    return K, layer
+
+
+def test_two_sided_layer_of_a_thick_plate():
+    n = 10
+    K, layer = thick_plate_layer(n)
     (S,) = validate_surface_system(K, SurfaceSystem(("layer",), (layer,)))
     assert len(S.simplices(2)) == 2 * n * n
     assert euler_characteristic(S) == 1 and orient_surface(S) is not None

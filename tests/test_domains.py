@@ -120,11 +120,18 @@ def test_each_boundary_component_is_oriented_once():
 def test_non_orientable_boundary_is_rejected():
     # RP2 x [0,1] is bounded by two projective planes
     K = product_with_interval(build_complex(RP2_6)).complex
-    for check in (kernel_of_boundary_inclusion, lagrangian_obstruction):
-        with pytest.raises(ComplexError, match="boundary component is not orientable"):
+    for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion, lagrangian_obstruction):
+        with pytest.raises(NotADomainError, match="boundary component is not orientable"):
             check(K)
     with pytest.raises(ComplexError):
         intersection_form(build_complex(RP2_6))
+
+
+def test_disconnected_complex_is_not_a_domain():
+    K = build_complex([(0, 1, 2, 3), (4, 5, 6, 7)])
+    for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion, corank_bounds):
+        with pytest.raises(NotADomainError, match="domain complex must be connected"):
+            check(K)
 
 
 KERNEL_RANKS = {"ball": 0, "solid_torus": 1, "handlebody2": 2, "shell": 0,

@@ -74,3 +74,10 @@ def test_matrix_validation():
     M = IntegerMatrix(2, 3, [[1, 2, 3], [4, 5, 6]])
     assert M.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
     assert M.rank() == 2
+
+
+@pytest.mark.parametrize("entry", [1.7, True, "3"])
+def test_matrix_entries_are_never_coerced(entry):
+    # a float, a bool or a string is not an integer entry to round or parse
+    with pytest.raises(ValueError, match="matrix entries must be ints"):
+        IntegerMatrix(1, 1, [[entry]])
