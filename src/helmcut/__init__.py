@@ -5,6 +5,7 @@ planar diagrams."""
 from .complexes import (
     ComplexError,
     MarkedComplex,
+    NotADomainError,
     SimplicialComplex,
     SurfaceInfo,
     barycentric_subdivide,
@@ -40,7 +41,6 @@ from .cuts import (
 from .domains import (
     DomainReport,
     LagrangianReport,
-    NotADomainError,
     analyze_domain,
     corank_bounds,
     intersection_form,

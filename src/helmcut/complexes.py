@@ -12,7 +12,7 @@ import functools
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Simplex = tuple[int, ...]
@@ -301,8 +301,8 @@ def barycentric_subdivide_with_map(
     for s in all_simplices:  # sorted by dim, so faces come first
         own = (vid[s],)
         chains = [own]
-        if len(s) > 1:
-            for f in _proper_faces(s):
+        for r in range(1, len(s)):  # the proper faces of s, by size
+            for f in combinations(s, r):
                 for ch in chains_at[f]:
                     chains.append(ch + own)
         chains_at[s] = chains
@@ -313,15 +313,6 @@ def barycentric_subdivide_with_map(
         for ch in chains:
             by_dim[len(ch) - 1].append(ch)
     return SimplicialComplex([sorted(d) for d in by_dim]), {i: s for s, i in vid.items()}
-
-
-def _proper_faces(simplex: Simplex) -> list[Simplex]:
-    """All proper nonempty faces."""
-    out = []
-    n = len(simplex)
-    for mask in range(1, (1 << n) - 1):
-        out.append(tuple(simplex[i] for i in range(n) if mask >> i & 1))
-    return out
 
 
 def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
@@ -367,10 +358,6 @@ class SurfaceInfo:
         return len(self.components)
 
     @property
-    def euler_characteristic(self) -> int:
-        return sum(c.euler_characteristic for c in self.components)
-
-    @property
     def orientable(self) -> bool:
         return all(c.orientable for c in self.components)
 
@@ -380,9 +367,13 @@ class SurfaceInfo:
 
 
 @derived
-def _check_closed_surface(S: SimplicialComplex) -> None:
+def _check_closed_surface(S: SimplicialComplex) -> array:
     """Raise ComplexError unless S is a closed surface: no tetrahedra, two
     triangles on every edge, and the link of every vertex one circle.
+
+    Returns the edges at each vertex in the order of a walk around it, from
+    its smallest edge through that edge's smallest triangle: at vertex p,
+    walks[start[p]:start[p + 1]] with start = face_index(S).coface_start[0].
     Memoized on S, so each surface is checked once."""
     if S.simplices(3):
         raise ComplexError("not a surface: contains tetrahedra")
@@ -391,21 +382,26 @@ def _check_closed_surface(S: SimplicialComplex) -> None:
         n = len(index.cofaces_of(1, q))
         if n != 2:
             raise ComplexError(f"not a closed surface: edge {e} has {n} triangles")
+    # so the triangles of edge q are pair[2 * q] and pair[2 * q + 1]
+    pair, faces, tris = index.cofaces[1], index.faces[2], S.simplices(2)
+    walks = array("i")
     for p, (v,) in enumerate(S.simplices(0)):
         edges = index.cofaces_of(0, p)
         if not edges:
             raise ComplexError(f"not a closed surface: vertex {v} has no edges")
         # walk around v from an edge, through a triangle, to that triangle's
-        # other edge at v; with two triangles on every edge the walk closes,
-        # and the link of v is one circle iff the walk meets every edge at v
-        e, t, walked = edges[0], -1, 0
-        while walked == 0 or e != edges[0]:
-            pair = index.cofaces_of(1, e)
-            t = pair[1] if pair[0] == t else pair[0]
-            e = next(f for f in index.faces_of(2, t) if f != e and f in edges)
-            walked += 1
-        if walked != len(edges):
+        # other edge at v: the face that is neither the edge nor the face
+        # opposite v; with two triangles on every edge the walk closes, and
+        # the link of v is one circle iff the walk meets every edge at v
+        e, t, first = edges[0], -1, len(walks)
+        while len(walks) == first or e != edges[0]:
+            walks.append(e)
+            t = pair[2 * e + 1] if pair[2 * e] == t else pair[2 * e]
+            f = faces[3 * t:3 * t + 3]
+            e = sum(f) - e - f[tris[t].index(v)]
+        if len(walks) - first != len(edges):
             raise ComplexError(f"not a closed surface: link of vertex {v} is not a single circle")
+    return walks
 
 
 @derived
@@ -423,31 +419,33 @@ def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
     """
     d = 3 if S.simplices(3) else 2
     index = face_index(S)
-    tops = S.simplices(d)
-    sign: dict[int, int] = {}  # top simplex position -> sign
-    for t0 in range(len(tops)):
-        if t0 in sign:
+    faces, start, cofaces = index.faces[d], index.coface_start[d - 1], index.cofaces[d - 1]
+    sign = [0] * len(S.simplices(d))  # top simplex position -> sign, 0 if unset
+    for t0 in range(len(sign)):
+        if sign[t0]:
             continue
         sign[t0] = 1
         stack = [t0]
         while stack:
             t = stack.pop()
-            for k, e in enumerate(index.faces_of(d, t)):
-                pair = index.cofaces_of(d - 1, e)
-                if len(pair) != 2:
+            for k in range(d + 1):
+                e = faces[(d + 1) * t + k]
+                a = start[e]
+                if start[e + 1] - a != 2:
                     continue
-                other = pair[1] if t == pair[0] else pair[0]
+                other = cofaces[a + 1] if t == cofaces[a] else cofaces[a]
                 # opposite induced orientations on the shared face, whose
                 # coefficient in the boundary of a top simplex is (-1) ** (its
                 # position among that simplex's faces)
-                want = -sign[t] * (-1) ** (k + index.faces_of(d, other).index(e))
-                if other in sign:
+                j = faces.index(e, (d + 1) * other) - (d + 1) * other
+                want = sign[t] if (k + j) % 2 else -sign[t]
+                if sign[other]:
                     if sign[other] != want:
                         return None
                 else:
                     sign[other] = want
                     stack.append(other)
-    return {tops[p]: v for p, v in sign.items()}
+    return dict(zip(S.simplices(d), sign))
 
 
 @derived
@@ -467,6 +465,54 @@ def surface_info(S: SimplicialComplex) -> SurfaceInfo:
     return SurfaceInfo(tuple(infos))
 
 
+# -- domains ---------------------------------------------------------------
+
+
+class NotADomainError(ComplexError):
+    """Input is not a domain complex (see check_domain)."""
+
+
+@derived
+def check_domain(K: SimplicialComplex) -> None:
+    """Raise NotADomainError at the first of these conditions that K fails:
+    (1) pure 3-dimensional; (2) no triangle in more than two tetrahedra;
+    (3) non-empty boundary; (4) connected; (5) every boundary component a
+    closed surface; (6) orientable, so the boundary is too; (7) 2 chi(K) =
+    chi(boundary), as for every compact 3-manifold.  After (1) and (2),
+    2 chi(K) - chi(boundary) is the sum of the Euler defects of the vertex
+    links (2 - chi(link) at an interior vertex), so (7) misses a
+    non-manifold whose defects cancel.  Memoized on K."""
+    if not is_pure_3(K):
+        raise NotADomainError("domain complex must be pure 3-dimensional")
+    start = face_index(K).coface_start[2]
+    tets = [b - a for a, b in zip(start, start[1:])]  # tetrahedra per triangle
+    if max(tets) > 2:
+        p = next(p for p, n in enumerate(tets) if n > 2)
+        raise NotADomainError(f"triangle {K.simplices(2)[p]} lies in {tets[p]} tetrahedra, not at most 2")
+    bd = boundary_subcomplex(K)
+    if not bd.simplices(2):
+        raise NotADomainError("domain complex must have non-empty boundary")
+    if len(set(vertex_roots(K).values())) != 1:
+        raise NotADomainError("domain complex must be connected")
+    try:
+        surface_info(bd)  # each component a closed surface, or ComplexError
+    except ComplexError as e:
+        raise NotADomainError(str(e)) from None
+    if orient_surface(K) is None:
+        raise NotADomainError("domain complex is not orientable")
+    chi, chi_bd = euler_characteristic(K), euler_characteristic(bd)
+    if 2 * chi != chi_bd:
+        raise NotADomainError(f"domain complex is not a 3-manifold: chi {chi}, boundary chi {chi_bd}")
+
+
+def as_domain(K) -> SimplicialComplex:
+    """K, or the complex of a marked complex K, once check_domain passes it."""
+    if isinstance(K, MarkedComplex):
+        K = K.complex
+    check_domain(K)
+    return K
+
+
 # -- products and mapping tori --------------------------------------------
 
 
@@ -483,13 +529,9 @@ def _product_simplices(
     out: list[Simplex] = []
     # prisms over every simplex, so lower-dim maximal simplices are covered
     # too; face closure removes duplicates.
-    gens: list[Simplex] = []
-    for d in range(4):
-        gens.extend(S.simplices(d))
-    for t in range(steps):
-        for s in gens:
-            for piece in _prism_pieces(s, lambda v: label(v, t), lambda v: label(v, t + 1)):
-                out.append(piece)
+    for s in S.all_simplices():
+        for t in range(steps):
+            out.extend(_prism_pieces(s, lambda v: label(v, t), lambda v: label(v, t + 1)))
     return out
 
 
@@ -552,10 +594,9 @@ def mapping_torus(
     verts = sorted(S.vertices)
     if sorted(phi.keys()) != verts or sorted(phi.values()) != verts:
         raise ComplexError("phi is not a vertex bijection of S")
-    for d in range(4):
-        for s in S.simplices(d):
-            if not S.has_simplex([phi[v] for v in s]):
-                raise ComplexError(f"phi is not simplicial: image of {s} missing")
+    for s in S.all_simplices():
+        if not S.has_simplex([phi[v] for v in s]):
+            raise ComplexError(f"phi is not simplicial: image of {s} missing")
     if steps < 1:
         raise ComplexError("steps must be positive")
     idx = {v: i for i, v in enumerate(verts)}

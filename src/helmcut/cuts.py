@@ -1,12 +1,12 @@
 """Surface systems, the cut/open operation, and cut-system classification.
 
-A domain complex K stands for a connected domain in R^3 (see
-helmcut.domains), so it is orientable and at most two of its tetrahedra
-meet in a triangle; surface-system validation checks these two.  A surface
-system in K is a finite family of disjoint, connected, two-sided,
-properly embedded surfaces; in an orientable K a properly embedded
-surface is two-sided exactly when it is orientable, so sidedness is read
-from the surface's own orientation.  Cutting K along the
+A surface system lives in a domain complex K, one that passes
+complexes.check_domain (see helmcut.domains); every entry point here runs
+that check first.  A surface system in K is a finite family of disjoint,
+connected, two-sided, properly embedded surfaces; K is orientable, and in
+an orientable K a properly embedded surface is two-sided exactly when it
+is orientable, so sidedness is read from the surface's own orientation.
+Cutting K along the
 system is realized combinatorially in the first barycentric subdivision
 K' of K: keep the full subcomplex of K' spanned by the barycenters of the
 simplices of K that do not lie in the surfaces.  The surfaces form a
@@ -28,7 +28,7 @@ from .complexes import (
     MarkedComplex,
     Simplex,
     SimplicialComplex,
-    _position,
+    as_domain,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
     connected_components,
@@ -79,28 +79,17 @@ def surface_system_from_marks(M: MarkedComplex, names: Sequence[str] | None = No
     return SurfaceSystem(tuple(names), tuple(tris))
 
 
-def _as_marked(K) -> MarkedComplex:
-    if isinstance(K, MarkedComplex):
-        return K
-    return MarkedComplex(K, {})
-
-
 # -- validation ------------------------------------------------------------
 
 
 def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
     """Check all surface-system invariants; returns the surfaces as
-    subcomplexes.  Raises SurfaceSystemError with a diagnostic tag
-    (overlap, disconnected, non-surface, one-sided, boundary-leak) on the
-    first violated invariant."""
-    M = _as_marked(K)
-    KC = M.complex
-    if not KC.simplices(3):
-        raise ComplexError("surface systems live in pure 3-dimensional complexes")
-    bd_edges = set(boundary_subcomplex(KC).simplices(1))
-    start = face_index(KC).coface_start[2]
-    tri_tets = [b - a for a, b in zip(start, start[1:])]  # tetrahedra per triangle
-    fork = next((p for p, n in enumerate(tri_tets) if n > 2), None)
+    subcomplexes.  Raises NotADomainError (complexes.check_domain), then
+    SurfaceSystemError with a diagnostic tag (overlap, disconnected,
+    non-surface, one-sided, boundary-leak) on the first violated invariant."""
+    KC = as_domain(K)
+    bd = boundary_subcomplex(KC)
+    bd_edges, bd_tris = set(bd.simplices(1)), set(bd.simplices(2))
 
     surfaces = []
     seen: dict[Simplex, str] = {}
@@ -135,21 +124,14 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
                 raise SurfaceSystemError(
                     "boundary-leak", f"interior edge {e} of {name} lies on the domain boundary"
                 )
-        # a boundary triangle of the domain has one tetrahedron
         for t in S.simplices(2):
-            if tri_tets[_position(KC.simplices(2), t)] != 2:
+            if t in bd_tris:
                 raise SurfaceSystemError(
                     "boundary-leak", f"triangle {t} of {name} is not interior to the domain"
                 )
-        # a domain lies in R^3, so it is orientable, and in an orientable
-        # 3-manifold a properly embedded surface S is two-sided exactly when
-        # it is orientable: TK|S = TS + the normal line bundle, so w1 of that
-        # bundle is w1(S); so check K's hypothesis, then orient S
-        if fork is not None:
-            t = KC.simplices(2)[fork]
-            raise ComplexError(f"triangle {t} lies in {tri_tets[fork]} tetrahedra, not at most 2")
-        if orient_surface(KC) is None:
-            raise ComplexError("domain complex is not orientable")
+        # K is orientable, and in an orientable 3-manifold a properly
+        # embedded surface S is two-sided exactly when it is orientable:
+        # TK|S = TS + the normal line bundle, so w1 of that bundle is w1(S)
         if orient_surface(S) is None:
             raise SurfaceSystemError("one-sided", f"{name} has no consistent transverse orientation")
         surfaces.append(S)
@@ -181,14 +163,13 @@ def cut_open(K, F: SurfaceSystem) -> CutResult:
     back into K.
     """
     surfaces = validate_surface_system(K, F)
-    return _cut(_as_marked(K).complex, surfaces)
+    return _cut(as_domain(K), surfaces)
 
 
 def _cut(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> CutResult:
     if not surfaces:
-        # cutting along nothing is the identity
-        comps = connected_components(KC)
-        return CutResult((KC,) if len(comps) == 1 else comps, {v: v for v in KC.vertices})
+        # cutting a domain, which is connected, along nothing is the identity
+        return CutResult((KC,), {v: v for v in KC.vertices})
     in_surfaces = {s for S in surfaces for s in S.all_simplices()}
     sub, v2s = barycentric_subdivide_with_map(KC)
     survivors = {v for v, s in v2s.items() if s not in in_surfaces}
@@ -219,7 +200,7 @@ def relative_surface_classes(K, F: SurfaceSystem) -> RelativeClassData:
     orientation flips the sign of its column but never the rank.
     """
     surfaces = validate_surface_system(K, F)
-    return _relative_classes(_as_marked(K).complex, surfaces)
+    return _relative_classes(as_domain(K), surfaces)
 
 
 def _relative_classes(
@@ -279,8 +260,10 @@ def classify_cut_system(K, F: SurfaceSystem) -> CutVerdict:
       zero in H1(K) (integrally, with witnesses).
     - minimal weak: weak with exactly b1(K) surfaces and connected cut.
     """
-    KC = _as_marked(K).complex
-    surfaces = validate_surface_system(K, F)
+    return _classify(as_domain(K), validate_surface_system(K, F))
+
+
+def _classify(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> CutVerdict:
     rel = _relative_classes(KC, surfaces)
     cut = _cut(KC, surfaces)
     betti = []
@@ -299,9 +282,9 @@ def classify_cut_system(K, F: SurfaceSystem) -> CutVerdict:
             "relative-class rank criterion and direct component-H1 check disagree"
         )
     helmholtz = all(b[1] == 0 for b in betti)
-    minimal = weak_by_rank and len(F) == b1 and cut.component_count == 1
+    minimal = weak_by_rank and len(surfaces) == b1 and cut.component_count == 1
     return CutVerdict(
-        len(F),
+        len(surfaces),
         cut.component_count,
         tuple(betti),
         helmholtz,
@@ -317,13 +300,14 @@ _SUBSET_SEARCH_LIMIT = 6  # the search classifies up to C(|F|, b1) cuts
 
 def find_minimal_weak_subsets(K, F: SurfaceSystem) -> list[tuple[str, ...]]:
     """Exhaustive search (|F| <= 6) for subsets of the system that are
-    minimal weak cut-systems with connected cut."""
+    minimal weak cut-systems with connected cut.  The whole system is
+    validated once, so every subset of it is valid too."""
     if len(F) > _SUBSET_SEARCH_LIMIT:
         raise ComplexError(f"subset search limited to systems of size <= {_SUBSET_SEARCH_LIMIT}")
-    b1 = homology_of(_as_marked(K).complex).betti(1)
-    hits = []
-    for idx in combinations(range(len(F)), b1):
-        sub = SurfaceSystem(tuple(F.names[i] for i in idx), tuple(F.triangles[i] for i in idx))
-        if classify_cut_system(K, sub).is_minimal_weak:
-            hits.append(sub.names)
-    return hits
+    KC = as_domain(K)
+    surfaces = validate_surface_system(KC, F)
+    return [
+        tuple(F.names[i] for i in idx)
+        for idx in combinations(range(len(F)), homology_of(KC).betti(1))
+        if _classify(KC, [surfaces[i] for i in idx]).is_minimal_weak
+    ]

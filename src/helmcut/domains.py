@@ -1,12 +1,12 @@
 """Domain-level invariants and verdicts for compact triangulated domains.
 
-A "domain complex" is a pure 3-dimensional complex with non-empty boundary,
-standing for the closure of a bounded domain in R^3 with smooth-enough
-boundary.  So it must be connected and orientable, with at most two
-tetrahedra on a triangle and orientable boundary surfaces, and in it a
-properly embedded surface is two-sided exactly when it is orientable.  The
-verdicts here check connectivity and the boundary; the cut engine
-(helmcut.cuts) checks the other two.
+A "domain complex" stands for the closure of a bounded domain in R^3 with
+smooth-enough boundary: a connected, orientable, compact 3-manifold with
+non-empty boundary.  Every entry point here first runs the one domain
+check, complexes.check_domain: pure 3-dimensional, at most two tetrahedra
+on a triangle, non-empty boundary, connected, every boundary component a
+closed surface, orientable, and 2 chi(K) = chi(boundary), in this order.
+Its docstring says what it misses.
 
 This module computes the boundary decomposition, the standard numerical
 identities, the kernel of the boundary inclusion on first homology, the
@@ -21,15 +21,17 @@ from typing import Mapping, Sequence
 
 from .complexes import (
     ComplexError,
-    MarkedComplex,
+    NotADomainError,  # raised by as_domain, and importable from here too
     Simplex,
     SimplicialComplex,
     _check_closed_surface,
+    as_domain,
     boundary_subcomplex,
     chain_boundary,
     connected_components,
     derived,
     euler_characteristic,
+    face_index,
     orient_surface,
     surface_info,
 )
@@ -42,29 +44,6 @@ from .homology import (
     homology_groups,
     homology_of,
 )
-
-
-class NotADomainError(ComplexError):
-    """Input is not a connected pure 3-complex with non-empty, orientable
-    boundary."""
-
-
-def _as_complex(K) -> SimplicialComplex:
-    if isinstance(K, MarkedComplex):
-        return K.complex
-    return K
-
-
-def _check_domain(K: SimplicialComplex) -> SimplicialComplex:
-    if not K.simplices(3):
-        raise NotADomainError("domain complex must be pure 3-dimensional")
-    if not boundary_subcomplex(K).simplices(2):
-        raise NotADomainError("domain complex must have non-empty boundary")
-    if homology_of(K).betti(0) != 1:
-        raise NotADomainError("domain complex must be connected")
-    if not surface_info(boundary_subcomplex(K)).orientable:
-        raise NotADomainError("boundary component is not orientable")
-    return K
 
 
 def boundary_components(K: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
@@ -108,7 +87,7 @@ def analyze_domain(K) -> DomainReport:
     (iv)  homology torsion-free in all degrees
     (v)   b3 = 0
     """
-    K = _check_domain(_as_complex(K))
+    K = as_domain(K)
     groups = homology_groups(K)
     betti = tuple(g.rank for g in groups)
     chi = euler_characteristic(K)
@@ -158,7 +137,7 @@ class SimplicityReport:
 def is_simple(K) -> SimplicityReport:
     """A domain is simple iff b1 = 0 (equivalently, every curl-free field
     is a gradient); simple domains have b2 = h and spherical boundary."""
-    K = _check_domain(_as_complex(K))
+    K = as_domain(K)
     H = homology_of(K)
     info = surface_info(boundary_subcomplex(K))
     report = SimplicityReport(
@@ -178,28 +157,26 @@ def _vertex_fans(S: SimplicialComplex) -> dict[int, dict[Simplex, int]]:
     the positively-ordered fan.
 
     Walking the fan from an edge through the positively-oriented triangle
-    between them yields the next edge counterclockwise.
+    between them yields the next edge counterclockwise.  Each fan starts at
+    the vertex's smallest edge and orients the walk of _check_closed_surface.
     """
-    _check_closed_surface(S)
+    walks = _check_closed_surface(S)
     orientation = orient_surface(S)
     if orientation is None:
         raise ComplexError("surface is not orientable")
-    succ: dict[int, dict[Simplex, Simplex]] = {v: {} for v in S.vertices}
-    for t in S.simplices(2):
-        v0, v1, v2 = t
-        cyc = (v0, v1, v2) if orientation[t] == 1 else (v0, v2, v1)
-        for i in range(3):
-            v, x, y = cyc[i], cyc[(i + 1) % 3], cyc[(i + 2) % 3]
-            succ[v][tuple(sorted((v, x)))] = tuple(sorted((v, y)))
+    index = face_index(S)
+    start, edges, tris = index.coface_start[0], S.simplices(1), S.simplices(2)
     fans: dict[int, dict[Simplex, int]] = {}
-    for v, nxt in succ.items():
-        start = min(nxt)
-        order: dict[Simplex, int] = {}
-        e = start
-        while e not in order:
-            order[e] = len(order)
-            e = nxt[e]
-        fans[v] = order
+    for p, (v,) in enumerate(S.simplices(0)):
+        walk = walks[start[p]:start[p + 1]]
+        # the walk leaves its first edge (v, x) through that edge's first
+        # triangle t, so it runs counterclockwise iff x follows v in the
+        # positive cyclic order of t
+        t = tris[index.cofaces_of(1, walk[0])[0]]
+        x = sum(edges[walk[0]]) - v
+        if ((t.index(x) - t.index(v)) % 3 == 1) != (orientation[t] == 1):
+            walk = walk[:1] + walk[:0:-1]
+        fans[v] = {edges[q]: i for i, q in enumerate(walk)}
     return fans
 
 
@@ -300,7 +277,7 @@ class BoundaryKernelData:
 def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
     """Integer kernel of i_*: H1(boundary) -> H1(domain), with per-component
     projections P_j.  The rank must equal the total boundary genus."""
-    return _boundary_kernel(_check_domain(_as_complex(K)))
+    return _boundary_kernel(as_domain(K))
 
 
 @derived
@@ -411,7 +388,6 @@ def lagrangian_obstruction(K) -> LagrangianReport:
 
     It suffices to test a generating set of P_j, by bilinearity.
     """
-    K = _as_complex(K)
     data = kernel_of_boundary_inclusion(K)
     verdicts = []
     for j, (S, proj) in enumerate(zip(data.components, data.projections)):
@@ -445,8 +421,7 @@ def corank_bounds(K, system=None) -> tuple[int, int]:
     engine verifies it as independent and non-disconnecting, else 0.  The
     exact corank is not computed.
     """
-    KC = _check_domain(_as_complex(K))
-    upper = homology_of(KC).betti(1)
+    upper = homology_of(as_domain(K)).betti(1)
     lower = 0
     if system is not None:
         cls = classify_cut_system(K, system)

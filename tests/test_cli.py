@@ -9,10 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from helmcut import groups
 from helmcut.cli import run
-from helmcut.complexes import build_complex, marked_complex_to_json, product_with_interval
+from helmcut.complexes import (
+    MarkedComplex,
+    build_complex,
+    marked_complex_to_json,
+    product_with_interval,
+)
 
 from test_complexes import RP2_6
 from test_cuts import TRIANGLE_IN_THREE_TETS, solid_klein_bottle
+from test_domains import cone_over_torus, punctured_rp2_x_s1
 
 
 def run_capture(capsys, *argv):
@@ -180,7 +186,35 @@ def test_boundary_pinched_at_a_vertex_exits_2_with_one_line(tmp_path, capsys, te
         (
             "analyze",
             lambda: marked_complex_to_json(product_with_interval(build_complex(RP2_6))),
-            "boundary component is not orientable",
+            "domain complex is not orientable",
+        ),
+        # a non-manifold apex whose boundary is a closed orientable torus
+        pytest.param(
+            "analyze",
+            lambda: marked_complex_to_json(MarkedComplex(cone_over_torus(), {})),
+            "domain complex is not a 3-manifold: chi 1, boundary chi 0",
+            id="analyze-cone_over_torus",
+        ),
+        # a manifold, but not orientable, bounded by a sphere
+        pytest.param(
+            "analyze",
+            lambda: marked_complex_to_json(MarkedComplex(punctured_rp2_x_s1(), {})),
+            "domain complex is not orientable",
+            id="analyze-punctured_rp2_x_s1",
+        ),
+        # marks removed: the empty system has no surface to check, and is
+        # still rejected
+        pytest.param(
+            "classify-cuts",
+            lambda: {"simplices": marked_complex_to_json(solid_klein_bottle())["simplices"]},
+            "domain complex is not orientable",
+            id="classify-cuts-empty-solid_klein_bottle",
+        ),
+        pytest.param(
+            "classify-cuts",
+            lambda: {"simplices": TRIANGLE_IN_THREE_TETS["simplices"]},
+            "triangle (0, 1, 2) lies in 3 tetrahedra, not at most 2",
+            id="classify-cuts-empty-triangle_in_three_tets",
         ),
     ],
 )

@@ -2,10 +2,11 @@ import time
 
 import pytest
 
-from helmcut.builders import cubes_to_complex, preset, preset_names, square_face_triangles
+from helmcut.builders import ball, cubes_to_complex, preset, preset_names, square_face_triangles
 from helmcut.complexes import (
     ComplexError,
     MarkedComplex,
+    NotADomainError,
     _class_roots,
     _position,
     barycentric_subdivide_with_map,
@@ -86,6 +87,12 @@ def test_boundary_leak_diagnostic():
     t = boundary_subcomplex(M.complex).simplices(2)[0]
     F = SurfaceSystem(("leak",), ((t,),))
     assert diagnostic_of(M, F) == "boundary-leak"
+    # b1 = 0, so the subset search classifies only the empty subset, but
+    # it validates the whole system first
+    K = ball()
+    F = SurfaceSystem(("leak",), ((K.simplices(2)[0],),))
+    with pytest.raises(SurfaceSystemError, match="boundary-leak"):
+        find_minimal_weak_subsets(K, F)
 
 
 def grid_disk(symmetry):
@@ -231,11 +238,12 @@ TRIANGLE_IN_THREE_TETS = {
 def test_non_domains_are_rejected_before_sidedness(build, message):
     M = build()
     assert homology_of(M.complex).betti(0) == 1
-    F = surface_system_from_marks(M)
-    for check in (validate_surface_system, classify_cut_system):
-        with pytest.raises(ComplexError) as e:
-            check(M, F)
-        assert type(e.value) is ComplexError and str(e.value) == message
+    # the empty system too: the domain check does not wait for a surface
+    for F in (surface_system_from_marks(M), SurfaceSystem((), ())):
+        for check in (validate_surface_system, classify_cut_system, find_minimal_weak_subsets):
+            with pytest.raises(ComplexError) as e:
+                check(M, F)
+            assert type(e.value) is NotADomainError and str(e.value) == message
 
 
 # -- cut/open and classification -------------------------------------------

@@ -1,8 +1,10 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helmcut.builders import (
+    cubes_to_complex,
     domain_corpus,
     handlebody,
     preset,
@@ -15,6 +17,7 @@ from helmcut.complexes import (
     _check_closed_surface,
     boundary_subcomplex,
     build_complex,
+    mapping_torus,
     orient_surface,
     product_with_interval,
 )
@@ -113,7 +116,8 @@ def test_each_boundary_component_is_oriented_once():
         analyze_domain(K)
         is_simple(K)
         lagrangian_obstruction(K)
-        assert orient_surface.cache_info().misses - before == len(boundary_components(K))
+        # and K itself is oriented once, by the domain check
+        assert orient_surface.cache_info().misses - before == len(boundary_components(K)) + 1
         assert _check_closed_surface.cache_info().misses - checked == len(boundary_components(K))
 
 
@@ -121,10 +125,72 @@ def test_non_orientable_boundary_is_rejected():
     # RP2 x [0,1] is bounded by two projective planes
     K = product_with_interval(build_complex(RP2_6)).complex
     for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion, lagrangian_obstruction):
-        with pytest.raises(NotADomainError, match="boundary component is not orientable"):
+        with pytest.raises(NotADomainError, match="domain complex is not orientable"):
             check(K)
     with pytest.raises(ComplexError):
         intersection_form(build_complex(RP2_6))
+
+
+def cone_over_torus():
+    """The cone from apex 99 over the 7-vertex torus: its boundary is a
+    closed orientable torus, but the link of the apex is a torus too."""
+    return build_complex([t + (99,) for t in TORUS7])
+
+
+def punctured_times_circle(S):
+    """S x S1, the mapping torus of the identity, minus the open star of a
+    vertex: a 3-manifold bounded by one sphere."""
+    K = mapping_torus(S, {v: v for v in S.vertices}).complex
+    return build_complex([t for t in K.simplices(3) if K.vertices[0] not in t])
+
+
+def punctured_rp2_x_s1():
+    """Not orientable, as RP2 is not."""
+    return punctured_times_circle(build_complex(RP2_6))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (cone_over_torus, "domain complex is not a 3-manifold: chi 1, boundary chi 0"),
+        (punctured_rp2_x_s1, "domain complex is not orientable"),
+    ],
+)
+def test_pseudo_manifolds_and_non_orientable_manifolds_are_not_domains(build, message):
+    K = build()
+    for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion, lagrangian_obstruction,
+                  corank_bounds):
+        with pytest.raises(NotADomainError) as e:
+            check(K)
+        assert str(e.value) == message
+
+
+def test_orientable_manifolds_off_r3_pass_the_check():
+    # the 3-torus minus a ball is an orientable 3-manifold bounded by a
+    # sphere, so the domain check passes it; it does not embed in R^3, and
+    # the identity b1(boundary) = 2 b1 says so
+    report = analyze_domain(punctured_times_circle(build_complex(TORUS7)))
+    assert report.betti == (1, 3, 3, 0) and report.genus_list == (0,)
+    assert dict(report.identity_checks)["boundary_b1_eq_twice_b1"] is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)), min_size=1))
+def test_domain_check_passes_every_cube_domain(cubes):
+    # a pure subcomplex of a triangulated R^3 whose boundary is a closed
+    # surface is a domain, so only connectivity and the boundary surface
+    # may reject a union of lattice cubes, and every identity holds
+    K = cubes_to_complex(sorted(cubes))
+    try:
+        report = analyze_domain(K)
+        is_simple(K)
+        lagrangian_obstruction(K)
+    except ComplexError as e:
+        assert str(e) == "domain complex must be connected" or str(e).startswith(
+            "not a closed surface: "
+        )
+        return
+    assert report.all_checks_pass
 
 
 def test_disconnected_complex_is_not_a_domain():
