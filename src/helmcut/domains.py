@@ -82,7 +82,7 @@ def analyze_domain(K) -> DomainReport:
     """Numerical profile of a domain plus the standard identity checks:
 
     (i)   chi = 1 - b1 + b2
-    (ii)  chi = (h+1) - sum of boundary genera
+    (ii)  chi = (h+1) - sum of boundary genera, each genus b1(S)/2
     (iii) b1(boundary) = 2 b1
     (iv)  homology torsion-free in all degrees
     (v)   b3 = 0
@@ -98,7 +98,7 @@ def analyze_domain(K) -> DomainReport:
     h1 = len(genus_list)
     checks = (
         ("chi_eq_1_minus_b1_plus_b2", chi == 1 - betti[1] + betti[2]),
-        ("chi_eq_components_minus_genus", chi == h1 - sum(genus_list)),
+        ("chi_eq_components_minus_genus", 2 * chi == 2 * h1 - b1_bd),
         ("boundary_b1_eq_twice_b1", b1_bd == 2 * betti[1]),
         ("torsion_free", torsion_free),
         ("b3_zero", betti[3] == 0),

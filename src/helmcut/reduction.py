@@ -14,8 +14,12 @@ them go, and in what order, depends only on how many live faces and
 cofaces each cell has.  They are cascaded first, first in, first out,
 on integer counters over the face index.  The survivors are the critical
 cells of an acyclic matching (Harker, Mischaikow, Mrozek and Nanda, Found.
-Comput. Math. 14, 2014).  Only they get sparse rows, which a lazy-heap
-Markowitz rule (least fill-in first) reduces further.
+Comput. Math. 14, 2014).  Only they get sparse rows, which one lazy heap
+of Markowitz pivots (least fill-in first) reduces further.  Every +-1
+pair of the rows waits in that heap: a zero-cost pair that fill-in makes
+is pushed with its row at cost 0, and a pair whose cost only fell is
+taken when its older, higher entry pops, so the cascade is the one
+zero-cost rule.
 
 Every removed pair, cascade and Markowitz alike, is logged once, as two
 integers, and both its cells get the pair's index in the log as their
@@ -342,26 +346,9 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
                 for k, q in enumerate(faces[d][(d + 1) * p:(d + 1) * p + d + 1]):
                     if rank[o + q] == LIVE:
                         row[o + q] = cb[o + q][c] = -1 if k & 1 else 1
+    # phase 2: Markowitz heap on the (much smaller) survivor complex
     fill: dict[int, tuple[Chain, Chain]] = {}
-    # zero-cost pairs made by fill-in are cascaded first in, first out, so
-    # the cascade sweeps outward from where it started; only pairs with
-    # genuine fill-in pay for a heap
-    queue: deque[tuple[Cell, Cell]] = deque()
     heap: list[tuple[int, Cell, Cell]] = []
-
-    def maybe_free(a: Cell) -> None:
-        co = cb[a]
-        if len(co) == 1:
-            b, coeff = next(iter(co.items()))
-            if coeff in (1, -1):
-                queue.append((a, b))
-
-    def maybe_core(b: Cell) -> None:
-        row = bd[b]
-        if len(row) == 1:
-            a, coeff = next(iter(row.items()))
-            if coeff in (1, -1):
-                queue.append((a, b))
 
     def execute(a: Cell, b: Cell) -> None:
         # the log keeps the rows themselves: nothing below writes to them,
@@ -375,13 +362,11 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
         B.append(b)
         for f in bd[a]:
             del cb[f][a]
-            maybe_free(f)
         for f in bd_b:
             if f != a:
                 del cb[f][b]
         for e in cb[b]:
             del bd[e][b]
-            maybe_core(e)
         # fold boundary of b into the other cofaces of a
         for e, coeff in cb_a.items():
             if e == b:
@@ -397,26 +382,10 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
                     cb[f][e] = new
                 else:
                     row.pop(f, None)
-                    co = cb[f]
-                    co.pop(e, None)
-                    maybe_free(f)
+                    cb[f].pop(e, None)
             row.pop(a, None)
-            maybe_core(e)
-        for f in bd_b:
-            if f != a and f in cb:
-                maybe_free(f)
         del bd[a], cb[a], bd[b], cb[b]
 
-    def cascade() -> None:
-        while queue:
-            a, b = queue.popleft()
-            if a not in bd or b not in bd or bd[b].get(a, 0) not in (1, -1):
-                continue
-            if len(cb[a]) != 1 and len(bd[b]) != 1:
-                continue
-            execute(a, b)
-
-    # phase 2: Markowitz heap on the (much smaller) survivor complex
     def cost(a: Cell, b: Cell) -> int:
         return (len(cb[a]) - 1) * (len(bd[b]) - 1)
 
@@ -443,7 +412,6 @@ def reduce_complex(data: ChainComplexData) -> ReducedComplex:
         cb_b_cells = list(cb[b])
         changed = [e for e in cb[a] if e != b]
         execute(a, b)
-        cascade()
         for e in changed:
             if e in bd:
                 push_pairs_of(e)

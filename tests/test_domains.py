@@ -21,6 +21,7 @@ from helmcut.complexes import (
     orient_surface,
     product_with_interval,
 )
+import helmcut.domains
 from helmcut.domains import (
     NotADomainError,
     analyze_domain,
@@ -44,6 +45,27 @@ def test_identity_suite_over_corpus():
         assert report.all_checks_pass, f"{name}: {report.identity_checks}"
         assert report.torsion_free, name
     assert time.time() - t0 < 30.0
+
+
+def test_boundary_genera_come_from_h1_of_the_boundary(monkeypatch):
+    # identity (ii) reads each boundary genus as b1(S)/2, not from chi, so
+    # a wrong H1 of one boundary component makes it read false
+    K = preset("torus_shell").complex
+    S = boundary_components(K)[0]
+    assert analyze_domain(K).all_checks_pass
+
+    class OffByTwo:
+        def __init__(self, H):
+            self.H = H
+
+        def betti(self, n):
+            return self.H.betti(n) + 2 * (n == 1)
+
+    real = helmcut.domains.homology_of
+    monkeypatch.setattr(helmcut.domains, "homology_of", lambda X: OffByTwo(real(X)) if X is S else real(X))
+    checks = dict(analyze_domain(K).identity_checks)
+    assert not checks["chi_eq_components_minus_genus"]
+    assert checks["chi_eq_1_minus_b1_plus_b2"]
 
 
 def test_rejects_closed_and_low_dimensional_complexes():
