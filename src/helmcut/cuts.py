@@ -6,13 +6,13 @@ that check first.  A surface system in K is a finite family of disjoint,
 connected, two-sided, properly embedded surfaces; K is orientable, and in
 an orientable K a properly embedded surface is two-sided exactly when it
 is orientable, so sidedness is read from the surface's own orientation.
-Cutting K along the
-system is realized combinatorially in the first barycentric subdivision
-K' of K: keep the full subcomplex of K' spanned by the barycenters of the
-simplices of K that do not lie in the surfaces.  The surfaces form a
-subcomplex of K, which is full in K', and the complement of a full
-subcomplex deformation-retracts onto the full subcomplex on the other
-vertices (Rourke-Sanderson, Introduction to PL topology, ch. 3).  So the
+Cutting K along the system is realized combinatorially in a derived
+subdivision K'' of K near the surfaces S (Rourke-Sanderson, Introduction
+to PL topology, ch. 3, derived neighbourhoods): star each simplex of K
+that has a vertex in S at its barycenter, in decreasing dimension, and
+leave every other simplex whole.  The derived S'' of S is full in K'', so
+K minus S deformation-retracts onto the complement of the open simplicial
+neighbourhood of S'', the full subcomplex on the vertices off S''.  So the
 pieces are homotopy equivalent to the components of K minus the surfaces,
 which fixes their homology; they need not be 3-manifolds.
 """
@@ -29,7 +29,6 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     as_domain,
-    barycentric_subdivide_with_map,
     boundary_subcomplex,
     connected_components,
     face_index,
@@ -144,7 +143,7 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
 @dataclass(frozen=True)
 class CutResult:
     components: tuple[SimplicialComplex, ...]
-    vertex_map: dict  # vertex of the cut complex -> vertex of the base complex
+    vertex_map: dict  # vertex of the cut complex -> last vertex of its simplex of K
 
     @property
     def component_count(self) -> int:
@@ -154,13 +153,13 @@ class CutResult:
 def cut_open(K, F: SurfaceSystem) -> CutResult:
     """Cut a domain complex along a validated surface system.
 
-    The cut complex is the full subcomplex of the first barycentric
-    subdivision K' of K spanned by the barycenters of the simplices that do
-    not lie in the surfaces.  Its components are homotopy equivalent to the
-    components of K minus the surfaces (see the module docstring), but need
-    not be 3-manifolds.  The returned vertex map, the last-vertex
-    simplicial approximation of the identity K' -> K, carries cut cycles
-    back into K.
+    The cut complex is the full subcomplex of the derived subdivision K''
+    of K near the surfaces on the vertices off the derived surfaces, each
+    labelled by the index of its simplex in K.all_simplices().  Its
+    components are homotopy equivalent to the components of K minus the
+    surfaces (see the module docstring), but need not be 3-manifolds.  The
+    returned vertex map, the last-vertex simplicial approximation of the
+    identity K'' -> K, carries cut cycles back into K.
     """
     surfaces = validate_surface_system(K, F)
     return _cut(as_domain(K), surfaces)
@@ -170,14 +169,25 @@ def _cut(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> CutRes
     if not surfaces:
         # cutting a domain, which is connected, along nothing is the identity
         return CutResult((KC,), {v: v for v in KC.vertices})
-    in_surfaces = {s for S in surfaces for s in S.all_simplices()}
-    sub, v2s = barycentric_subdivide_with_map(KC)
-    survivors = {v for v, s in v2s.items() if s not in in_surfaces}
-    # a full subcomplex keeps the sorted order of sub and is closed under faces
-    cut = SimplicialComplex(
-        [[s for s in sub.simplices(d) if all(v in survivors for v in s)] for d in range(4)]
+    all_simplices = KC.all_simplices()
+    label = {s: i for i, s in enumerate(all_simplices)}
+    near = {v for S in surfaces for v in S.vertices}
+    # below[s]: the top simplices of K'' inside s; a simplex that meets S
+    # is starred at its barycenter over the pieces of its facets
+    below: dict[Simplex, list[tuple[int, ...]]] = {}
+    for s in all_simplices:  # sorted by dim, so faces come first
+        if len(s) > 1 and not near.isdisjoint(s):
+            below[s] = [p + (label[s],) for f in combinations(s, len(s) - 1) for p in below[f]]
+        else:
+            below[s] = [tuple(label[(v,)] for v in s)]
+    in_surfaces = {label[s] for S in surfaces for s in S.all_simplices()}
+    # K'' is pure, so the full subcomplex off S'' is generated by the
+    # surviving faces of its tetrahedra
+    pieces = (p for t in KC.simplices(3) for p in below[t])
+    cut = SimplicialComplex.from_simplices(
+        kept for p in pieces if (kept := [v for v in p if v not in in_surfaces])
     )
-    vertex_map = last_vertex_map({v: v2s[v] for v in cut.vertices})
+    vertex_map = last_vertex_map({v: all_simplices[v] for v in cut.vertices})
     return CutResult(connected_components(cut), vertex_map)
 
 

@@ -1,23 +1,28 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helmcut.builders import ball, cubes_to_complex, preset, preset_names, square_face_triangles
 from helmcut.complexes import (
     ComplexError,
     MarkedComplex,
     NotADomainError,
+    SimplicialComplex,
     _class_roots,
     _position,
     barycentric_subdivide_with_map,
     build_complex,
+    connected_components,
     euler_characteristic,
     face_index,
+    last_vertex_map,
     mapping_torus,
     marked_complex_from_json,
     orient_surface,
 )
 from helmcut.cuts import (
+    CutResult,
     SurfaceSystem,
     SurfaceSystemError,
     classify_cut_system,
@@ -173,7 +178,12 @@ def plate_disks(genus):
     and every disk between two of its squares that runs from boundary to
     boundary, as a cuts benchmark round places them."""
     squares = {(x, y) for x in range(2 * genus + 1) for y in range(3)}
-    squares -= {(2 * i + 1, 1) for i in range(genus)}
+    return square_disks(squares - {(2 * i + 1, 1) for i in range(genus)})
+
+
+def square_disks(squares):
+    """The plate of the given squares and every disk between two of its
+    squares that runs from boundary to boundary."""
     K = cubes_to_complex([(x, y, 0) for x, y in sorted(squares)])
     disks = []
     for x, y in sorted(squares):
@@ -355,16 +365,90 @@ def test_cut_invariant_under_subdivision():
     )
 
 
-def test_cut_pieces_come_from_one_subdivision():
-    for M in (
-        two_cube_ball_with_disk(),
-        preset("solid_torus_with_meridian_disk"),
-        preset("handlebody2"),
-        preset("trefoil_mapping_torus"),
-    ):
-        r = cut_open(M, surface_system_from_marks(M))
-        tets = sum(len(c.simplices(3)) for c in r.components)
-        assert 0 < tets <= 24 * len(M.complex.simplices(3))
+def marked_cut_inputs():
+    return [two_cube_ball_with_disk()] + [
+        preset(name)
+        for name in ("solid_torus_with_meridian_disk", "handlebody2", "trefoil_mapping_torus")
+    ]
+
+
+def test_cut_subdivides_only_the_tetrahedra_near_the_surfaces():
+    # a tetrahedron with a vertex on a surface splits into at most 24
+    # pieces; every other tetrahedron stays whole
+    for M in marked_cut_inputs():
+        F = surface_system_from_marks(M)
+        near = {v for tris in F.triangles for t in tris for v in t}
+        tets = M.complex.simplices(3)
+        meeting = sum(not near.isdisjoint(t) for t in tets)
+        r = cut_open(M, F)
+        cut_tets = sum(len(c.simplices(3)) for c in r.components)
+        assert 0 < cut_tets <= len(tets) - meeting + 24 * meeting
+
+
+def full_subdivision_cut(KC, surfaces):
+    """The cut in the full barycentric subdivision K' of K, as an oracle:
+    the full subcomplex of K' on the barycenters of the simplices that do
+    not lie in the surfaces, with the last-vertex map K' -> K."""
+    in_surfaces = {s for S in surfaces for s in S.all_simplices()}
+    sub, v2s = barycentric_subdivide_with_map(KC)
+    survivors = {v for v, s in v2s.items() if s not in in_surfaces}
+    cut = SimplicialComplex(
+        [[s for s in sub.simplices(d) if all(v in survivors for v in s)] for d in range(4)]
+    )
+    vertex_map = last_vertex_map({v: v2s[v] for v in cut.vertices})
+    return CutResult(connected_components(cut), vertex_map)
+
+
+def assert_cut_matches_full_subdivision(M, F):
+    KC = M.complex if isinstance(M, MarkedComplex) else M
+    got = cut_open(M, F)
+    want = full_subdivision_cut(KC, validate_surface_system(M, F))
+    assert got.component_count == want.component_count
+    # both label a vertex by the index of its simplex in K.all_simplices()
+    assert [c.vertices[0] for c in got.components] == [c.vertices[0] for c in want.components]
+    assert [betti_numbers(c) for c in got.components] == [
+        betti_numbers(c) for c in want.components
+    ]
+    for c in got.components:
+        for s in c.all_simplices():
+            assert KC.has_simplex(sorted({got.vertex_map[v] for v in s}))
+
+
+def test_cut_matches_full_subdivision_on_marked_inputs():
+    for M in marked_cut_inputs():
+        assert_cut_matches_full_subdivision(M, surface_system_from_marks(M))
+
+
+@st.composite
+def plate_systems(draw):
+    """A strip one square high, or a plate three squares high with holes in
+    its middle row that share no vertex, possibly transposed, and a system
+    of disks between two of its squares that share no vertex."""
+    w = draw(st.integers(2, 7))
+    holes: set = set()
+    if w > 2 and draw(st.booleans()):
+        for x in draw(st.lists(st.integers(1, w - 2), min_size=1, max_size=3)):
+            if all(abs(x - hole) >= 2 for hole in holes):
+                holes.add(x)
+    squares = {(x, y) for x in range(w) for y in range(3 if holes else 1)}
+    squares -= {(x, 1) for x in holes}
+    if draw(st.booleans()):
+        squares = {(y, x) for x, y in squares}
+    K, candidates = square_disks(squares)
+    picks = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4))
+    disks, used = [], set()
+    for tris in picks:
+        verts = {v for t in tris for v in t}
+        if used.isdisjoint(verts):
+            disks.append(tuple(tris))
+            used |= verts
+    return K, SurfaceSystem(tuple(f"disk_{i}" for i in range(len(disks))), tuple(disks))
+
+
+@settings(max_examples=25, deadline=None)
+@given(plate_systems())
+def test_cut_matches_full_subdivision_on_plates(plate_system):
+    assert_cut_matches_full_subdivision(*plate_system)
 
 
 def test_cut_along_nothing_keeps_a_connected_domain():
