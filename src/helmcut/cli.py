@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal-consistency
-failure (also meridian rewriting that does not stabilize); errors are one
+failure (also an arc whose in-arcs never reach a meridian); errors are one
 stderr line.  All results are printed as deterministic JSON (sorted keys).
 """
 
@@ -62,7 +62,9 @@ def _load_diagram(args):
     if src is None:
         raise DiagramError("a diagram is required: --pd FILE-or-NAME")
     if Path(src).exists():
-        return parse_pd(_read(src, DiagramError))
+        D = parse_pd(_read(src, DiagramError))
+        linking_matrix(D)  # rejects components that cross an odd number of times
+        return D
     name = src[:-3] if src.endswith(".pd") else src
     if name in diagram_names():
         return diagram(name)
@@ -156,7 +158,7 @@ def _cmd_milnor(args):
         if not re.fullmatch(r"\s*[0-9]+\s*", x):
             raise DiagramError(f"--indices must be a comma list of component numbers: {x!r}")
     I = tuple(int(x) for x in entries)
-    return milnor_mubar(D, I, len(I) + 1).to_json()
+    return milnor_mubar(D, I, len(I)).to_json()
 
 
 def _cmd_preset_list(args):
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="max Milnor index length searched, at least 2; the Magnus expansion is "
-        "truncated one degree above it",
+        "truncated at it",
     )
     p.set_defaults(func=_cmd_link_verdict)
 

@@ -5,9 +5,9 @@ longitudes, truncated Magnus expansion, and Milnor mu / mu-bar invariants
 computed by rewriting arc generators as meridian words in the free
 nilpotent quotient.
 
-The rewriting repeats ascending passes over the Wirtinger relations until
-a pass changes nothing; a pass skips a relation whose over-arc and in-arc
-series are unchanged since it last read them.  Delta(I), the gcd that
+The rewriting solves one degree at a time: a Wirtinger relation fixes
+the degree-k terms of an arc's series from its in-arc's and from terms of
+lower degree, so each arc is solved after its in-arc.  Delta(I), the gcd that
 mu-bar(I) is taken modulo, is found by recursion: every proper
 subsequence of I of length at least 2 is a subsequence of I with one
 entry deleted, so Delta(I) = gcd over k of S(I without entry k), where S(J) is the gcd
@@ -29,7 +29,7 @@ Word = tuple  # of (generator, ±1) letters
 
 
 class RewriteDepthError(RuntimeError):
-    """Meridian rewriting failed to stabilize within the depth bound."""
+    """An arc's in-arcs cycle without reaching a meridian."""
 
 
 # -- Wirtinger presentation ------------------------------------------------
@@ -192,20 +192,18 @@ class MagnusSeries:
         return MagnusSeries(q, out)
 
     def inverse(self) -> "MagnusSeries":
+        """Degree by degree: y_k = -(a_k + sum_{0<i<k} a_i y_{k-i})."""
         if self.constant_term != 1:
             raise ValueError("only series with constant term 1 are inverted")
-        n = MagnusSeries(self.q, {w: c for w, c in self.terms.items() if w})
-        out = MagnusSeries.one(self.q)
-        power = MagnusSeries.one(self.q)
+        a: list[dict] = [{} for _ in range(self.q)]
+        for w, c in self.terms.items():
+            a[len(w)][w] = c
+        y = [{(): 1}]
         for k in range(1, self.q):
-            power = power * n
-            if not power.terms:
-                break
-            s = -1 if k % 2 else 1
-            for w, c in power.terms.items():
-                out.terms[w] = out.terms.get(w, 0) + s * c
-        out.terms = {w: c for w, c in out.terms.items() if c}
-        return out
+            t = dict(a[k])
+            _add_products(t, a, y, k)
+            y.append({w: -c for w, c in t.items() if c})
+        return MagnusSeries(self.q, {w: c for part in y for w, c in part.items()})
 
     def __repr__(self) -> str:
         items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
@@ -224,67 +222,67 @@ def magnus_expand(word: Word, variable_of: dict[int, int], q: int) -> MagnusSeri
 # -- Milnor invariants -----------------------------------------------------
 
 
-def _meridian_series(D: LinkDiagram, q: int):
-    """Express every arc generator as a Magnus series in the component
-    meridian variables z_1..z_n (components numbered from 1), by iterated
-    substitution of the Wirtinger relations truncated at degree q.
+def _add_products(out: dict, left: list, right: list, k: int, sign: int = 1) -> None:
+    """Add to out sign times the degree-k terms of left * right over left
+    degrees 0 < i < k; a graded series is a list of {word: coefficient}
+    dicts indexed by degree."""
+    for i in range(1, k):
+        for u, c in left[i].items():
+            for v, d in right[k - i].items():
+                out[u + v] = out.get(u + v, 0) + sign * c * d
 
-    Returns the presentation, the series of each generator and a function
-    giving the inverse of a generator's series, computed once per series."""
+
+def _meridian_series(D: LinkDiagram, q: int) -> dict[int, MagnusSeries]:
+    """Every arc generator as a Magnus series in the component meridian
+    variables z_1..z_n (components numbered from 1), truncated at degree q.
+
+    An arc that is not a meridian begins at a crossing whose relation
+    out = O^-eps * in * O^eps reads O * out = in * O (eps = 1) or
+    out * O = O * in (eps = -1).  As O and in and out all start with 1,
+    the degree-k terms of out are those of in plus products of terms of
+    degree below k: degrees 2..q-1 are solved in turn, each arc after its
+    in-arc."""
     P = wirtinger(D)
-    comp_of = dict(P.component_of)
-    series: dict[int, MagnusSeries] = {
-        g: MagnusSeries.generator(comp_of[g] + 1, q) for g in P.generators
-    }
-    inverses: dict[int, MagnusSeries] = {}  # of the current series[g]
-
-    def inverse(g: int) -> MagnusSeries:
-        if g not in inverses:
-            inverses[g] = series[g].inverse()
-        return inverses[g]
-
-    # defining relation of each non-meridian generator: the crossing where
-    # its arc begins; rewriting order ascending by arc label
-    defining: dict[int, WirtingerRelation] = {}
-    for rel in P.relations:
-        if rel.out not in P.meridians and rel.out not in defining:
-            defining[rel.out] = rel
-    read: dict[int, tuple[MagnusSeries, MagnusSeries]] = {}  # g -> (over, in) last read
-    bound = 2 * q + 4
-    for _ in range(bound):
-        changed = False
-        for g in sorted(defining):
+    defining = {rel.out: rel for rel in reversed(P.relations) if rel.out not in P.meridians}
+    order: list[int] = []  # every arc after its in-arc
+    for g in sorted(defining):
+        chain: list[int] = []
+        while g in defining and g not in order:
+            if g in chain:
+                raise RewriteDepthError(f"the in-arcs of arc {g} cycle without reaching a meridian")
+            chain.append(g)
+            g = defining[g].inn
+        order.extend(reversed(chain))
+    # by degree; a meridian is 1 + z exactly
+    a = {g: [{(): 1}, {(c + 1,): 1}] + [{} for _ in range(2, q)] for g, c in P.component_of}
+    for k in range(2, q):
+        for g in order:
             rel = defining[g]
-            o, i = series[rel.over], series[rel.inn]
-            last = read.get(g)
-            if last is not None and last[0] is o and last[1] is i:
-                continue  # the same series would come out again
-            read[g] = (o, i)
+            inn, out, b = a[rel.inn], a[g], a[rel.over]
+            t = dict(inn[k])
             if rel.eps == 1:
-                new = inverse(rel.over) * i * o
+                _add_products(t, inn, b, k)
+                _add_products(t, b, out, k, -1)
             else:
-                new = o * i * inverse(rel.over)
-            if new != series[g]:
-                series[g] = new
-                inverses.pop(g, None)
-                changed = True
-        if not changed:
-            return P, series, inverse
-    raise RewriteDepthError(
-        f"meridian rewriting did not stabilize within {bound} passes at degree {q}"
-    )
+                _add_products(t, b, inn, k)
+                _add_products(t, out, b, k, -1)
+            out[k] = {w: c for w, c in t.items() if c}
+    return {g: MagnusSeries(q, {w: c for part in a[g] for w, c in part.items()}) for g in a}
 
 
 @derived
 def _longitudes(D: LinkDiagram, q: int) -> tuple[MagnusSeries, ...]:
     """Magnus expansion at truncation q of every component's longitude,
     with arc generators rewritten as meridian series."""
-    _, series, inverse = _meridian_series(D, q)
+    series = _meridian_series(D, q)
+    inverses: dict[int, MagnusSeries] = {}
     out = []
     for j in range(D.component_count):
         s = MagnusSeries.one(q)
         for g, e in longitude_word(D, j):
-            s = s * (series[g] if e == 1 else inverse(g))
+            if e == -1 and g not in inverses:
+                inverses[g] = series[g].inverse()
+            s = s * (series[g] if e == 1 else inverses[g])
         out.append(s)
     return tuple(out)
 
@@ -294,15 +292,15 @@ def milnor_mu(D: LinkDiagram, I: tuple[int, ...], q: int) -> int:
     Magnus expansion of the longitude of component l_p, with arc generators
     rewritten as meridian words at truncation degree q.
 
-    Components are numbered from 1.  Requires 2 <= p < q.  The raw integer
-    depends on fixed conventions (base meridians, rewriting order); only its
-    residue mod Delta(I) is an invariant.
+    Components are numbered from 1.  Requires 2 <= p <= q; any such q gives
+    the same integer.  The raw integer depends on fixed conventions (base
+    meridians, rewriting order); only its residue mod Delta(I) is invariant.
     """
     p = len(I)
     if p < 2:
         raise DiagramError("index sequence must have length at least 2")
-    if q <= p:
-        raise DiagramError(f"truncation degree {q} must exceed the index length {p}")
+    if q < p:
+        raise DiagramError(f"truncation degree {q} is below the index length {p}")
     n = D.component_count
     for l in I:
         if not 1 <= l <= n:

@@ -319,7 +319,7 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4) -> LinkVer
     split unlink by kink removal (unknot recognition is out of scope);
     "no" only with a certificate: a nonzero linking number, or a nonzero
     Milnor residue of length <= mubar_max_length.  Every index sequence is
-    expanded at truncation mubar_max_length + 1: mu(I) depends only on the
+    expanded at truncation mubar_max_length: mu(I) depends only on the
     longitude modulo the |I|-th lower central series term (Milnor, "Isotopy
     of links", 1957), so one truncation serves the whole search.  Everything
     else is "unknown".  Raises DiagramError when mubar_max_length is below 2.
@@ -342,7 +342,7 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4) -> LinkVer
 
         mu, S = {}, {}  # the memos of _mubar, shared by the whole search
         for I in _index_sequences(n, mubar_max_length):
-            val = _mubar(D, I, mubar_max_length + 1, mu, S)
+            val = _mubar(D, I, mubar_max_length, mu, S)
             if val.residue:
                 certs.append(
                     {

@@ -249,6 +249,24 @@ def test_milnor_indices_are_ascii_digits(capsys, indices, bad):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ("link-lk",),
+        ("link-seifert",),
+        ("link-verdict",),
+        ("milnor", "--indices", "1,2"),
+    ],
+)
+def test_link_commands_reject_an_odd_inter_component_crossing_count(tmp_path, capsys, command):
+    # two components that cross once: no linking number, no link group
+    pd = tmp_path / "one_crossing.pd"
+    pd.write_text("X(1,2,1,2)\n")
+    code, out, err = run_capture(capsys, command[0], "--pd", str(pd), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: odd inter-component crossing sum\n"
+
+
+@pytest.mark.parametrize(
     "option, value",
     [
         ("--mubar-length", "-2"),

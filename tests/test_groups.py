@@ -109,7 +109,7 @@ def test_milnor_input_validation():
     with pytest.raises(DiagramError):
         milnor_mu(hopf, (1,), 4)
     with pytest.raises(DiagramError):
-        milnor_mu(hopf, (1, 2), 2)  # q must exceed length
+        milnor_mu(hopf, (1, 2), 1)  # q must be at least the length
     with pytest.raises(DiagramError):
         milnor_mu(hopf, (1, 3), 4)  # component out of range
 
@@ -209,6 +209,17 @@ def test_mubar_delta_matches_the_definition(name):
 
 
 @pytest.mark.parametrize("name", ["whitehead", "hopf", "unlink2", "borromean"])
+def test_mu_is_read_at_truncation_equal_to_its_length(name):
+    # truncation is a ring map, so a coefficient of degree below |I| is
+    # the same at truncation |I| as one degree above it
+    D = _link(name)
+    n = D.component_count
+    for p in (2, 3, 4):
+        for I in product(range(1, n + 1), repeat=p):
+            assert milnor_mu(D, I, p) == milnor_mu(D, I, p + 1), I
+
+
+@pytest.mark.parametrize("name", ["whitehead", "hopf", "unlink2", "borromean"])
 def test_mubar_does_not_depend_on_the_truncation(name):
     # mu(I) depends only on the longitude modulo the |I|-th lower central
     # series term (Milnor 1957), so any truncation above |I| gives it
@@ -255,17 +266,23 @@ def test_product_equals_the_all_pairs_product(pair):
     assert unit.inverse() * unit == MagnusSeries.one(a.q)
 
 
-@pytest.mark.parametrize(
-    "name", ["hopf", "trefoil", "trefoil4", "whitehead", "unlink2", "borromean", "braid5"]
-)
-def test_longitudes_equal_a_full_rewriting(name):
-    """Rewriting every relation on every pass, inverting afresh each time,
-    reaches the same longitudes as the rewriting that skips unchanged
-    relations and inverts each series once."""
-    D, q = _link(name), 5
+def _geometric_inverse(s):
+    """(1 + N)^-1 = sum_k (-N)^k, by full products."""
+    minus_n = MagnusSeries(s.q, {w: -c for w, c in s.terms.items() if w})
+    out = power = MagnusSeries.one(s.q)
+    for _ in range(1, s.q):
+        power = power * minus_n
+        words = out.terms.keys() | power.terms.keys()
+        out = MagnusSeries(s.q, {w: out.coefficient(w) + power.coefficient(w) for w in words})
+    return out
+
+
+def _full_rewriting_longitudes(D, q):
+    """Longitudes from rewriting every relation on every pass, inverting
+    afresh each time, until a pass changes nothing."""
 
     def power(s, e):
-        return s if e == 1 else s.inverse()
+        return s if e == 1 else _geometric_inverse(s)
 
     P = wirtinger(D)
     comp = dict(P.component_of)
@@ -282,13 +299,27 @@ def test_longitudes_equal_a_full_rewriting(name):
             series[g] = power(o, -r.eps) * series[r.inn] * power(o, r.eps)
         if series == before:
             break
+    else:
+        pytest.fail(f"the full rewriting of {D} did not stabilize at degree {q}")
     full = []
     for j in range(D.component_count):
         s = MagnusSeries.one(q)
         for g, e in longitude_word(D, j):
             s = s * power(series[g], e)
         full.append(s)
-    assert _longitudes(D, q) == tuple(full)
+    return tuple(full)
+
+
+@pytest.mark.parametrize(
+    "name", ["hopf", "trefoil", "trefoil4", "whitehead", "unlink2", "borromean", "braid5"]
+)
+def test_longitudes_equal_a_full_rewriting(name):
+    """The graded solve reaches the fixpoint of the full rewriting.  A
+    mirror switches every crossing sign, so both conjugations of a
+    Wirtinger relation get solved."""
+    for D in (_link(name), mirror_diagram(_link(name))):
+        for q in (3, 4, 5):
+            assert _longitudes(D, q) == _full_rewriting_longitudes(D, q), q
 
 
 def test_milnor_search_reads_each_mu_once(monkeypatch):
