@@ -11,13 +11,15 @@ lower degree, so each arc is solved after its in-arc.  Delta(I), the gcd that
 mu-bar(I) is taken modulo, is found by recursion: every proper
 subsequence of I of length at least 2 is a subsequence of I with one
 entry deleted, so Delta(I) = gcd over k of S(I without entry k), where S(J) is the gcd
-of Delta(J) and the mu of every cyclic permutation of J.  A Milnor search
-memoizes S and mu across its sequences and reads each mu once.
+of Delta(J) and the mu of every cyclic permutation of J.  The Milnor search
+of link verdicts runs here; it memoizes S and mu, reads each mu once, and
+finds Delta(I) only when mu(I) is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb, gcd
 
 from .complexes import _class_roots, derived
@@ -120,14 +122,11 @@ def longitude_word(D: LinkDiagram, j: int) -> Word:
         raise DiagramError(f"component index {j} out of range")
     rep = _arc_reps(D)
     comp = D.components[j]
-    word: list[tuple[int, int]] = []
-    for arc in comp:
-        # the arc ends by passing under at some crossing, unless the
-        # component never goes under (then the word is empty)
-        for k, (a, b, c, d) in enumerate(D.crossings):
-            if a == arc:
-                o_in, _ = D.over_direction(k)
-                word.append((rep[o_in], D.signs[k]))
+    # _trace lets an arc be the incoming under-arc a of at most one
+    # crossing; no arc of a component that never passes under is one
+    under = {a: k for k, (a, b, c, d) in enumerate(D.crossings)}
+    ends = [under[arc] for arc in comp if arc in under]
+    word = [(rep[D.over_direction(k)[0]], D.signs[k]) for k in ends]
     w = D.writhes[j]
     meridian = rep[comp[0]]
     word.extend([(meridian, -1 if w > 0 else 1)] * abs(w))
@@ -329,6 +328,23 @@ def milnor_mubar(D: LinkDiagram, I: tuple[int, ...], q: int) -> MubarValue:
     mu values of all cyclic permutations of proper subsequences of I
     (gcd of the empty set is 0)."""
     return _mubar(D, tuple(I), q, {}, {})
+
+
+def _milnor_search(D: LinkDiagram, q: int) -> MubarValue | None:
+    """The first mu-bar with a nonzero residue among the index sequences of
+    length 3..q that use two or more components, shortest first, or None.
+    Each is expanded at truncation q: mu(I) depends only on the longitude
+    modulo the |I|-th lower central series term (Milnor, "Isotopy of links",
+    1957).  Delta(I) is taken only when mu(I) is nonzero: 0 mod Delta is 0."""
+    mu, S = {}, {}  # the memos of _mubar, shared by the whole search
+    for p in range(3, q + 1):
+        for I in product(range(1, D.component_count + 1), repeat=p):
+            if len(set(I)) >= 2:
+                # first read here: a Delta reads only shorter sequences
+                mu[I] = milnor_mu(D, I, q)
+                if mu[I] and (value := _mubar(D, I, q, mu, S)).residue:
+                    return value
+    return None
 
 
 def _mubar(D: LinkDiagram, I: tuple[int, ...], q: int, mu: dict, S: dict) -> MubarValue:

@@ -317,12 +317,10 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4) -> LinkVer
 
     "yes" for Helmholtz only when the diagram reduces to a zero-crossing
     split unlink by kink removal (unknot recognition is out of scope);
-    "no" only with a certificate: a nonzero linking number, or a nonzero
-    Milnor residue of length <= mubar_max_length.  Every index sequence is
-    expanded at truncation mubar_max_length: mu(I) depends only on the
-    longitude modulo the |I|-th lower central series term (Milnor, "Isotopy
-    of links", 1957), so one truncation serves the whole search.  Everything
-    else is "unknown".  Raises DiagramError when mubar_max_length is below 2.
+    "no" only with a certificate: a nonzero linking number, or else the first
+    nonzero Milnor residue of length <= mubar_max_length, found by the search
+    in groups, which reads mu(I) before Delta(I).  Everything else is
+    "unknown".  Raises DiagramError when mubar_max_length is below 2.
     """
     if mubar_max_length < 2:
         raise DiagramError(f"mu-bar length must be at least 2, got {mubar_max_length}")
@@ -338,22 +336,18 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4) -> LinkVer
                     {"type": "linking_number", "components": [i + 1, j + 1], "value": lk[i][j]}
                 )
     if not certs and n >= 2:
-        from .groups import _mubar
+        from .groups import _milnor_search
 
-        mu, S = {}, {}  # the memos of _mubar, shared by the whole search
-        for I in _index_sequences(n, mubar_max_length):
-            val = _mubar(D, I, mubar_max_length, mu, S)
-            if val.residue:
-                certs.append(
-                    {
-                        "type": "milnor_mubar",
-                        "indices": list(I),
-                        "mu": val.mu,
-                        "delta": val.delta,
-                        "residue": val.residue,
-                    }
-                )
-                break
+        if val := _milnor_search(D, mubar_max_length):
+            certs.append(
+                {
+                    "type": "milnor_mubar",
+                    "indices": list(val.indices),
+                    "mu": val.mu,
+                    "delta": val.delta,
+                    "residue": val.residue,
+                }
+            )
     if trivial:
         helm = "yes"
     elif certs:
@@ -369,16 +363,6 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4) -> LinkVer
     else:
         weak = "unknown"
     return LinkVerdict(helm, weak, tuple(certs))
-
-
-def _index_sequences(n: int, max_len: int):
-    """Multi-component index sequences of length 3..max_len, shortest first."""
-    from itertools import product
-
-    for p in range(3, max_len + 1):
-        for I in product(range(1, n + 1), repeat=p):
-            if len(set(I)) >= 2:
-                yield I
 
 
 _DIAGRAMS = ("hopf", "trefoil", "trefoil4", "whitehead", "unlink2")

@@ -333,3 +333,82 @@ def test_milnor_search_reads_each_mu_once(monkeypatch):
     verdict = link_helmholtz_verdict(diagram("whitehead"))
     assert verdict.certificates[0]["type"] == "milnor_mubar"
     assert calls and max(calls.values()) == 1
+
+
+def _search_oracle_certificates(D, max_len):
+    """The verdict's certificates with the Milnor search written out: every
+    multi-component sequence of length 3..max_len, shortest first, through
+    milnor_mubar (which always takes Delta), up to the first nonzero residue."""
+    n = D.component_count
+    lk = linking_matrix(D)
+    certs = [
+        {"type": "linking_number", "components": [i + 1, j + 1], "value": lk[i][j]}
+        for i in range(n)
+        for j in range(i + 1, n)
+        if lk[i][j]
+    ]
+    if certs or n < 2:
+        return certs
+    for p in range(3, max_len + 1):
+        for I in product(range(1, n + 1), repeat=p):
+            if len(set(I)) >= 2:
+                v = milnor_mubar(D, I, max_len)
+                if v.residue:
+                    return [
+                        {
+                            "type": "milnor_mubar",
+                            "indices": list(I),
+                            "mu": v.mu,
+                            "delta": v.delta,
+                            "residue": v.residue,
+                        }
+                    ]
+    return []
+
+
+ALL_LINKS = ["hopf", "trefoil", "trefoil4", "whitehead", "unlink2", "borromean", "braid5"]
+
+
+@pytest.mark.parametrize("name", ALL_LINKS)
+def test_milnor_search_equals_the_written_out_search(name):
+    for D in (_link(name), mirror_diagram(_link(name))):
+        for max_len in (2, 3, 4, 5):
+            verdict = link_helmholtz_verdict(D, max_len)
+            assert list(verdict.certificates) == _search_oracle_certificates(D, max_len), max_len
+
+
+@pytest.mark.parametrize("q, reads", [(3, 6), (4, 20), (5, 50)])
+def test_milnor_search_takes_no_delta_where_every_mu_vanishes(monkeypatch, q, reads):
+    # the split unlink's longitudes are 1, so the search reads the mu of its
+    # 2^p - 2 multi-component sequences of each length p and nothing else
+    calls = Counter()
+
+    def counting_mu(D, I, q):
+        calls[I, q] += 1
+        return milnor_mu(D, I, q)
+
+    monkeypatch.setattr(helmcut.groups, "milnor_mu", counting_mu)
+    verdict = link_helmholtz_verdict(diagram("unlink2"), q)
+    assert verdict.certificates == ()
+    assert sum(calls.values()) == reads == sum(2**p - 2 for p in range(3, q + 1))
+    assert all(len(set(I)) == 2 for I, _ in calls)
+
+
+def _longitude_word_by_scan(D, j):
+    """longitude_word with every crossing scanned for every arc."""
+    rep = _arc_reps(D)
+    word = []
+    for arc in D.components[j]:
+        for k, (a, b, c, d) in enumerate(D.crossings):
+            if a == arc:
+                word.append((rep[D.over_direction(k)[0]], D.signs[k]))
+    w = D.writhes[j]
+    word += [(rep[D.components[j][0]], -1 if w > 0 else 1)] * abs(w)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("name", ALL_LINKS)
+def test_longitude_word_equals_a_scan_of_every_crossing(name):
+    for D in (_link(name), mirror_diagram(_link(name))):
+        for j in range(D.component_count):
+            assert longitude_word(D, j) == _longitude_word_by_scan(D, j), j
