@@ -112,7 +112,7 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
         s_index = face_index(S)
         counts = [len(s_index.cofaces_of(1, q)) for q in range(len(S.simplices(1)))]
         for e, c in zip(S.simplices(1), counts):
-            if c > 2:
+            if not 1 <= c <= 2:
                 raise SurfaceSystemError("non-surface", f"edge {e} of {name} has {c} triangles")
         for e, c in zip(S.simplices(1), counts):
             if c == 1 and e not in bd_edges:

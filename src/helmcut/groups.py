@@ -7,23 +7,19 @@ nilpotent quotient.
 
 The rewriting solves one degree at a time: a Wirtinger relation fixes
 the degree-k terms of an arc's series from its in-arc's and from terms of
-lower degree, so each arc is solved after its in-arc.  Delta(I), the gcd that
-mu-bar(I) is taken modulo, is found by recursion: every proper
-subsequence of I of length at least 2 is a subsequence of I with one
-entry deleted, so Delta(I) = gcd over k of S(I without entry k), where S(J) is the gcd
-of Delta(J) and the mu of every cyclic permutation of J.  The Milnor search
-of link verdicts runs here; it memoizes S and mu, reads each mu once, and
-finds Delta(I) only when mu(I) is nonzero.
+lower degree, so each arc is solved after its in-arc.  The nonzero mu are
+the longitudes' own terms, so the Milnor search of link verdicts takes
+the first longitude term instead of reading every index sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations
 from math import comb, gcd
 
 from .complexes import _class_roots, derived
-from .homology import HomologyGroup
+from .homology import HomologyGroup, InternalConsistencyError
 from .exact_linalg import IntegerMatrix, smith_normal_form
 from .links import DiagramError, LinkDiagram
 
@@ -326,52 +322,36 @@ class MubarValue:
 def milnor_mubar(D: LinkDiagram, I: tuple[int, ...], q: int) -> MubarValue:
     """mu-bar(I) = mu(I) modulo Delta(I), where Delta(I) is the gcd of the
     mu values of all cyclic permutations of proper subsequences of I
-    (gcd of the empty set is 0)."""
-    return _mubar(D, tuple(I), q, {}, {})
-
-
-def _milnor_search(D: LinkDiagram, q: int) -> MubarValue | None:
-    """The first mu-bar with a nonzero residue among the index sequences of
-    length 3..q that use two or more components, shortest first, or None.
-    Each is expanded at truncation q: mu(I) depends only on the longitude
-    modulo the |I|-th lower central series term (Milnor, "Isotopy of links",
-    1957).  Delta(I) is taken only when mu(I) is nonzero: 0 mod Delta is 0."""
-    mu, S = {}, {}  # the memos of _mubar, shared by the whole search
-    for p in range(3, q + 1):
-        for I in product(range(1, D.component_count + 1), repeat=p):
-            if len(set(I)) >= 2:
-                # first read here: a Delta reads only shorter sequences
-                mu[I] = milnor_mu(D, I, q)
-                if mu[I] and (value := _mubar(D, I, q, mu, S)).residue:
-                    return value
-    return None
-
-
-def _mubar(D: LinkDiagram, I: tuple[int, ...], q: int, mu: dict, S: dict) -> MubarValue:
-    """milnor_mubar with the memos of one search at one q: mu maps a
-    sequence J to its mu, S to gcd(Delta(J), mu of every cyclic
-    permutation of J).  Delta(I) is the gcd over k of S(I without entry
-    k), and S of a length-1 sequence is 0."""
-
-    def mu_of(J):
-        if J not in mu:
-            mu[J] = milnor_mu(D, J, q)
-        return mu[J]
-
-    def delta(J):
-        out = 0
-        for k in range(len(J)):
-            K = J[:k] + J[k + 1 :]
-            if len(K) < 2:
-                continue
-            if K not in S:
-                s = delta(K)
-                for i in range(len(K)):
-                    s = gcd(s, mu_of(K[i:] + K[:i]))
-                S[K] = s
-            out = gcd(out, S[K])
-        return out
-
-    value = mu_of(I)
-    d = delta(I)
+    (gcd of the empty set is 0).  Each of those mu is read once."""
+    I = tuple(I)
+    value = milnor_mu(D, I, q)
+    lower = {J[k:] + J[:k] for r in range(2, len(I)) for J in combinations(I, r) for k in range(r)}
+    d = gcd(*(milnor_mu(D, J, q) for J in lower))
     return MubarValue(I, value, d, value % d if d else value)
+
+
+def milnor_search(D: LinkDiagram, q: int) -> MubarValue | None:
+    """The first mu-bar with a nonzero residue among the index sequences of
+    length 3..q that use two or more components, shortest first, or None;
+    called only when every linking number is 0.  mu(w + (j,)) is the
+    coefficient of w in longitude j, so that is the least I = w + (j,), by
+    length and then lexicographic order, over the longitude terms with
+    |w| >= 2 and an index of w other than j.  Every shorter mu of I is 0,
+    as the linking numbers are and a Seifert-framed longitude has no term
+    in its own variable alone, so Delta(I) = 0 (Milnor, "Isotopy of links",
+    1957); milnor_mubar re-checks it.  Truncation q suffices: mu(I) depends
+    only on the longitude modulo the |I|-th lower central series term."""
+    terms = [
+        w + (j,)
+        for j, longitude in enumerate(_longitudes(D, q), start=1)
+        for w in longitude.terms
+        if len(w) >= 2 and any(i != j for i in w)
+    ]
+    if not terms:
+        return None
+    value = milnor_mubar(D, min(terms, key=lambda I: (len(I), I)), q)
+    if value.delta:
+        raise InternalConsistencyError(
+            f"mu-bar{value.indices} has Delta {value.delta}, but every shorter mu vanishes"
+        )
+    return value

@@ -208,9 +208,12 @@ class ComplexHomology:
             out[self._layers[d][i - self._offsets[d]]] = v
         return out
 
-    def _cycle_ids(self, chain: Mapping) -> Chain:
-        """The chain renumbered, once checked to be a (relative) cycle: its
-        boundary in K may only have faces outside the cells."""
+    def _cycle_ids(self, chain: Mapping, n: int) -> Chain:
+        """The chain renumbered, once checked to be a (relative) n-cycle:
+        its simplices have n + 1 vertices, and its boundary in K may only
+        have faces outside the cells."""
+        if not 0 <= n <= 3 or any(len(c) != n + 1 for c in chain):
+            raise ComplexError(f"chain is not a {n}-chain of a complex of dimension at most 3")
         ids = self._to_ids(chain)
         if any(self._cell(f) is not None for f in chain_boundary(chain)):
             raise NotACycleError("chain has nonzero boundary")
@@ -232,7 +235,7 @@ class ComplexHomology:
     def class_coords(self, chain: Mapping, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(free coordinates, torsion residues) of a cycle's homology class;
         in degree 0 the coefficient sum on each rooted component."""
-        ids = self._cycle_ids(chain)
+        ids = self._cycle_ids(chain, n)
         if n == 0:
             sums = [0] * len(self.roots)
             for c, v in chain.items():
@@ -253,8 +256,8 @@ class ComplexHomology:
         which is checked to solve it outright."""
         if n == 0 and any(self.class_coords(chain, 0)[0]):
             return None
+        ids = self._cycle_ids(chain, n)
         d = self.dims[n]
-        ids = self._cycle_ids(chain)
         proj, hchain = self.reduced.project_with_homotopy(ids, n)
         y = d.homology_coords(proj)
         for i in range(d.r2):

@@ -318,8 +318,8 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4) -> LinkVer
     "yes" for Helmholtz only when the diagram reduces to a zero-crossing
     split unlink by kink removal (unknot recognition is out of scope);
     "no" only with a certificate: a nonzero linking number, or else the first
-    nonzero Milnor residue of length <= mubar_max_length, found by the search
-    in groups, which reads mu(I) before Delta(I).  Everything else is
+    nonzero Milnor residue of length <= mubar_max_length, which the search
+    in groups takes from the first longitude term.  Everything else is
     "unknown".  Raises DiagramError when mubar_max_length is below 2.
     """
     if mubar_max_length < 2:
@@ -336,9 +336,9 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4) -> LinkVer
                     {"type": "linking_number", "components": [i + 1, j + 1], "value": lk[i][j]}
                 )
     if not certs and n >= 2:
-        from .groups import _milnor_search
+        from .groups import milnor_search
 
-        if val := _milnor_search(D, mubar_max_length):
+        if val := milnor_search(D, mubar_max_length):
             certs.append(
                 {
                     "type": "milnor_mubar",

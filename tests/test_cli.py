@@ -17,7 +17,7 @@ from helmcut.complexes import (
 )
 
 from test_complexes import RP2_6
-from test_cuts import TRIANGLE_IN_THREE_TETS, solid_klein_bottle
+from test_cuts import TRIANGLE_IN_THREE_TETS, WHISKER, meridian_disk_with_whisker, solid_klein_bottle
 from test_domains import cone_over_torus, punctured_rp2_x_s1
 
 
@@ -223,6 +223,15 @@ def test_non_domain_exits_2_with_one_line(tmp_path, capsys, command, data, err):
     bad.write_text(json.dumps(data()))
     code, out, stderr = run_capture(capsys, command, "--input", str(bad))
     assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("command", ["cut", "classify-cuts"])
+def test_surface_with_a_bare_edge_exits_2_with_one_line(tmp_path, capsys, command):
+    bad = tmp_path / "whisker.json"
+    bad.write_text(json.dumps(marked_complex_to_json(meridian_disk_with_whisker())))
+    code, out, err = run_capture(capsys, command, "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: non-surface: edge {WHISKER} of disk has 0 triangles\n"
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,26 @@ def test_non_surface_diagnostic():
     raise AssertionError("no edge with three incident triangles found")
 
 
+# the interior diagonal of the Kuhn cube at (1, 0, 0), from (1, 0, 0) to (2, 1, 1)
+WHISKER = (6644836, 6710629)
+
+
+def meridian_disk_with_whisker() -> MarkedComplex:
+    """The solid torus's meridian disk mark with one more generator: an
+    edge that lies in no triangle of the mark."""
+    M = preset("solid_torus_with_meridian_disk")
+    return MarkedComplex(M.complex, {"disk": tuple(M.marks["disk"]) + (WHISKER,)})
+
+
+def test_bare_edge_is_not_a_surface():
+    # cutting along it would remove an arc along with the disk
+    M = meridian_disk_with_whisker()
+    with pytest.raises(SurfaceSystemError) as e:
+        validate_surface_system(M, surface_system_from_marks(M))
+    assert e.value.diagnostic == "non-surface"
+    assert str(e.value) == f"non-surface: edge {WHISKER} of disk has 0 triangles"
+
+
 def test_boundary_leak_diagnostic():
     # a boundary triangle of the domain is not properly embedded
     M = two_cube_ball_with_disk()

@@ -96,6 +96,18 @@ def test_class_coords_rejects_non_cycle():
         H.class_coords({(0, 1): 1}, 1)
 
 
+@pytest.mark.parametrize("n", [0, 2, 3, 5, -1])
+def test_chain_of_the_wrong_degree_is_rejected(n):
+    H = homology_of(preset("solid_torus").complex)
+    g = H.generators(1)[0]
+    for query in (H.class_coords, H.solve_boundary):
+        with pytest.raises(ComplexError, match=f"not a {n}-chain"):
+            query(g, n)
+    if not 0 <= n <= 3:
+        with pytest.raises(ComplexError):
+            H.class_coords({}, n)  # no simplex to tell the degree by
+
+
 def test_boundary_witness_round_trip():
     K = build_complex(SPHERE)
     # any 1-cycle on a sphere bounds; the witness is verified internally
