@@ -25,6 +25,7 @@ from .domains import analyze_domain, is_simple, lagrangian_obstruction
 from .homology import InternalConsistencyError, betti_numbers, homology_groups
 from .links import (
     DiagramError,
+    check_planar,
     diagram,
     diagram_names,
     link_helmholtz_verdict,
@@ -64,6 +65,7 @@ def _load_diagram(args):
     if Path(src).exists():
         D = parse_pd(_read(src, DiagramError))
         linking_matrix(D)  # rejects components that cross an odd number of times
+        check_planar(D)
         return D
     name = src[:-3] if src.endswith(".pd") else src
     if name in diagram_names():

@@ -123,6 +123,12 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
                 raise SurfaceSystemError(
                     "boundary-leak", f"interior edge {e} of {name} lies on the domain boundary"
                 )
+        rim = {v for e, c in zip(S.simplices(1), counts) if c == 1 for v in e}
+        for (v,) in S.simplices(0):
+            if v not in rim and bd.has_simplex((v,)):
+                raise SurfaceSystemError(
+                    "boundary-leak", f"interior vertex {v} of {name} lies on the domain boundary"
+                )
         for t in S.simplices(2):
             if t in bd_tris:
                 raise SurfaceSystemError(

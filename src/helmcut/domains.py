@@ -36,7 +36,7 @@ from .complexes import (
     surface_info,
 )
 from .cuts import classify_cut_system
-from .exact_linalg import IntegerMatrix, smith_normal_form
+from .exact_linalg import IntegerMatrix, matmul, smith_normal_form
 from .homology import (
     Chain,
     InternalConsistencyError,
@@ -306,12 +306,7 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
     A = IntegerMatrix(len(rows), m + nt, rows) if rows else IntegerMatrix(0, m + nt, [])
     snf = smith_normal_form(A)
     V = snf.V.to_lists()
-    kernel_coords = []
-    for j in range(snf.rank, m + nt):
-        vec = tuple(V[i][j] for i in range(m))
-        # drop the pure-helper kernel directions (zero on the generator part)
-        if any(vec):
-            kernel_coords.append(vec)
+    kernel_coords = [tuple(V[i][j] for i in range(m)) for j in range(snf.rank, m + nt)]
     if len(kernel_coords) != sum(info.genus_list):
         raise InternalConsistencyError(
             f"kernel rank {len(kernel_coords)} != total boundary genus {sum(info.genus_list)}"
@@ -391,22 +386,12 @@ def lagrangian_obstruction(K) -> LagrangianReport:
     data = kernel_of_boundary_inclusion(K)
     verdicts = []
     for j, (S, proj) in enumerate(zip(data.components, data.projections)):
-        form = intersection_form(S)
-        B = form.matrix.to_lists()
-        witness = None
-        for u in proj.coords:
-            for v in proj.coords:
-                val = sum(
-                    u[a] * B[a][b] * v[b]
-                    for a in range(len(u))
-                    for b in range(len(v))
-                    if u[a] and v[b]
-                )
-                if val:
-                    witness = (u, v, val)
-                    break
-            if witness:
-                break
+        P = proj.coords
+        # P B P^T, read in row order: the first pair (u, v) with <u, v> != 0
+        pairings = matmul(matmul(P, intersection_form(S).matrix.to_lists()), list(zip(*P)))
+        witness = next(
+            ((u, v, val) for u, row in zip(P, pairings) for v, val in zip(P, row) if val), None
+        )
         verdicts.append(LagrangianVerdict(j, witness is None, witness))
     return LagrangianReport(tuple(verdicts), not all(v.lagrangian for v in verdicts))
 

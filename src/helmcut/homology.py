@@ -7,8 +7,10 @@ algorithm", Discrete Comput. Geom. 41, 2009).  H0 is then free on the
 roots, and the coreductions cascade from each root along a spanning tree
 and its dual.  The rest is shrunk by exact chain-complex reductions
 (reduction.py), and the small residual complex is finished off with dense
-Smith normal form.  Homology bases are fixed once per complex by the SNF
-and reused by every caller, so induced-map matrices are stable.
+Smith normal form.  Each degree's basis is fixed once per complex and
+reused by every caller, so induced-map matrices are stable: it is read
+once into coordinate rows, generator chains lifted into K once, and
+witness columns (see _DimData).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .complexes import (
     face_index,
     vertex_roots,
 )
-from .exact_linalg import IntegerMatrix, smith_normal_form
+from .exact_linalg import IntegerMatrix, matmul, smith_normal_form
 from .reduction import Chain, ChainComplexData, ReducedComplex, add_scaled, reduce_complex
 
 
@@ -54,59 +56,41 @@ class HomologyGroup:
         return self.rank == 0 and not self.torsion
 
 
-def _matvec(M: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    return [_dot(row, x) for row in M]
-
-
 class _DimData:
-    """Homology bookkeeping for one dimension of a reduced complex."""
+    """Degree n of a reduced complex, read once into integer matrices.
+
+    With U_A d_n V_A and U_B (V_A^-1[r:] d_{n+1}) V_B in Smith form, of
+    ranks r and r2: cycle_rows = V_A^-1[:r] vanish on a cycle; coord_rows
+    = U_B V_A^-1[r:] read its class (d_i-residues, then free coordinates);
+    the residual generators are V_A[:, r:] U_B^-1[:, positions] (torsion,
+    then free); bounding_cols = V_B[:, :r2] turn the quotients y_i / d_i of
+    a boundary into an (n+1)-chain it bounds.
+    """
 
     def __init__(self, cells_prev: list, cells: list, cells_next: list, boundary_of):
         self.cells = cells
         self.index = {c: i for i, c in enumerate(cells)}
-        prev_index = {c: i for i, c in enumerate(cells_prev)}
-        # A = residual boundary matrix d_n
-        A = [[0] * len(cells) for _ in cells_prev]
-        for j, c in enumerate(cells):
-            for f, coeff in boundary_of(c).items():
-                A[prev_index[f]][j] = coeff
-        self.snfA = smith_normal_form(IntegerMatrix(len(cells_prev), len(cells), A))
-        self.r = self.snfA.rank
-        self.k = len(cells) - self.r
-        Vi = self.snfA.V_inv.to_lists()
-        self.kernel_rows = Vi[self.r:]  # kernel coords = these rows applied to a vector
-        self.cycle_rows = Vi[: self.r]  # must vanish on cycles
-        # B' = d_{n+1} in kernel coordinates
-        Bp = [[0] * len(cells_next) for _ in range(self.k)]
-        for j, c in enumerate(cells_next):
-            bvec = [0] * len(cells)
-            for f, coeff in boundary_of(c).items():
-                bvec[self.index[f]] = coeff
-            col = _matvec(self.kernel_rows, bvec)
-            for i in range(self.k):
-                Bp[i][j] = col[i]
-        self.snfB = smith_normal_form(IntegerMatrix(self.k, len(cells_next), Bp))
-        self.r2 = self.snfB.rank
-        self.d = [self.snfB.D[i, i] for i in range(self.r2)]
-        self.group = HomologyGroup(self.k - self.r2, tuple(d for d in self.d if d > 1))
-        # residual generator cycles: V[:, r:] @ U2_inv[:, pos]
-        V = self.snfA.V.to_lists()
-        kernel_basis_cols = [[V[i][self.r + j] for i in range(len(cells))] for j in range(self.k)]
-        U2i = self.snfB.U_inv.to_lists()
-        self.gen_positions = [i for i in range(self.r2) if self.d[i] > 1] + list(
-            range(self.r2, self.k)
-        )
-        self.gens_residual: list[Chain] = []
-        for pos in self.gen_positions:
-            vec = [0] * len(cells)
-            for j in range(self.k):
-                u = U2i[j][pos]
-                if u:
-                    for i in range(len(cells)):
-                        vec[i] += u * kernel_basis_cols[j][i]
-            self.gens_residual.append(
-                {cells[i]: vec[i] for i in range(len(cells)) if vec[i]}
-            )
+        A = _boundary_matrix(cells_prev, cells, boundary_of)
+        snfA = smith_normal_form(IntegerMatrix(len(cells_prev), len(cells), A))
+        r = snfA.rank
+        Vi = snfA.V_inv.to_lists()
+        self.cycle_rows = Vi[:r]
+        kernel_rows = Vi[r:]
+        k = len(kernel_rows)
+        Bp = matmul(kernel_rows, _boundary_matrix(cells, cells_next, boundary_of))
+        snfB = smith_normal_form(IntegerMatrix(k, len(cells_next), Bp))
+        self.r2 = snfB.rank
+        self.d = snfB.diagonal[: self.r2]
+        self.group = HomologyGroup(k - self.r2, tuple(d for d in self.d if d > 1))
+        self.coord_rows = matmul(snfB.U.to_lists(), kernel_rows)
+        positions = [i for i in range(self.r2) if self.d[i] > 1] + list(range(self.r2, k))
+        Ui_cols = snfB.U_inv.transpose().to_lists()
+        kernel_basis = snfA.V.transpose().to_lists()[r:]
+        self.gens_residual: list[Chain] = [
+            {c: v for c, v in zip(cells, vec) if v}
+            for vec in matmul([Ui_cols[p] for p in positions], kernel_basis)
+        ]
+        self.bounding_cols = [row[: self.r2] for row in snfB.V.to_lists()]
 
     def homology_coords(self, res_chain: Chain) -> list[int]:
         """Coordinates y (length k) of a residual cycle, in the SNF basis."""
@@ -115,8 +99,18 @@ class _DimData:
             x[self.index[c]] = v
         if any(_dot(row, x) for row in self.cycle_rows):
             raise NotACycleError("chain is not a cycle")
-        kappa = _matvec(self.kernel_rows, x)
-        return _matvec(self.snfB.U.to_lists(), kappa)
+        return [_dot(row, x) for row in self.coord_rows]
+
+
+def _boundary_matrix(rows: list, cols: list, boundary_of) -> list[list[int]]:
+    """The dense matrix of the boundary from the cells `cols` to the cells
+    `rows` of a residual complex."""
+    index = {c: i for i, c in enumerate(rows)}
+    M = [[0] * len(cols) for _ in rows]
+    for j, c in enumerate(cols):
+        for f, coeff in boundary_of(c).items():
+            M[index[f]][j] = coeff
+    return M
 
 
 def _dot(row: Sequence[int], x: Sequence[int]) -> int:
@@ -165,6 +159,7 @@ class ComplexHomology:
         # every component meets dropped + roots, so nothing is left in degree 0
         if not self.dims[0].group.is_trivial:
             raise InternalConsistencyError("relative H0 survived the rooting")
+        self._generators: dict[int, list[Chain]] = {0: [{(r,): 1} for r in self.roots]}
 
     def _cell(self, s) -> int | None:
         """The cell number of simplex s, or None if s is not a cell."""
@@ -221,13 +216,15 @@ class ComplexHomology:
 
     def generators(self, n: int) -> list[Chain]:
         """Generator cycles in the original complex (torsion first, then
-        free); in degree 0 the root vertices."""
-        if n == 0:
-            return [{(r,): 1} for r in self.roots]
-        return [
-            self._to_cells(self.reduced.include(g, n))
-            for g in self.dims[n].gens_residual
-        ]
+        free); in degree 0 the root vertices, and none outside 0..3.  Each
+        degree is lifted once, and every call returns that shared list:
+        the chains must not be mutated."""
+        if not 0 <= n <= 3:
+            return []
+        if n not in self._generators:
+            gens = self.dims[n].gens_residual
+            self._generators[n] = [self._to_cells(self.reduced.include(g, n)) for g in gens]
+        return self._generators[n]
 
     def free_generators(self, n: int) -> list[Chain]:
         return self.generators(n)[len(self.group(n).torsion):]
@@ -260,19 +257,11 @@ class ComplexHomology:
         d = self.dims[n]
         proj, hchain = self.reduced.project_with_homotopy(ids, n)
         y = d.homology_coords(proj)
-        for i in range(d.r2):
-            if y[i] % d.d[i]:
-                return None
-        if any(y[d.r2:]):
+        if any(y[i] % d.d[i] for i in range(d.r2)) or any(y[d.r2:]):
             return None
         coeffs = [y[i] // d.d[i] for i in range(d.r2)]
         cells_next = self.reduced.cells(n + 1)
-        V2 = d.snfB.V.to_lists()
-        res_w: Chain = {}
-        for j, c in enumerate(cells_next):
-            v = sum(V2[j][i] * coeffs[i] for i in range(d.r2) if coeffs[i])
-            if v:
-                res_w[c] = v
+        res_w = {c: v for c, row in zip(cells_next, d.bounding_cols) if (v := _dot(row, coeffs))}
         witness = self.reduced.include(res_w, n + 1)
         add_scaled(witness, hchain, 1)
         w = self._to_cells(witness)

@@ -172,6 +172,38 @@ def linking_matrix(D: LinkDiagram) -> list[list[int]]:
     return M
 
 
+def check_planar(D: LinkDiagram) -> None:
+    """Raise DiagramError unless the PD code is that of a planar diagram.
+
+    Each crossing lists its arcs counterclockwise, so walking an arc to its
+    other end and turning to the next slot there traces the corners of one
+    face.  By Euler's formula a planar diagram of V crossings, whose
+    crossing graph has C connected pieces, has F = V + 2C such faces (each
+    piece counts its own outer face).
+    """
+    labels = [arc for x in D.crossings for arc in x]
+    ends: dict[int, list[int]] = {}
+    for s, arc in enumerate(labels):
+        ends.setdefault(arc, []).append(s)
+    other = [0] * len(labels)
+    for s, t in ends.values():
+        other[s], other[t] = t, s
+    faces, seen = 0, [False] * len(labels)
+    for start in range(len(labels)):
+        faces += not seen[start]
+        s = start
+        while not seen[s]:
+            seen[s] = True
+            t = other[s]
+            s = t - t % 4 + (t + 1) % 4
+    V = len(D.crossings)
+    C = len(set(_class_roots(range(V), [(s >> 2, t >> 2) for s, t in ends.values()]).values()))
+    if faces != V + 2 * C:
+        raise DiagramError(
+            f"not a planar diagram: its corners trace {faces} faces, not V + 2C = {V + 2 * C}"
+        )
+
+
 def linking_number(D: LinkDiagram, i: int, j: int) -> int:
     n = D.component_count
     if not (0 <= i < n and 0 <= j < n):

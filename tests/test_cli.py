@@ -17,7 +17,14 @@ from helmcut.complexes import (
 )
 
 from test_complexes import RP2_6
-from test_cuts import TRIANGLE_IN_THREE_TETS, WHISKER, meridian_disk_with_whisker, solid_klein_bottle
+from test_cuts import (
+    PINCH,
+    TRIANGLE_IN_THREE_TETS,
+    WHISKER,
+    meridian_disk_with_whisker,
+    pinched_disk,
+    solid_klein_bottle,
+)
 from test_domains import cone_over_torus, punctured_rp2_x_s1
 
 
@@ -232,6 +239,28 @@ def test_surface_with_a_bare_edge_exits_2_with_one_line(tmp_path, capsys, comman
     code, out, err = run_capture(capsys, command, "--input", str(bad))
     assert (code, out) == (2, "")
     assert err == f"error: non-surface: edge {WHISKER} of disk has 0 triangles\n"
+
+
+@pytest.mark.parametrize("command", ["cut", "classify-cuts"])
+def test_surface_pinched_to_the_boundary_exits_2_with_one_line(tmp_path, capsys, command):
+    bad = tmp_path / "pinched.json"
+    bad.write_text(json.dumps(marked_complex_to_json(pinched_disk())))
+    code, out, err = run_capture(capsys, command, "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: boundary-leak: interior vertex {PINCH} of disk lies on the domain boundary\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["link-lk"], ["link-seifert"], ["link-verdict"], ["milnor", "--indices", "1,2"]],
+)
+def test_non_planar_pd_code_exits_2_with_one_line(tmp_path, capsys, command):
+    # its corners trace 2 faces; a planar diagram of 2 crossings in one piece has 4
+    pd = tmp_path / "non_planar.pd"
+    pd.write_text("X(1,2,3,4) X(3,4,1,2)")
+    code, out, err = run_capture(capsys, *command, "--pd", str(pd))
+    assert (code, out) == (2, "")
+    assert err == "error: not a planar diagram: its corners trace 2 faces, not V + 2C = 4\n"
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,31 @@ def test_boundary_leak_diagnostic():
         find_minimal_weak_subsets(K, F)
 
 
+# the corner (1, 1, 1) of the cube removed from the 2x2x2 block
+PINCH = 6645093
+
+
+def pinched_disk() -> MarkedComplex:
+    """A ball, the 2x2x2 block of unit cubes without the cube at (1, 1, 1),
+    with the hexagonal disk coned from (1, 1, 1): every edge of the disk
+    passes the edge checks, but its interior vertex (1, 1, 1) lies on the
+    boundary of the ball."""
+    cubes = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    K = cubes_to_complex(cubes[:-1])
+    # (1,0,0) (1,1,0) (0,1,0) (0,1,1) (0,0,1) (1,0,1)
+    hexagon = (6644836, 6645092, 6579556, 6579557, 6579301, 6644837)
+    disk = [tuple(sorted((PINCH, a, b))) for a, b in zip(hexagon, hexagon[1:] + hexagon[:1])]
+    return MarkedComplex(K, {"disk": tuple(disk)})
+
+
+def test_surface_touching_the_boundary_at_an_interior_vertex_leaks():
+    M = pinched_disk()
+    with pytest.raises(SurfaceSystemError) as e:
+        validate_surface_system(M, surface_system_from_marks(M))
+    assert e.value.diagnostic == "boundary-leak"
+    assert str(e.value) == f"boundary-leak: interior vertex {PINCH} of disk lies on the domain boundary"
+
+
 def grid_disk(symmetry):
     """3x3 grid square disk and a simplicial automorphism of it: the
     180-degree "rotation", the "transpose" 3i+j -> 3j+i or the "identity".

@@ -15,6 +15,7 @@ from helmcut.complexes import (
     boundary_subcomplex,
     build_complex,
     chain_boundary,
+    connected_components,
     euler_characteristic,
 )
 from helmcut.domains import analyze_domain
@@ -213,6 +214,15 @@ def test_induced_map_torus_into_solid_torus():
     assert smith_normal_form(img.matrix).rank == 1
 
 
+@pytest.mark.parametrize("n", [-2, -1, 4, 5])
+def test_no_generators_outside_degrees_0_to_3(n):
+    S = build_complex(SPHERE)
+    H = homology_of(S)
+    assert H.generators(n) == [] and H.free_generators(n) == []
+    img = induced_map_image(S, S, n)
+    assert (img.matrix.rows, img.matrix.cols, img.image_rank, img.image_is_zero) == (0, 0, 0, True)
+
+
 def _random_2_complexes():
     return st.lists(
         st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
@@ -291,6 +301,50 @@ def test_homology_matches_smith_form_of_the_boundary_matrices(K, picks):
     A = K.subcomplex([simplices[i % len(simplices)] for i in picks])
     assert homology_groups(K) == _smith_groups(K, build_complex([]))
     assert relative_homology(K, A) == _smith_groups(K, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_complexes(), st.lists(st.integers(0, 999), max_size=4))
+@example(build_complex(RP2_6), [])
+@example(build_complex(RP2_6 + [(20, 21), (22,)]), [0])
+@example(build_complex(TORUS7), [])
+@example(build_complex(TORUS7), [3])
+def test_generators_read_back_as_unit_vectors(K, picks):
+    """class_coords reads the i-th generator as the i-th unit vector,
+    torsion residues first; d_i times the i-th torsion generator bounds,
+    the generator itself does not."""
+    simplices = K.all_simplices()
+    A = K.subcomplex([simplices[i % len(simplices)] for i in picks])
+    for H in (homology_of(K), homology_of_pair(K, A)):
+        for n in range(1, 4):
+            gens, torsion = H.generators(n), H.group(n).torsion
+            for i, z in enumerate(gens):
+                free, residues = H.class_coords(z, n)
+                assert residues + free == tuple(int(j == i) for j in range(len(gens)))
+                if i < len(torsion):
+                    assert H.solve_boundary(z, n) is None
+                    dz = {c: torsion[i] * v for c, v in z.items()}
+                    rest = chain_boundary(H.solve_boundary(dz, n))
+                    add_scaled(rest, dz, -1)
+                    assert all(H._cell(f) is None for f in rest)
+
+
+def test_generators_are_lifted_once_per_complex(monkeypatch):
+    from helmcut.reduction import ReducedComplex
+
+    K = preset("torus_shell").complex
+    comps = connected_components(boundary_subcomplex(K))
+    torus = next(S for S in comps if not euler_characteristic(S))
+    S = build_complex(torus.simplices(2))  # a new complex, so nothing is cached yet
+    lifts = []
+    include = ReducedComplex.include
+    monkeypatch.setattr(
+        ReducedComplex, "include", lambda R, chain, dim: lifts.append(dim) or include(R, chain, dim)
+    )
+    H = homology_of(S)
+    first = H.free_generators(1)
+    assert H.free_generators(1) == first and len(first) == 2
+    assert lifts == [1, 1]
 
 
 def _cell_boundary(H, chain):

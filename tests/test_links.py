@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from helmcut.links import (
     DiagramError,
     _trace,
+    check_planar,
     diagram,
     diagram_names,
     link_helmholtz_verdict,
@@ -22,6 +23,13 @@ def test_parse_examples():
     assert parse_pd("").component_count == 0
     assert parse_pd("U(1) U(2)").component_count == 2
     assert parse_pd("# just a comment\n").component_count == 0
+
+
+@pytest.mark.parametrize("name", diagram_names())
+def test_bundled_diagrams_are_planar(name):
+    D = diagram(name)
+    for E in (D, mirror_diagram(D), remove_kinks(D)):
+        check_planar(E)
 
 
 def test_parse_rejects_malformed():
