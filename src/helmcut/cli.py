@@ -167,13 +167,19 @@ def _cmd_preset_list(args):
     return {"presets": list(preset_names()), "diagrams": list(diagram_names())}
 
 
+def _print_error(line: str) -> None:
+    """Write line to stderr as one line: a newline echoed from the input
+    (an argument, a mark name) is written as \\n."""
+    print(line.replace("\n", "\\n"), file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors keep the one-line contract, with no
     usage block; the subparsers are made by the same class."""
 
     def error(self, message: str):
         # "unrecognized arguments" echoes the arguments as they are
-        print("error: " + message.replace("\n", "\\n"), file=sys.stderr)
+        _print_error("error: " + message)
         sys.exit(2)
 
 
@@ -252,10 +258,10 @@ def run(argv=None) -> int:
     try:
         _emit(args.func(args), args)
     except (InternalConsistencyError, RewriteDepthError) as e:
-        print(f"internal consistency failure: {e}", file=sys.stderr)
+        _print_error(f"internal consistency failure: {e}")
         return 1
     except (ComplexError, DiagramError, BuildError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print_error(f"error: {e}")
         return 2
     return 0
 

@@ -630,7 +630,8 @@ def mapping_torus(
 
 def marked_complex_from_json(data: Mapping) -> MarkedComplex:
     """Parsed JSON {"simplices": [[v, ...], ...], "marked_subcomplexes":
-    {name: [[v, ...], ...]}} with integer (not boolean) vertex labels; any
+    {name: [[v, ...], ...]}} with integer (not boolean) vertex labels and
+    mark names that a --system list can name (nonempty, no comma); any
     other shape, an unknown key included, raises ComplexError."""
     if not isinstance(data, Mapping) or "simplices" not in data:
         raise ComplexError('JSON complex must have a "simplices" array')
@@ -643,6 +644,8 @@ def marked_complex_from_json(data: Mapping) -> MarkedComplex:
         raise ComplexError('"marked_subcomplexes" must be an object')
     marks = {}
     for name, gens in marks_raw.items():
+        if not name or "," in name:
+            raise ComplexError(f"mark name must be nonempty and without a comma: {name!r}")
         marks[name] = [tuple(sorted(s)) for s in _json_simplices(gens, f"mark {name!r}")]
         for s in marks[name]:
             if not K.has_simplex(s):

@@ -16,6 +16,7 @@ Conventions (fixed so signs are reproducible):
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -27,6 +28,8 @@ class DiagramError(ValueError):
 
 
 _TOKEN = re.compile(r"([XU])\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+_COMMENT = re.compile(r"#[^\n]*")
+_JUNK = re.compile(r"[^\s,]")
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,12 @@ class LinkDiagram:
     @property
     def writhes(self) -> tuple[int, ...]:
         """Per-component writhe (signed self-crossings)."""
+        comp_of = _arc_components(self)
         w = [0] * self.component_count
-        for k, (a, b, c, d) in enumerate(self.crossings):
-            i, j = self.component_of(a), self.component_of(b)
+        for (a, b, c, d), sign in zip(self.crossings, self.signs):
+            i, j = comp_of[a], comp_of[b]
             if i == j:
-                w[i] += self.signs[k]
+                w[i] += sign
         return tuple(w)
 
     def over_direction(self, k: int) -> tuple[int, int]:
@@ -75,19 +79,23 @@ def _arc_components(D: LinkDiagram) -> dict[int, int]:
 
 
 def parse_pd(text: str) -> LinkDiagram:
-    """Parse PD text: whitespace/comma separated X(a,b,c,d) and U(a) tokens.
+    """Parse PD text: X(a,b,c,d) and U(a) terms, read in one tokenizer pass.
 
-    Every arc label must occur exactly twice in crossings (or once in a U
-    token); arcs are traced into closed oriented components.
+    Terms are separated by whitespace or commas, a term may hold whitespace
+    around its labels, and "#" starts a comment running to the end of the
+    line.  Every arc label must occur exactly twice in crossings (or once
+    in a U term); arcs are traced into closed oriented components.
     """
-    stripped = re.sub(r"#[^\n]*", "", text)
+    # split puts the text between terms at every third place, then each
+    # term's kind and labels
+    parts = _TOKEN.split(_COMMENT.sub("", text))
+    between = "".join(parts[::3])
+    if _JUNK.search(between):
+        raise DiagramError(f"unrecognized PD input near: {between.strip()[:40]!r}")
     crossings: list[tuple[int, int, int, int]] = []
     unknots: list[int] = []
-    consumed = re.sub(_TOKEN, "", stripped)
-    if re.search(r"[^\s,]", consumed):
-        raise DiagramError(f"unrecognized PD input near: {consumed.strip()[:40]!r}")
-    for kind, args in _TOKEN.findall(stripped):
-        nums = tuple(int(x) for x in re.split(r"\s*,\s*", args))
+    for kind, args in zip(parts[1::3], parts[2::3]):
+        nums = tuple(map(int, args.split(",")))  # int strips the whitespace
         if kind == "X":
             if len(nums) != 4:
                 raise DiagramError(f"crossing needs 4 arc labels, got {nums}")
@@ -154,15 +162,16 @@ def linking_matrix(D: LinkDiagram) -> list[list[int]]:
     """Symmetric matrix: entry (i,j), i != j, is lk(C_i, C_j) = half the
     signed count of crossings between components i and j; diagonal is the
     per-component writhe (a diagram quantity, not an invariant)."""
+    comp_of = _arc_components(D)
     n = D.component_count
     M = [[0] * n for _ in range(n)]
-    for k, (a, b, c, d) in enumerate(D.crossings):
-        i, j = D.component_of(a), D.component_of(b)
+    for (a, b, c, d), sign in zip(D.crossings, D.signs):
+        i, j = comp_of[a], comp_of[b]
         if i == j:
-            M[i][i] += D.signs[k]
+            M[i][i] += sign
         else:
-            M[i][j] += D.signs[k]
-            M[j][i] += D.signs[k]
+            M[i][j] += sign
+            M[j][i] += sign
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -261,20 +270,18 @@ def seifert_data(D: LinkDiagram) -> SeifertData:
         smoothing += [(a, o_out), (o_in, c)]
     circle = _class_roots([arc for comp in D.components for arc in comp], smoothing)
     # split parts: components sharing a crossing belong to one part
+    comp_of = _arc_components(D)
     n = D.component_count
-    part = _class_roots(
-        range(n), [(D.component_of(a), D.component_of(b)) for a, b, c, d in D.crossings]
-    )
+    part = _class_roots(range(n), [(comp_of[a], comp_of[b]) for a, b, c, d in D.crossings])
     parts_map: dict[int, list[int]] = {}
     for i, root in part.items():
         parts_map.setdefault(root, []).append(i)
+    crossings_in = Counter(part[comp_of[a]] for a, b, c, d in D.crossings)
     parts = []
     for comp_idx in sorted(parts_map.values()):
         arcs = [arc for i in comp_idx for arc in D.components[i]]
         circles = len({circle[arc] for arc in arcs})
-        cr = sum(
-            1 for a, b, c, d in D.crossings if D.component_of(a) in comp_idx
-        )
+        cr = crossings_in[part[comp_idx[0]]]
         mu = len(comp_idx)
         two_g = 2 - circles + cr - mu
         if two_g % 2:
@@ -304,10 +311,12 @@ def remove_kinks(D: LinkDiagram) -> LinkDiagram:
         changed = False
         for k, x in enumerate(crossings):
             a, b, c, d = x
-            pairs = [(a, b), (b, c), (c, d), (d, a)]
-            if not any(p == q for p, q in pairs):
+            if a == b or b == c:
+                loop = b
+            elif c == d or d == a:
+                loop = d
+            else:
                 continue
-            loop = next(p for p, q in pairs if p == q)
             rest = [arc for arc in x if arc != loop]
             del crossings[k]
             if not rest:  # 1-crossing unknot component

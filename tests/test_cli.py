@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helmcut import groups
+from helmcut.builders import preset
 from helmcut.cli import run
 from helmcut.complexes import (
     MarkedComplex,
@@ -248,6 +249,30 @@ def test_surface_pinched_to_the_boundary_exits_2_with_one_line(tmp_path, capsys,
     code, out, err = run_capture(capsys, command, "--input", str(bad))
     assert (code, out) == (2, "")
     assert err == f"error: boundary-leak: interior vertex {PINCH} of disk lies on the domain boundary\n"
+
+
+@pytest.mark.parametrize("command", ["cut", "classify-cuts"])
+def test_a_newline_in_a_mark_name_keeps_the_one_line_contract(tmp_path, capsys, command):
+    bad = tmp_path / "leak.json"
+    bad.write_text(
+        json.dumps({"simplices": [[0, 1, 2, 3]], "marked_subcomplexes": {"a\nb": [[0, 1, 2]]}})
+    )
+    code, out, err = run_capture(capsys, command, "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: boundary-leak: triangle (0, 1, 2) of a\\nb is not interior to the domain\n"
+
+
+@pytest.mark.parametrize("name", ["", "a,b", ","])
+@pytest.mark.parametrize("command", ["cut", "classify-cuts"])
+def test_a_mark_name_no_system_list_can_name_exits_2(tmp_path, capsys, command, name):
+    data = marked_complex_to_json(preset("handlebody2"))
+    marks = data["marked_subcomplexes"]
+    marks[name] = marks.pop("disk_0")
+    bad = tmp_path / "named.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_capture(capsys, command, "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: mark name must be nonempty and without a comma: {name!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helmcut.links import (
     DiagramError,
+    _arc_components,
     _trace,
     check_planar,
     diagram,
@@ -15,6 +18,8 @@ from helmcut.links import (
     remove_kinks,
     seifert_data,
 )
+
+from test_groups import BORROMEAN_PD
 
 
 def test_parse_examples():
@@ -194,3 +199,74 @@ _PINNED = {
 def test_traced_components_and_signs_are_pinned(source):
     D = diagram(source) if source in diagram_names() else parse_pd(source)
     assert (D.components, D.signs) == _PINNED[source]
+
+
+def _parse_pd_by_regex(text: str):
+    """Reference reader of the PD grammar, in separate regex passes: strip
+    the comments, reject what the terms leave over, then find every term
+    and split its labels at the commas."""
+    stripped = re.sub(r"#[^\n]*", "", text)
+    term = r"([XU])\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)"
+    consumed = re.sub(term, "", stripped)
+    if re.search(r"[^\s,]", consumed):
+        raise DiagramError(f"unrecognized PD input near: {consumed.strip()[:40]!r}")
+    crossings, unknots = [], []
+    for kind, args in re.findall(term, stripped):
+        nums = tuple(int(x) for x in re.split(r"\s*,\s*", args))
+        if kind == "X":
+            if len(nums) != 4:
+                raise DiagramError(f"crossing needs 4 arc labels, got {nums}")
+            crossings.append(nums)
+        else:
+            if len(nums) != 1:
+                raise DiagramError(f"unknot token needs 1 arc label, got {nums}")
+            unknots.append(nums[0])
+    return _trace(crossings, unknots)
+
+
+_pd_spaces = st.sampled_from([" ", "\t", "\n", "\xa0", "", "  "])
+
+
+@st.composite
+def _pd_terms(draw):
+    """An X( or U( term of 0-5 labels; an empty separator runs two labels
+    together, and a lone space leaves a space between labels."""
+    arity = draw(st.sampled_from([0, 1, 1, 1, 2, 4, 4, 4, 4, 5]))
+    body = [draw(st.sampled_from(["1", "2", "2", "3", "12", "\u0663"])) for _ in range(arity)]
+    seps = st.sampled_from([",", ",", ", ", " ,", "\t,\n", ",\xa0", "", " "])
+    inside = "".join(label if k == 0 else draw(seps) + label for k, label in enumerate(body))
+    closing = draw(st.sampled_from([")"] * 7 + [""]))
+    kind = draw(st.sampled_from(["X(", "U("]))
+    return kind + draw(_pd_spaces) + inside + draw(_pd_spaces) + closing
+
+
+_pd_layout = st.one_of(_pd_spaces, st.sampled_from([",", " , ", "# X(1,2,3,4)\n", "# Y(\n", "#"]))
+_pd_junk = st.sampled_from(["Y(1)", "x", "(", ")", ";"]) | st.text(max_size=2)
+# half the texts hold no junk piece, so that some of them are diagrams
+_pd_texts = st.one_of(
+    st.lists(_pd_terms() | _pd_layout, max_size=8),
+    st.lists(_pd_terms() | _pd_layout | _pd_junk, max_size=8),
+).map("".join)
+
+
+def _parsed(read, text):
+    try:
+        D = read(text)
+    except DiagramError as e:
+        return str(e)
+    return D.crossings, D.unknot_arcs, D.components, D.signs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pd_texts)
+def test_parse_pd_reads_the_regex_grammar(text):
+    assert _parsed(parse_pd, text) == _parsed(_parse_pd_by_regex, text)
+
+
+@pytest.mark.parametrize("source", ["whitehead", BORROMEAN_PD])
+def test_each_invariant_reads_the_arc_table_once(source):
+    D = diagram(source) if source in diagram_names() else parse_pd(source)
+    for read in (linking_matrix, lambda D: D.writhes, seifert_data):
+        before = sum(_arc_components.cache_info())
+        read(D)
+        assert sum(_arc_components.cache_info()) == before + 1
