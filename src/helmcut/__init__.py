@@ -8,7 +8,6 @@ from .complexes import (
     NotADomainError,
     SimplicialComplex,
     SurfaceInfo,
-    barycentric_subdivide,
     boundary_subcomplex,
     build_complex,
     connected_components,
@@ -34,7 +33,6 @@ from .cuts import (
     classify_cut_system,
     cut_open,
     find_minimal_weak_subsets,
-    relative_surface_classes,
     surface_system_from_marks,
     validate_surface_system,
 )
@@ -56,7 +54,6 @@ from .groups import (
     RewriteDepthError,
     abelianize,
     longitude_word,
-    magnus_expand,
     milnor_mu,
     milnor_mubar,
     wirtinger,
@@ -70,8 +67,6 @@ from .links import (
     diagram_names,
     link_helmholtz_verdict,
     linking_matrix,
-    linking_number,
-    mirror_diagram,
     parse_pd,
     remove_kinks,
     seifert_data,
@@ -79,13 +74,10 @@ from .links import (
 from .homology import (
     BoundaryWitness,
     HomologyGroup,
-    InducedMap,
     InternalConsistencyError,
     NotACycleError,
     homology_groups,
-    induced_map_image,
     is_boundary_witness,
-    relative_homology,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,6 @@ from .complexes import (
     boundary_subcomplex,
     build_complex,
     connected_components,
-    euler_characteristic,
     mapping_torus,
     product_with_interval,
     surface_info,
@@ -77,12 +76,6 @@ def _corner_labels(cube: Cube) -> list[int]:
     base = encode_point(cube)
     encode_point(tuple(x + 1 for x in cube))
     return [base + o for o in _CORNERS]
-
-
-def cube_tetrahedra(cube: Cube) -> list[tuple[int, int, int, int]]:
-    """Kuhn triangulation: one tetrahedron per axis permutation."""
-    c = _corner_labels(cube)
-    return [(c[i], c[j], c[k], c[m]) for i, j, k, m in _KUHN[3]]
 
 
 def cubes_to_complex(cubes: Iterable[Cube]) -> SimplicialComplex:

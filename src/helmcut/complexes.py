@@ -321,10 +321,6 @@ def barycentric_subdivide_with_map(
     return SimplicialComplex([sorted(d) for d in by_dim]), {i: s for s, i in vid.items()}
 
 
-def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
-    return barycentric_subdivide_with_map(K)[0]
-
-
 def last_vertex_map(vertex_to_simplex: Mapping[int, Simplex]) -> dict[int, int]:
     """Simplicial approximation of the identity K' -> K (barycenter -> max vertex)."""
     return {v: max(s) for v, s in vertex_to_simplex.items()}

@@ -207,18 +207,6 @@ class RelativeClassData:
     chains: tuple[Chain, ...]  # the oriented relative 2-cycles
 
 
-def relative_surface_classes(K, F: SurfaceSystem) -> RelativeClassData:
-    """Express each (oriented) surface of the system as a relative 2-cycle
-    and report the coordinates in the fixed basis of H2(K, boundary), plus
-    the rank of their span.
-
-    Orientations are fixed by the smallest-triangle convention; flipping an
-    orientation flips the sign of its column but never the rank.
-    """
-    surfaces = validate_surface_system(K, F)
-    return _relative_classes(as_domain(K), surfaces)
-
-
 def _relative_classes(
     KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]
 ) -> RelativeClassData:

@@ -17,7 +17,7 @@ obstruction, and corank bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .complexes import (
     ComplexError,
@@ -277,10 +277,6 @@ class BoundaryKernelData:
     kernel_coords: tuple[tuple[int, ...], ...]  # basis of Ker(i_*), concatenated basis
     projections: tuple[ComponentProjection, ...]
     inclusion_surjective: bool
-
-    @property
-    def kernel_rank(self) -> int:
-        return len(self.kernel_coords)
 
 
 def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:

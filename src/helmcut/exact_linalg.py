@@ -64,9 +64,6 @@ class IntegerMatrix:
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(self.cols, self.rows, [list(c) for c in zip(*self.entries)] if self.rows and self.cols else [[] for _ in range(self.cols)])
 
-    def rank(self) -> int:
-        return smith_normal_form(self).rank
-
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
@@ -104,10 +101,6 @@ class SmithDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.D.rows, self.D.cols)
         return tuple(self.D[i, i] for i in range(n))
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d > 1)
 
 
 def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:

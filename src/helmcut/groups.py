@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 
 from .complexes import _class_roots, derived
 from .homology import HomologyGroup, InternalConsistencyError
@@ -148,18 +148,6 @@ class MagnusSeries:
     def one(q: int) -> "MagnusSeries":
         return MagnusSeries(q, {(): 1})
 
-    @staticmethod
-    def generator(i: int, q: int, exp: int = 1) -> "MagnusSeries":
-        """Expansion of m_i^exp: (1 + z_i)^exp, with the geometric series
-        for negative exponents."""
-        if exp >= 0:
-            return MagnusSeries(q, {(i,) * k: comb(exp, k) for k in range(min(exp, q - 1) + 1)})
-        n = -exp
-        # (1+z)^-n = sum_k (-1)^k C(n+k-1, k) z^k
-        return MagnusSeries(
-            q, {(i,) * k: (-1) ** k * comb(n + k - 1, k) for k in range(q)}
-        )
-
     def coefficient(self, word: tuple[int, ...]) -> int:
         return self.terms.get(tuple(word), 0)
 
@@ -203,15 +191,6 @@ class MagnusSeries:
     def __repr__(self) -> str:
         items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
         return "MagnusSeries(" + " + ".join(f"{c}*z{list(w)}" for w, c in items) + ")"
-
-
-def magnus_expand(word: Word, variable_of: dict[int, int], q: int) -> MagnusSeries:
-    """Expand a word in meridian symbols: each letter (g, e) becomes
-    (1 + z_{variable_of[g]})^e, multiplied with truncation at degree q."""
-    out = MagnusSeries.one(q)
-    for g, e in word:
-        out = out * MagnusSeries.generator(variable_of[g], q, e)
-    return out
 
 
 # -- Milnor invariants -----------------------------------------------------

@@ -8,7 +8,7 @@ roots, and the coreductions cascade from each root along a spanning tree
 and its dual.  The rest is shrunk by exact chain-complex reductions
 (reduction.py), and the small residual complex is finished off with dense
 Smith normal form.  Each degree's basis is fixed once per complex and
-reused by every caller, so induced-map matrices are stable: it is read
+reused by every caller, so class coordinates are stable: it is read
 once into coordinate rows, generator chains lifted into K once, and
 witness columns (see _DimData).
 """
@@ -293,35 +293,6 @@ def homology_of_pair(K: SimplicialComplex, A: SimplicialComplex) -> ComplexHomol
 def homology_groups(K: SimplicialComplex) -> list[HomologyGroup]:
     """H_n(K; Z) for n = 0..3."""
     return homology_of(K).groups()
-
-
-def relative_homology(K: SimplicialComplex, A: SimplicialComplex) -> list[HomologyGroup]:
-    """H_n(K, A; Z) for n = 0..3 via the quotient chain complex."""
-    return homology_of_pair(K, A).groups()
-
-
-@dataclass(frozen=True)
-class InducedMap:
-    """Inclusion-induced map H_n(L) -> H_n(K) on the SNF-fixed bases."""
-
-    matrix: IntegerMatrix  # rows: free basis of H_n(K); cols: generators of H_n(L)
-    image_rank: int
-    image_is_zero: bool
-
-
-def induced_map_image(K: SimplicialComplex, L: SimplicialComplex, n: int) -> InducedMap:
-    if not K.contains(L):
-        raise ComplexError("L is not a subcomplex of K")
-    HL = homology_of(L)
-    HK = homology_of(K)
-    gens = HL.generators(n)
-    cols = [HK.class_coords(g, n)[0] for g in gens]
-    # exact vanishing test, torsion included: every generator must bound in K
-    zero = all(HK.solve_boundary(g, n) is not None for g in gens)
-    rows = HK.betti(n)
-    M = IntegerMatrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
-    rank = smith_normal_form(M).rank if rows and cols else 0
-    return InducedMap(M, rank, zero)
 
 
 @dataclass(frozen=True)

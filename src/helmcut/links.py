@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
 
 from .complexes import _class_roots, derived
 
@@ -44,12 +43,6 @@ class LinkDiagram:
     def component_count(self) -> int:
         return len(self.components)
 
-    def component_of(self, arc: int) -> int:
-        i = _arc_components(self).get(arc)
-        if i is None:
-            raise DiagramError(f"unknown arc {arc}")
-        return i
-
     @property
     def writhes(self) -> tuple[int, ...]:
         """Per-component writhe (signed self-crossings)."""
@@ -65,10 +58,6 @@ class LinkDiagram:
         """(incoming, outgoing) arc of the over-strand at crossing k."""
         a, b, c, d = self.crossings[k]
         return (b, d) if self.signs[k] == -1 else (d, b)
-
-    def successor(self, arc: int) -> int:
-        comp = self.components[self.component_of(arc)]
-        return comp[(comp.index(arc) + 1) % len(comp)]
 
 
 @derived
@@ -211,15 +200,6 @@ def check_planar(D: LinkDiagram) -> None:
         raise DiagramError(
             f"not a planar diagram: its corners trace {faces} faces, not V + 2C = {V + 2 * C}"
         )
-
-
-def linking_number(D: LinkDiagram, i: int, j: int) -> int:
-    n = D.component_count
-    if not (0 <= i < n and 0 <= j < n):
-        raise DiagramError(f"component indices must be in 0..{n - 1}, got {i} and {j}")
-    if i == j:
-        raise DiagramError("linking number needs two distinct components")
-    return linking_matrix(D)[i][j]
 
 
 @dataclass(frozen=True)
@@ -422,15 +402,3 @@ def diagram(name: str) -> LinkDiagram:
 
     text = resources.files("helmcut.data").joinpath(f"{name}.pd").read_text()
     return parse_pd(text)
-
-
-def mirror_diagram(D: LinkDiagram) -> LinkDiagram:
-    """Switch every crossing (over <-> under), keeping the projection: the
-    PD tuple is rewritten to start at the old over-strand's incoming arc."""
-    out = []
-    for k, (a, b, c, d) in enumerate(D.crossings):
-        if D.signs[k] == -1:  # over-strand runs b -> d
-            out.append((b, c, d, a))
-        else:  # over-strand runs d -> b
-            out.append((d, a, b, c))
-    return _trace(out, list(D.unknot_arcs))

@@ -7,7 +7,6 @@ from helmcut import builders
 from helmcut.builders import (
     BuildError,
     LatticePath,
-    cube_tetrahedra,
     cubes_to_complex,
     domain_corpus,
     encode_point,
@@ -91,7 +90,7 @@ def test_cube_tetrahedralization_is_compatible():
         # interior triangles: two incident tetrahedra
         tets = [tet for tet in K.simplices(3) if set(t) <= set(tet)]
         assert len(tets) == 2
-    assert len(cube_tetrahedra((3, 4, 5))) == 6
+    assert len(cubes_to_complex([(3, 4, 5)]).simplices(3)) == 6
 
 
 def _permutation_split(cube):
@@ -127,9 +126,10 @@ def _square_split(cube, axis):
 
 
 def test_kuhn_table_gives_the_permutation_split():
-    # marks and the cut disks depend on these tuples and their order
+    # marks and the cut disks depend on these tuples, and the square
+    # triangles on the order of the table's tetrahedra
     for cube in [(3, 4, 5)] + list(product((-99, -1, 0, 2, 154), repeat=3)):
-        assert cube_tetrahedra(cube) == _permutation_split(cube)
+        assert cubes_to_complex([cube]).simplices(3) == tuple(sorted(_permutation_split(cube)))
         for axis in range(3):
             assert square_face_triangles(cube, axis) == _square_split(cube, axis)
     # a square on the lowest plane of the range, of a cube below it
@@ -143,7 +143,7 @@ _coords = st.integers(-99, -97) | st.integers(-2, 2) | st.integers(152, 154)
 @given(st.lists(st.tuples(_coords, _coords, _coords), max_size=8))
 def test_cubes_to_complex_equals_the_closure_of_its_tetrahedra(cubes):
     K = cubes_to_complex(cubes)
-    assert K == build_complex([t for c in sorted(set(cubes)) for t in cube_tetrahedra(c)])
+    assert K == build_complex([t for c in sorted(set(cubes)) for t in _permutation_split(c)])
     _assert_trusted(K)
 
 
@@ -152,7 +152,7 @@ def test_cube_out_of_range_at_either_corner():
         with pytest.raises(BuildError, match="lattice point out of supported range"):
             cubes_to_complex([(0, 0, 0), cube])
         with pytest.raises(BuildError, match="lattice point out of supported range"):
-            cube_tetrahedra(cube)
+            cubes_to_complex([cube])
 
 
 def test_lattice_path_parsing():

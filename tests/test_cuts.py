@@ -28,7 +28,6 @@ from helmcut.cuts import (
     classify_cut_system,
     cut_open,
     find_minimal_weak_subsets,
-    relative_surface_classes,
     surface_system_from_marks,
     validate_surface_system,
 )
@@ -384,10 +383,10 @@ def test_mayer_vietoris_identity_on_handlebody_cuts():
 def test_relative_classes_orientation_and_empty():
     M = preset("solid_torus_with_meridian_disk")
     F = surface_system_from_marks(M)
-    rel = relative_surface_classes(M, F)
-    assert rel.rank == 1 and rel.matrix.cols == 1
-    empty = relative_surface_classes(M, SurfaceSystem((), ()))
-    assert empty.rank == 0
+    v = classify_cut_system(M, F)
+    assert v.relative_class_rank == 1 and v.relative_class_matrix.cols == 1
+    empty = classify_cut_system(M, SurfaceSystem((), ()))
+    assert empty.relative_class_rank == 0
     # orientation signs are +-1 and consistent
     S = M.complex.subcomplex(F.triangles[0])
     ori = orient_surface(S)
