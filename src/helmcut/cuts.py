@@ -38,7 +38,6 @@ from .complexes import (
 )
 from .exact_linalg import IntegerMatrix, smith_normal_form
 from .homology import (
-    Chain,
     InternalConsistencyError,
     homology_of,
     homology_of_pair,
@@ -204,7 +203,6 @@ def _cut(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> CutRes
 class RelativeClassData:
     matrix: IntegerMatrix  # columns: [Sigma_i]; rows: free basis of H2(K, dK)
     rank: int
-    chains: tuple[Chain, ...]  # the oriented relative 2-cycles
 
 
 def _relative_classes(
@@ -217,7 +215,7 @@ def _relative_classes(
     rows = H.betti(2)
     Mx = IntegerMatrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
     rank = smith_normal_form(Mx).rank if rows and cols else 0
-    return RelativeClassData(Mx, rank, tuple(chains))
+    return RelativeClassData(Mx, rank)
 
 
 # -- classification --------------------------------------------------------

@@ -10,6 +10,13 @@ the degree-k terms of an arc's series from its in-arc's and from terms of
 lower degree, so each arc is solved after its in-arc.  The nonzero mu are
 the longitudes' own terms, so the Milnor search of link verdicts takes
 the first longitude term instead of reading every index sequence.
+
+The series are graded lists of {word: coefficient} dicts whose words are
+integers: with n components, z_i1...z_ik is the integer with base-(n+1)
+digits i1...ik.  A longitude multiplies its letters into one running
+product in place, and a letter of exponent -1 divides that product on the
+right, degree by degree, so no inverse series is formed.  Only the
+finished longitudes become MagnusSeries with tuple words.
 """
 
 from __future__ import annotations
@@ -144,16 +151,8 @@ class MagnusSeries:
         self.q = q
         self.terms = {w: c for w, c in (terms or {}).items() if c and len(w) < q}
 
-    @staticmethod
-    def one(q: int) -> "MagnusSeries":
-        return MagnusSeries(q, {(): 1})
-
     def coefficient(self, word: tuple[int, ...]) -> int:
         return self.terms.get(tuple(word), 0)
-
-    @property
-    def constant_term(self) -> int:
-        return self.terms.get((), 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MagnusSeries) and self.q == other.q and self.terms == other.terms
@@ -174,20 +173,6 @@ class MagnusSeries:
                     out[w] = out.get(w, 0) + c1 * c2
         return MagnusSeries(q, out)
 
-    def inverse(self) -> "MagnusSeries":
-        """Degree by degree: y_k = -(a_k + sum_{0<i<k} a_i y_{k-i})."""
-        if self.constant_term != 1:
-            raise ValueError("only series with constant term 1 are inverted")
-        a: list[dict] = [{} for _ in range(self.q)]
-        for w, c in self.terms.items():
-            a[len(w)][w] = c
-        y = [{(): 1}]
-        for k in range(1, self.q):
-            t = dict(a[k])
-            _add_products(t, a, y, k)
-            y.append({w: -c for w, c in t.items() if c})
-        return MagnusSeries(self.q, {w: c for part in y for w, c in part.items()})
-
     def __repr__(self) -> str:
         items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
         return "MagnusSeries(" + " + ".join(f"{c}*z{list(w)}" for w, c in items) + ")"
@@ -196,19 +181,26 @@ class MagnusSeries:
 # -- Milnor invariants -----------------------------------------------------
 
 
-def _add_products(out: dict, left: list, right: list, k: int, sign: int = 1) -> None:
+def _add_word_products(out: dict, left: list, right: list, k: int, shift: list, sign: int) -> None:
     """Add to out sign times the degree-k terms of left * right over left
-    degrees 0 < i < k; a graded series is a list of {word: coefficient}
-    dicts indexed by degree."""
+    degrees 0 < i < k, for graded series with integer words: shift[d] is
+    (n+1)**d, so a word u times a word v of degree d is u * shift[d] + v."""
     for i in range(1, k):
+        right_terms = right[k - i].items()
+        if not right_terms:
+            continue
+        m = shift[k - i]
         for u, c in left[i].items():
-            for v, d in right[k - i].items():
-                out[u + v] = out.get(u + v, 0) + sign * c * d
+            u *= m
+            c *= sign
+            for v, d in right_terms:
+                out[u + v] = out.get(u + v, 0) + c * d
 
 
-def _meridian_series(D: LinkDiagram, q: int) -> dict[int, MagnusSeries]:
-    """Every arc generator as a Magnus series in the component meridian
-    variables z_1..z_n (components numbered from 1), truncated at degree q.
+def _meridian_series(D: LinkDiagram, q: int) -> dict[int, list[dict[int, int]]]:
+    """Every arc generator as a graded Magnus series in the component
+    meridian variables z_1..z_n (components numbered from 1), truncated at
+    degree q, with integer words as in _add_word_products.
 
     An arc that is not a meridian begins at a crossing whose relation
     out = O^-eps * in * O^eps reads O * out = in * O (eps = 1) or
@@ -227,37 +219,55 @@ def _meridian_series(D: LinkDiagram, q: int) -> dict[int, MagnusSeries]:
             chain.append(g)
             g = defining[g].inn
         order.extend(reversed(chain))
+    shift = [(D.component_count + 1) ** d for d in range(q)]
     # by degree; a meridian is 1 + z exactly
-    a = {g: [{(): 1}, {(c + 1,): 1}] + [{} for _ in range(2, q)] for g, c in P.component_of}
+    a = {g: [{0: 1}, {c + 1: 1}] + [{} for _ in range(2, q)] for g, c in P.component_of}
     for k in range(2, q):
         for g in order:
             rel = defining[g]
             inn, out, b = a[rel.inn], a[g], a[rel.over]
             t = dict(inn[k])
             if rel.eps == 1:
-                _add_products(t, inn, b, k)
-                _add_products(t, b, out, k, -1)
+                _add_word_products(t, inn, b, k, shift, 1)
+                _add_word_products(t, b, out, k, shift, -1)
             else:
-                _add_products(t, b, inn, k)
-                _add_products(t, out, b, k, -1)
+                _add_word_products(t, b, inn, k, shift, 1)
+                _add_word_products(t, out, b, k, shift, -1)
             out[k] = {w: c for w, c in t.items() if c}
-    return {g: MagnusSeries(q, {w: c for part in a[g] for w, c in part.items()}) for g in a}
+    return a
+
+
+def _word(w: int, k: int, base: int) -> tuple[int, ...]:
+    """The letters of the degree-k integer word w."""
+    return tuple(w // base**p % base for p in range(k - 1, -1, -1))
 
 
 @derived
 def _longitudes(D: LinkDiagram, q: int) -> tuple[MagnusSeries, ...]:
     """Magnus expansion at truncation q of every component's longitude,
-    with arc generators rewritten as meridian series."""
+    with arc generators rewritten as meridian series.
+
+    Each letter is multiplied into the running graded product s in place.
+    A letter g^+1 runs from the top degree down, so that every s_i it reads
+    is still the old one: s_k += g_k + sum_{0<i<k} s_i g_{k-i}.  A letter
+    g^-1 divides on the right, solving t * g = s from degree 1 up, where
+    each s_i of lower degree already holds t_i:
+    s_k -= g_k + sum_{0<i<k} s_i g_{k-i}."""
     series = _meridian_series(D, q)
-    inverses: dict[int, MagnusSeries] = {}
+    base = D.component_count + 1
+    shift = [base**d for d in range(q)]
     out = []
     for j in range(D.component_count):
-        s = MagnusSeries.one(q)
+        s: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(1, q)]
         for g, e in longitude_word(D, j):
-            if e == -1 and g not in inverses:
-                inverses[g] = series[g].inverse()
-            s = s * (series[g] if e == 1 else inverses[g])
-        out.append(s)
+            a = series[g]
+            for k in range(q - 1, 0, -1) if e == 1 else range(1, q):
+                t = s[k]
+                for w, c in a[k].items():
+                    t[w] = t.get(w, 0) + e * c
+                _add_word_products(t, s, a, k, shift, e)
+        terms = {_word(w, k, base): c for k in range(q) for w, c in s[k].items() if c}
+        out.append(MagnusSeries(q, terms))
     return tuple(out)
 
 

@@ -59,11 +59,11 @@ def test_abelianizations():
 def _magnus(word, variable_of, q):
     """Expand a word in meridian symbols: each letter (g, e) becomes
     (1 + z_{variable_of[g]})^e, multiplied with truncation at degree q."""
-    out = MagnusSeries.one(q)
+    out = MagnusSeries(q, {(): 1})
     for g, e in word:
         m = MagnusSeries(q, {(): 1, (variable_of[g],): 1})
         if e < 0:
-            m = m.inverse()
+            m = _geometric_inverse(m)
         for _ in range(abs(e)):
             out = out * m
     return out
@@ -95,7 +95,7 @@ def test_magnus_product_homomorphism():
     var = {1: 1, 2: 2}
     assert _magnus(w1 + w2, var, 4) == _magnus(w1, var, 4) * _magnus(w2, var, 4)
     s = _magnus(w1, var, 4)
-    assert (s * s.inverse()).terms == {(): 1}
+    assert (s * _geometric_inverse(s)).terms == {(): 1}
 
 
 def test_longitudes():
@@ -284,14 +284,14 @@ def test_product_equals_the_all_pairs_product(pair):
     a, b = pair
     assert (a * b).terms == _all_pairs_product(a, b)
     unit = MagnusSeries(a.q, {**a.terms, (): 1})
-    assert unit * unit.inverse() == MagnusSeries.one(a.q)
-    assert unit.inverse() * unit == MagnusSeries.one(a.q)
+    assert unit * _geometric_inverse(unit) == MagnusSeries(a.q, {(): 1})
+    assert _geometric_inverse(unit) * unit == MagnusSeries(a.q, {(): 1})
 
 
 def _geometric_inverse(s):
     """(1 + N)^-1 = sum_k (-N)^k, by full products."""
     minus_n = MagnusSeries(s.q, {w: -c for w, c in s.terms.items() if w})
-    out = power = MagnusSeries.one(s.q)
+    out = power = MagnusSeries(s.q, {(): 1})
     for _ in range(1, s.q):
         power = power * minus_n
         words = out.terms.keys() | power.terms.keys()
@@ -325,7 +325,7 @@ def _full_rewriting_longitudes(D, q):
         pytest.fail(f"the full rewriting of {D} did not stabilize at degree {q}")
     full = []
     for j in range(D.component_count):
-        s = MagnusSeries.one(q)
+        s = MagnusSeries(q, {(): 1})
         for g, e in longitude_word(D, j):
             s = s * power(series[g], e)
         full.append(s)
@@ -342,6 +342,46 @@ def test_longitudes_equal_a_full_rewriting(name):
     for D in (_link(name), _mirror(_link(name))):
         for q in (3, 4, 5):
             assert _longitudes(D, q) == _full_rewriting_longitudes(D, q), q
+
+
+def _braid_closure_pd(strands, word):
+    """PD code of the closure of a braid word (letter +-i crosses the
+    strands at positions i and i+1, +i with the strand from the left over),
+    built as the benchmark builds its braid closures."""
+    pos = list(range(1, strands + 1))  # arc label at each position
+    crossings, nxt = [], strands + 1
+    for letter in word:
+        i = abs(letter) - 1
+        bl, br, tl, tr = pos[i], pos[i + 1], nxt, nxt + 1
+        nxt += 2
+        crossings.append((br, tr, tl, bl) if letter > 0 else (bl, br, tr, tl))
+        pos[i], pos[i + 1] = tl, tr
+    closing = dict(zip(pos, range(1, strands + 1)))
+    crossings = [tuple(closing.get(a, a) for a in x) for x in crossings]
+    label = {a: k + 1 for k, a in enumerate(sorted({a for x in crossings for a in x}))}
+    return " ".join("X(%d,%d,%d,%d)" % tuple(label[a] for a in x) for x in crossings)
+
+
+@st.composite
+def _braid_words(draw):
+    """A braid word on 2-4 strands of at most 10 letters that uses every
+    generator, so that the closure's diagram is connected."""
+    strands = draw(st.integers(2, 4))
+    letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    every = [draw(st.sampled_from((i, -i))) for i in range(1, strands)]
+    extra = draw(st.lists(letter, max_size=11 - strands))
+    return strands, tuple(draw(st.permutations(every + extra)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_braid_words())
+def test_longitudes_of_braid_closures_equal_a_full_rewriting(braid):
+    """Both letter signs and integer-word bases 2 to 5 (1 to 4 components),
+    on a closure and on its mirror, at every truncation 2..5."""
+    D = parse_pd(_braid_closure_pd(*braid))
+    for E in (D, _mirror(D)):
+        for q in (2, 3, 4, 5):
+            assert _longitudes(E, q) == _full_rewriting_longitudes(E, q), q
 
 
 def test_milnor_search_reads_each_mu_once(monkeypatch):
