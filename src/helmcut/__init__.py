@@ -53,7 +53,7 @@ from .groups import (
     MubarValue,
     RewriteDepthError,
     abelianize,
-    longitude_word,
+    longitude_words,
     milnor_mu,
     milnor_mubar,
     wirtinger,

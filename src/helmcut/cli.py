@@ -35,6 +35,9 @@ from .links import (
 )
 from .groups import RewriteDepthError, milnor_mubar
 
+# a count in ASCII digits; int() alone also reads "\u0664" and "1_0"
+_COUNT = re.compile(r"\s*[0-9]+\s*")
+
 
 def _read(path: str, error: type[Exception]) -> str:
     """The text of an input file; one that cannot be read is bad input."""
@@ -149,15 +152,17 @@ def _cmd_link_seifert(args):
 
 
 def _cmd_link_verdict(args):
+    if not _COUNT.fullmatch(args.mubar_length):
+        raise DiagramError(f"--mubar-length must be a whole number: {args.mubar_length!r}")
     D = _load_diagram(args)
-    return link_helmholtz_verdict(D, mubar_max_length=args.mubar_length).to_json()
+    return link_helmholtz_verdict(D, mubar_max_length=int(args.mubar_length)).to_json()
 
 
 def _cmd_milnor(args):
     D = _load_diagram(args)
     entries = args.indices.split(",")
     for x in entries:
-        if not re.fullmatch(r"\s*[0-9]+\s*", x):
+        if not _COUNT.fullmatch(x):
             raise DiagramError(f"--indices must be a comma list of component numbers: {x!r}")
     I = tuple(int(x) for x in entries)
     return milnor_mubar(D, I, len(I)).to_json()
@@ -230,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     link_opts(p)
     p.add_argument(
         "--mubar-length",
-        type=int,
-        default=4,
+        default="4",
         help="max Milnor index length searched, at least 2; the Magnus expansion is "
         "truncated at it",
     )

@@ -276,7 +276,6 @@ class BoundaryKernelData:
     genus_list: tuple[int, ...]
     kernel_coords: tuple[tuple[int, ...], ...]  # basis of Ker(i_*), concatenated basis
     projections: tuple[ComponentProjection, ...]
-    inclusion_surjective: bool
 
 
 def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
@@ -316,15 +315,6 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
         raise InternalConsistencyError(
             f"kernel rank {len(kernel_coords)} != total boundary genus {sum(info.genus_list)}"
         )
-    # integer-level surjectivity of i_* (on the free part; torsion handled by
-    # the helper columns having been available)
-    free_rows = rows[:rK]
-    if rK:
-        Mfree = IntegerMatrix(rK, m + nt, free_rows)
-        s = smith_normal_form(Mfree)
-        surjective = s.rank == rK and all(d == 1 for d in s.diagonal[: s.rank])
-    else:
-        surjective = True
     projections = []
     for start, stop in slices:
         pcoords = []
@@ -338,7 +328,6 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
         info.genus_list,
         tuple(kernel_coords),
         tuple(projections),
-        surjective,
     )
 
 

@@ -41,25 +41,9 @@ class RewriteDepthError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WirtingerRelation:
-    out: int
-    over: int
-    eps: int  # crossing sign; the relation is out = over^-eps * in * over^eps
-    inn: int
-
-    @property
-    def relator(self) -> Word:
-        return ((self.out, -1), (self.over, -self.eps), (self.inn, 1), (self.over, self.eps))
-
-
-@dataclass(frozen=True)
 class GroupPresentation:
     generators: tuple[int, ...]
     relators: tuple[Word, ...]
-    # diagram bookkeeping (empty for hand-built presentations)
-    relations: tuple[WirtingerRelation, ...] = ()
-    meridians: tuple[int, ...] = ()  # one generator per link component
-    component_of: tuple[tuple[int, int], ...] = ()  # generator -> component index
 
 
 @derived
@@ -75,28 +59,21 @@ def _arc_reps(D: LinkDiagram) -> dict[int, int]:
 
 
 def wirtinger(D: LinkDiagram) -> GroupPresentation:
-    """One generator per (over-)arc, one conjugation relation per crossing:
-    g_out = g_over^-sign * g_in * g_over^sign (the exponent pairing that
-    keeps longitude Magnus coefficients cyclically consistent with our
-    right-handed-crossing-is-positive sign rule).  The meridian of a
-    component is the generator of its lowest-labelled arc."""
+    """One generator per (over-)arc, the smallest arc label of its class,
+    and one conjugation relator per crossing.
+
+    Relator k is ((out, -1), (over, -eps), (in, 1), (over, eps)): the
+    under-strand of crossing k runs from arc in to arc out beneath the
+    over-strand's generator over, and eps is the crossing sign, so the
+    relation reads g_out = g_over^-eps * g_in * g_over^eps (the exponent
+    pairing that keeps longitude Magnus coefficients cyclically consistent
+    with our right-handed-crossing-is-positive sign rule)."""
     rep = _arc_reps(D)
-    gens = tuple(sorted(set(rep.values())))
-    rels = []
+    relators = []
     for k, (a, b, c, d) in enumerate(D.crossings):
-        o_in, _ = D.over_direction(k)
-        rels.append(WirtingerRelation(rep[c], rep[o_in], D.signs[k], rep[a]))
-    meridians = tuple(rep[comp[0]] for comp in D.components)
-    comp_of = tuple(
-        (rep[arc], i) for i, comp in enumerate(D.components) for arc in comp
-    )
-    return GroupPresentation(
-        gens,
-        tuple(r.relator for r in rels),
-        tuple(rels),
-        meridians,
-        tuple(sorted(set(comp_of))),
-    )
+        over, eps = rep[D.over_direction(k)[0]], D.signs[k]
+        relators.append(((rep[c], -1), (over, -eps), (rep[a], 1), (over, eps)))
+    return GroupPresentation(tuple(sorted(set(rep.values()))), tuple(relators))
 
 
 def abelianize(P: GroupPresentation) -> HomologyGroup:
@@ -117,23 +94,23 @@ def abelianize(P: GroupPresentation) -> HomologyGroup:
     return HomologyGroup(rank, torsion)
 
 
-def longitude_word(D: LinkDiagram, j: int) -> Word:
-    """Preferred (Seifert-framed) longitude of component j, as a word in
-    arc generators: the signed over-strand generators met when traversing
-    the component from its lowest arc, times meridian^(-writhe)."""
-    if not 0 <= j < D.component_count:
-        raise DiagramError(f"component index {j} out of range")
+def longitude_words(D: LinkDiagram) -> tuple[Word, ...]:
+    """Preferred (Seifert-framed) longitude of every component, as a word
+    in arc generators: the signed over-strand generators met when
+    traversing the component from its lowest arc, times meridian^(-writhe),
+    the meridian being the generator of that arc."""
     rep = _arc_reps(D)
-    comp = D.components[j]
     # _trace lets an arc be the incoming under-arc a of at most one
     # crossing; no arc of a component that never passes under is one
-    under = {a: k for k, (a, b, c, d) in enumerate(D.crossings)}
-    ends = [under[arc] for arc in comp if arc in under]
-    word = [(rep[D.over_direction(k)[0]], D.signs[k]) for k in ends]
-    w = D.writhes[j]
-    meridian = rep[comp[0]]
-    word.extend([(meridian, -1 if w > 0 else 1)] * abs(w))
-    return tuple(word)
+    under = {
+        a: (rep[D.over_direction(k)[0]], D.signs[k]) for k, (a, b, c, d) in enumerate(D.crossings)
+    }
+    words = []
+    for comp, w in zip(D.components, D.writhes):
+        word = [under[arc] for arc in comp if arc in under]
+        word.extend([(rep[comp[0]], -1 if w > 0 else 1)] * abs(w))
+        words.append(tuple(word))
+    return tuple(words)
 
 
 # -- truncated Magnus expansion --------------------------------------------
@@ -208,8 +185,12 @@ def _meridian_series(D: LinkDiagram, q: int) -> dict[int, list[dict[int, int]]]:
     the degree-k terms of out are those of in plus products of terms of
     degree below k: degrees 2..q-1 are solved in turn, each arc after its
     in-arc."""
-    P = wirtinger(D)
-    defining = {rel.out: rel for rel in reversed(P.relations) if rel.out not in P.meridians}
+    rep = _arc_reps(D)
+    meridians = {rep[comp[0]] for comp in D.components}
+    defining = {}  # out -> (in, over, eps) of its first relator
+    for (out, _), _, (inn, _), (over, eps) in reversed(wirtinger(D).relators):
+        if out not in meridians:
+            defining[out] = (inn, over, eps)
     order: list[int] = []  # every arc after its in-arc
     for g in sorted(defining):
         chain: list[int] = []
@@ -217,17 +198,18 @@ def _meridian_series(D: LinkDiagram, q: int) -> dict[int, list[dict[int, int]]]:
             if g in chain:
                 raise RewriteDepthError(f"the in-arcs of arc {g} cycle without reaching a meridian")
             chain.append(g)
-            g = defining[g].inn
+            g = defining[g][0]
         order.extend(reversed(chain))
     shift = [(D.component_count + 1) ** d for d in range(q)]
+    var = {rep[arc]: c + 1 for c, comp in enumerate(D.components) for arc in comp}
     # by degree; a meridian is 1 + z exactly
-    a = {g: [{0: 1}, {c + 1: 1}] + [{} for _ in range(2, q)] for g, c in P.component_of}
+    a = {g: [{0: 1}, {z: 1}] + [{} for _ in range(2, q)] for g, z in var.items()}
     for k in range(2, q):
         for g in order:
-            rel = defining[g]
-            inn, out, b = a[rel.inn], a[g], a[rel.over]
+            i, o, eps = defining[g]
+            inn, out, b = a[i], a[g], a[o]
             t = dict(inn[k])
-            if rel.eps == 1:
+            if eps == 1:
                 _add_word_products(t, inn, b, k, shift, 1)
                 _add_word_products(t, b, out, k, shift, -1)
             else:
@@ -257,9 +239,9 @@ def _longitudes(D: LinkDiagram, q: int) -> tuple[MagnusSeries, ...]:
     base = D.component_count + 1
     shift = [base**d for d in range(q)]
     out = []
-    for j in range(D.component_count):
+    for word in longitude_words(D):
         s: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(1, q)]
-        for g, e in longitude_word(D, j):
+        for g, e in word:
             a = series[g]
             for k in range(q - 1, 0, -1) if e == 1 else range(1, q):
                 t = s[k]

@@ -26,7 +26,7 @@ class DiagramError(ValueError):
     """Malformed PD text or inconsistent diagram."""
 
 
-_TOKEN = re.compile(r"([XU])\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+_TOKEN = re.compile(r"([XU])\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
 _COMMENT = re.compile(r"#[^\n]*")
 _JUNK = re.compile(r"[^\s,]")
 
@@ -96,22 +96,32 @@ def parse_pd(text: str) -> LinkDiagram:
     return _trace(crossings, unknots)
 
 
-def _trace(crossings, unknots) -> LinkDiagram:
-    # slot 4k + i holds label i of crossing k; a strand entering at slot s
-    # leaves at s ^ 2, and other[s] is the other slot of the same arc
+def _slots(crossings) -> tuple[list[int], dict[int, list[int]], list[int]]:
+    """The flat slot table of a PD code: slot 4k + i holds label i of
+    crossing k.  Returns the labels by slot, each arc's slots, and other,
+    where other[s] is the other slot of the arc at slot s (filled only for
+    arcs with exactly two slots, which the caller checks)."""
     labels = [arc for x in crossings for arc in x]
     slots: dict[int, list[int]] = {}
     for s, arc in enumerate(labels):
         slots.setdefault(arc, []).append(s)
+    other = [0] * len(labels)
+    for at in slots.values():
+        if len(at) == 2:
+            s, t = at
+            other[s], other[t] = t, s
+    return labels, slots, other
+
+
+def _trace(crossings, unknots) -> LinkDiagram:
+    # a strand entering at slot s leaves at s ^ 2
+    labels, slots, other = _slots(crossings)
     for arc in unknots:
         if arc in slots or unknots.count(arc) > 1:
             raise DiagramError(f"arc {arc} of a zero-crossing component reused")
     for arc, at in slots.items():
         if len(at) != 2:
             raise DiagramError(f"arc {arc} appears {len(at)} times (must be 2)")
-    other = [0] * len(labels)
-    for s, t in slots.values():
-        other[s], other[t] = t, s
 
     components: list[tuple[int, ...]] = []
     signs = [0] * len(crossings)
@@ -179,13 +189,7 @@ def check_planar(D: LinkDiagram) -> None:
     crossing graph has C connected pieces, has F = V + 2C such faces (each
     piece counts its own outer face).
     """
-    labels = [arc for x in D.crossings for arc in x]
-    ends: dict[int, list[int]] = {}
-    for s, arc in enumerate(labels):
-        ends.setdefault(arc, []).append(s)
-    other = [0] * len(labels)
-    for s, t in ends.values():
-        other[s], other[t] = t, s
+    labels, slots, other = _slots(D.crossings)
     faces, seen = 0, [False] * len(labels)
     for start in range(len(labels)):
         faces += not seen[start]
@@ -195,7 +199,7 @@ def check_planar(D: LinkDiagram) -> None:
             t = other[s]
             s = t - t % 4 + (t + 1) % 4
     V = len(D.crossings)
-    C = len(set(_class_roots(range(V), [(s >> 2, t >> 2) for s, t in ends.values()]).values()))
+    C = len(set(_class_roots(range(V), [(s >> 2, t >> 2) for s, t in slots.values()]).values()))
     if faces != V + 2 * C:
         raise DiagramError(
             f"not a planar diagram: its corners trace {faces} faces, not V + 2C = {V + 2 * C}"

@@ -312,6 +312,35 @@ def test_milnor_indices_are_ascii_digits(capsys, indices, bad):
 
 
 @pytest.mark.parametrize(
+    "length, bad",
+    [
+        ("\u0664", "\u0664"),
+        ("1_0", "1_0"),
+        ("+4", "+4"),
+        ("4.0", "4.0"),
+        ("", ""),
+        (" 4 ", None),
+    ],
+)
+def test_mubar_length_is_ascii_digits(capsys, length, bad):
+    code, out, err = run_capture(capsys, "link-verdict", "--pd", "whitehead", "--mubar-length", length)
+    if bad is None:
+        assert (code, out) == run_capture(capsys, "link-verdict", "--pd", "whitehead")[:2]
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: --mubar-length must be a whole number: {bad!r}\n"
+
+
+def test_pd_labels_are_ascii_digits(tmp_path, capsys):
+    # int() would read this as X(1,2,2,1)
+    pd = tmp_path / "arabic_indic.pd"
+    pd.write_text("X(\u0661,\u0662,\u0662,\u0661)\n", encoding="utf-8")
+    code, out, err = run_capture(capsys, "link-lk", "--pd", str(pd))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unrecognized PD input near: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ("link-lk",),

@@ -12,7 +12,7 @@ from helmcut.groups import (
     _arc_reps,
     _longitudes,
     abelianize,
-    longitude_word,
+    longitude_words,
     milnor_mu,
     milnor_mubar,
     wirtinger,
@@ -34,12 +34,13 @@ def test_wirtinger_shapes():
     Pu = wirtinger(parse_pd("U(1)"))
     assert Pu.generators == (1,) and Pu.relators == ()
     # each relation is a conjugation: exponent sum zero on the over generator
-    for rel in P.relations:
+    for rel in P.relators:
+        (out, _), _, (inn, _), (over, _) = rel
         exps = {}
-        for g, e in rel.relator:
+        for g, e in rel:
             exps[g] = exps.get(g, 0) + e
-        assert exps.get(rel.over, 0) == 0
-        assert exps[rel.out] == -1 or rel.out == rel.inn
+        assert exps.get(over, 0) == 0
+        assert exps[out] == -1 or out == inn
 
 
 def test_abelianizations():
@@ -99,21 +100,20 @@ def test_magnus_product_homomorphism():
 
 
 def test_longitudes():
-    assert longitude_word(parse_pd("U(1)"), 0) == ()
+    assert longitude_words(parse_pd("U(1)")) == ((),)
     hopf = diagram("hopf")
     lk = linking_matrix(hopf)
     # abelianized longitude of component i: lk(i,j) on meridian j, 0 on its own
-    P = wirtinger(hopf)
-    comp = dict(P.component_of)
-    for i in range(2):
-        w = longitude_word(hopf, i)
+    rep = _arc_reps(hopf)
+    comp = {rep[arc]: i for i, arcs in enumerate(hopf.components) for arc in arcs}
+    words = longitude_words(hopf)
+    assert len(words) == 2
+    for i, w in enumerate(words):
         exps = {}
         for g, e in w:
             exps[comp[g]] = exps.get(comp[g], 0) + e
         assert exps.get(i, 0) == 0
         assert exps.get(1 - i, 0) == lk[i][1 - i]
-    with pytest.raises(DiagramError):
-        longitude_word(hopf, 2)
 
 
 def test_milnor_length_two_equals_linking_number():
@@ -307,26 +307,29 @@ def _full_rewriting_longitudes(D, q):
         return s if e == 1 else _geometric_inverse(s)
 
     P = wirtinger(D)
-    var = {g: c + 1 for g, c in P.component_of}
+    rep = _arc_reps(D)
+    var = {rep[arc]: c + 1 for c, arcs in enumerate(D.components) for arc in arcs}
+    meridians = [rep[arcs[0]] for arcs in D.components]
     series = {g: _magnus(((g, 1),), var, q) for g in P.generators}
     defining = {}
-    for rel in P.relations:
-        if rel.out not in P.meridians:
-            defining.setdefault(rel.out, rel)
+    for rel in P.relators:
+        (out, _), _, (inn, _), (over, eps) = rel
+        if out not in meridians:
+            defining.setdefault(out, (inn, over, eps))
     for _ in range(2 * q + 4):
         before = dict(series)
         for g in sorted(defining):
-            r = defining[g]
-            o = series[r.over]
-            series[g] = power(o, -r.eps) * series[r.inn] * power(o, r.eps)
+            inn, over, eps = defining[g]
+            o = series[over]
+            series[g] = power(o, -eps) * series[inn] * power(o, eps)
         if series == before:
             break
     else:
         pytest.fail(f"the full rewriting of {D} did not stabilize at degree {q}")
     full = []
-    for j in range(D.component_count):
+    for word in longitude_words(D):
         s = MagnusSeries(q, {(): 1})
-        for g, e in longitude_word(D, j):
+        for g, e in word:
             s = s * power(series[g], e)
         full.append(s)
     return tuple(full)
@@ -466,7 +469,7 @@ def test_longitudes_have_no_term_in_their_own_variable_alone(name):
 
 
 def _longitude_word_by_scan(D, j):
-    """longitude_word with every crossing scanned for every arc."""
+    """Longitude word j with every crossing scanned for every arc."""
     rep = _arc_reps(D)
     word = []
     for arc in D.components[j]:
@@ -481,5 +484,22 @@ def _longitude_word_by_scan(D, j):
 @pytest.mark.parametrize("name", ALL_LINKS)
 def test_longitude_word_equals_a_scan_of_every_crossing(name):
     for D in (_link(name), _mirror(_link(name))):
-        for j in range(D.component_count):
-            assert longitude_word(D, j) == _longitude_word_by_scan(D, j), j
+        words = longitude_words(D)
+        assert len(words) == D.component_count
+        for j, word in enumerate(words):
+            assert word == _longitude_word_by_scan(D, j), j
+
+
+@pytest.mark.parametrize("name", ALL_LINKS)
+def test_relator_k_is_the_relation_of_crossing_k(name):
+    """Relator k reads g_c = g_o^-eps * g_a * g_o^eps, where crossing k's
+    under-strand runs a -> c beneath the over-strand entering at arc o, and
+    eps is its sign."""
+    for D in (_link(name), _mirror(_link(name))):
+        rep = _arc_reps(D)
+        P = wirtinger(D)
+        assert P.generators == tuple(sorted(set(rep.values())))
+        assert len(P.relators) == len(D.crossings)
+        for k, ((a, b, c, d), rel) in enumerate(zip(D.crossings, P.relators)):
+            o, eps = rep[D.over_direction(k)[0]], D.signs[k]
+            assert rel == ((rep[c], -1), (o, -eps), (rep[a], 1), (o, eps)), k

@@ -53,6 +53,11 @@ def test_parse_rejects_malformed():
         parse_pd("U(1) X(1,2,2,1)")  # unknot arc reused
     with pytest.raises(DiagramError, match="^inconsistent orientation at arc 1$"):
         parse_pd("X(1,2,3,4) X(1,4,3,2)")  # arc 1 passes under both ways
+    # labels are ASCII digits, though int() reads other decimal digits:
+    # Arabic-Indic and fullwidth X(1,2,2,1), and U(1)
+    for text in ("X(\u0661,\u0662,\u0662,\u0661)", "X(\uff11,\uff12,\uff12,\uff11)", "U(\u0661)"):
+        with pytest.raises(DiagramError, match="^unrecognized PD input near: "):
+            parse_pd(text)
 
 
 def test_linking_matrix_hopf_and_whitehead():
@@ -208,7 +213,7 @@ def _parse_pd_by_regex(text: str):
     the comments, reject what the terms leave over, then find every term
     and split its labels at the commas."""
     stripped = re.sub(r"#[^\n]*", "", text)
-    term = r"([XU])\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)"
+    term = r"([XU])\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)"
     consumed = re.sub(term, "", stripped)
     if re.search(r"[^\s,]", consumed):
         raise DiagramError(f"unrecognized PD input near: {consumed.strip()[:40]!r}")
