@@ -68,7 +68,6 @@ from .links import (
     link_helmholtz_verdict,
     linking_matrix,
     parse_pd,
-    remove_kinks,
     seifert_data,
 )
 from .homology import (

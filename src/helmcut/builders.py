@@ -30,6 +30,7 @@ from .complexes import (
     mapping_torus,
     product_with_interval,
     surface_info,
+    vertex_roots,
 )
 
 
@@ -170,32 +171,29 @@ def surface_shell(g: int) -> MarkedComplex:
 
 @dataclass(frozen=True)
 class LatticePath:
+    """A closed lattice path: unit steps from each point to the next and
+    from the last back to the first.  Its points are distinct and at least
+    4, so no edge repeats."""
+
     points: tuple[Point, ...]
-    closed: bool
 
     def __post_init__(self):
         pts = self.points
-        if len(pts) < (4 if self.closed else 2):
+        if len(pts) < 4:
             raise BuildError("lattice path too short")
         if len(set(pts)) != len(pts):
             raise BuildError("lattice path repeats a vertex")
-        steps = list(zip(pts, pts[1:] + ((pts[0],) if self.closed else ())))
-        seen_edges = set()
-        for a, b in steps:
+        for a, b in zip(pts, pts[1:] + pts[:1]):
             d = tuple(x - y for x, y in zip(b, a))
             if sorted(map(abs, d)) != [0, 0, 1]:
                 raise BuildError(f"non-unit step {a} -> {b}")
-            edge = (min(a, b), max(a, b))
-            if edge in seen_edges:
-                raise BuildError("lattice path repeats an edge")
-            seen_edges.add(edge)
 
 
 def parse_lattice_paths(text: str) -> list[LatticePath]:
-    """One component per line; semicolon-separated x,y,z triples of
-    integers, each an optional sign and ASCII digits.
-
-    A line whose last point repeats its first denotes a closed path.
+    """One closed component per line; semicolon-separated x,y,z triples of
+    integers, each an optional sign and ASCII digits, the last point
+    repeating the first.  A line that does not return to its first point
+    raises BuildError.
     """
     paths = []
     for line in text.splitlines():
@@ -211,10 +209,9 @@ def parse_lattice_paths(text: str) -> list[LatticePath]:
             if len(coords) != 3 or not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", c) for c in coords):
                 raise BuildError(f"bad lattice point: {chunk!r}")
             pts.append(tuple(int(c) for c in coords))
-        closed = len(pts) > 1 and pts[0] == pts[-1]
-        if closed:
-            pts = pts[:-1]
-        paths.append(LatticePath(tuple(pts), closed))
+        if len(pts) < 2 or pts[0] != pts[-1]:
+            raise BuildError("lattice path does not return to its first point")
+        paths.append(LatticePath(tuple(pts[:-1])))
     return paths
 
 
@@ -247,14 +244,16 @@ def lattice_link_complement(paths: Sequence[LatticePath]) -> MarkedComplex:
     The tube around a path is the union of closed unit cubes touching it,
     plus one layer of cube padding taken from the complement (this keeps the
     tube boundary an embedded torus).  The box leaves one layer of cubes
-    around the tubes.  Boundary tori are marked "tube_i"; the outer box
-    boundary is marked "outer".
+    around the tubes.  Each mark is one component of the domain's boundary,
+    named by an anchor vertex on it: "outer", a sphere, holds the box's min
+    corner, and "tube_i", a torus, the min corner of the least cube of tube
+    i.  That corner lies on the face shared with the cube before it along x,
+    a domain cube: it is less than the least cube of tube i, the collision
+    check keeps it out of every other tube, and the box has a one-cube
+    margin.  A boundary that does not split into these surfaces, one per
+    anchor, raises BuildError.
     """
-    excluded: list[set[Cube]] = []
-    for path in paths:
-        if not path.closed:
-            raise BuildError("link components must be closed paths")
-        excluded.append(_dilate(_path_cubes(path)))
+    excluded = [_dilate(_path_cubes(path)) for path in paths]
     for i in range(len(excluded)):
         for j in range(i + 1, len(excluded)):
             if _dilate(excluded[i]) & excluded[j]:  # overlapping or face to face
@@ -275,48 +274,25 @@ def lattice_link_complement(paths: Sequence[LatticePath]) -> MarkedComplex:
         if (x, y, z) not in all_excluded
     }
     K = cubes_to_complex(domain)
-    owner = {c: i for i, cubes in enumerate(excluded) for c in cubes}
-    marks: dict[str, list[Simplex]] = {"outer": []}
-    for i in range(len(paths)):
-        marks[f"tube_{i}"] = []
-    for cube in domain:
-        for axis in range(3):
-            for d in (-1, 1):
-                n = list(cube)
-                n[axis] += d
-                n = tuple(n)
-                if n in domain:
-                    continue
-                face_cube = cube if d == 1 else n
-                tris = square_face_triangles(face_cube, axis)
-                if n in owner:
-                    marks[f"tube_{owner[n]}"].extend(tris)
-                else:
-                    marks["outer"].extend(tris)
-    result = MarkedComplex(K, marks)
-    _validate_link_box(result, len(paths))
-    return result
-
-
-def _validate_link_box(M: MarkedComplex, n_tubes: int) -> None:
-    """The boundary components are a sphere marked "outer" and one torus
-    per tube marked "tube_i", each filling its mark.  Checked on the
-    boundary of the domain, whose orientations analyze_domain reuses."""
-    bd = boundary_subcomplex(M.complex)
-    mark_of = {t: name for name, tris in M.marks.items() for t in tris}
-    genus: dict[str, int | None] = {}
-    for S, comp in zip(connected_components(bd), surface_info(bd).components):
-        names = {mark_of.get(t) for t in S.simplices(2)}
-        if len(names) != 1 or None in names or names & genus.keys():
-            raise BuildError("a boundary component does not fill exactly one mark")
-        genus[names.pop()] = comp.genus
-    if sum(map(len, M.marks.values())) != len(bd.simplices(2)):
-        raise BuildError("a mark holds triangles off the boundary")
-    if genus.get("outer") != 0:
+    anchors = {"outer": encode_point(tuple(los))}
+    anchors.update((f"tube_{i}", encode_point(min(cubes))) for i, cubes in enumerate(excluded))
+    bd = boundary_subcomplex(K)
+    # each boundary component and its genus, by its smallest vertex: the
+    # root that vertex_roots gives every vertex of the component
+    surfaces = {
+        S.vertices[0]: (S, info.genus)
+        for S, info in zip(connected_components(bd), surface_info(bd).components)
+    }
+    roots = [vertex_roots(bd).get(v) for v in anchors.values()]
+    if set(roots) != surfaces.keys() or len(roots) != len(surfaces):
+        raise BuildError("a boundary component does not fill exactly one mark")
+    marks = dict(zip(anchors, map(surfaces.get, roots)))
+    if marks["outer"][1] != 0:
         raise BuildError("outer box boundary is not a sphere")
-    for i in range(n_tubes):
-        if genus.get(f"tube_{i}") != 1:
+    for i in range(len(paths)):
+        if marks[f"tube_{i}"][1] != 1:
             raise BuildError(f"tube_{i} boundary is not a torus")
+    return MarkedComplex(K, {name: S.simplices(2) for name, (S, _) in marks.items()})
 
 
 def _load_paths(name: str) -> list[LatticePath]:
@@ -423,8 +399,7 @@ def unknot_box() -> MarkedComplex:
             + [(5, y, 0) for y in range(0, 5)]
             + [(x, 5, 0) for x in range(5, 0, -1)]
             + [(0, y, 0) for y in range(5, 0, -1)]
-        ),
-        closed=True,
+        )
     )
     return lattice_link_complement([square])
 

@@ -74,25 +74,6 @@ class SimplicialComplex:
         self._hash = hash(self._simplices)
         self._derived: dict = {}  # see derived()
 
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_simplices(simplex_list: Iterable[Sequence[int]]) -> "SimplicialComplex":
-        by_dim: list[set[Simplex]] = [set(), set(), set(), set()]
-        for raw in simplex_list:
-            verts = tuple(raw)
-            if not all(type(v) is int for v in verts):
-                raise ComplexError(f"vertex labels must be integers: {raw!r}")
-            if len(verts) == 0 or len(verts) > 4:
-                raise ComplexError(f"simplex must have 1-4 vertices: {raw!r}")
-            if len(set(verts)) != len(verts):
-                raise ComplexError(f"malformed simplex (repeated vertex): {raw!r}")
-            by_dim[len(verts) - 1].add(tuple(sorted(verts)))
-        # face closure, one layer at a time
-        for dim in (3, 2, 1):
-            by_dim[dim - 1].update(*_layer_faces(by_dim[dim]))
-        return SimplicialComplex([sorted(d) for d in by_dim])
-
     # -- basic queries -----------------------------------------------------
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:
@@ -136,7 +117,7 @@ class SimplicialComplex:
 
     def subcomplex(self, generators: Iterable[Sequence[int]]) -> "SimplicialComplex":
         """Face closure of the given simplices; all must belong to self."""
-        sub = SimplicialComplex.from_simplices(generators)
+        sub = build_complex(generators)
         for s in sub.all_simplices():
             if not self.has_simplex(s):
                 raise ComplexError(f"simplex {s} not in ambient complex")
@@ -148,7 +129,20 @@ class SimplicialComplex:
 
 def build_complex(simplex_list: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Face closure of the given simplices (1-4 distinct vertices each)."""
-    return SimplicialComplex.from_simplices(simplex_list)
+    by_dim: list[set[Simplex]] = [set(), set(), set(), set()]
+    for raw in simplex_list:
+        verts = tuple(raw)
+        if not all(type(v) is int for v in verts):
+            raise ComplexError(f"vertex labels must be integers: {raw!r}")
+        if len(verts) == 0 or len(verts) > 4:
+            raise ComplexError(f"simplex must have 1-4 vertices: {raw!r}")
+        if len(set(verts)) != len(verts):
+            raise ComplexError(f"malformed simplex (repeated vertex): {raw!r}")
+        by_dim[len(verts) - 1].add(tuple(sorted(verts)))
+    # face closure, one layer at a time
+    for dim in (3, 2, 1):
+        by_dim[dim - 1].update(*_layer_faces(by_dim[dim]))
+    return SimplicialComplex([sorted(d) for d in by_dim])
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

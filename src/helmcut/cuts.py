@@ -30,6 +30,7 @@ from .complexes import (
     SimplicialComplex,
     as_domain,
     boundary_subcomplex,
+    build_complex,
     connected_components,
     face_index,
     last_vertex_map,
@@ -189,7 +190,7 @@ def _cut(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> CutRes
     # K'' is pure, so the full subcomplex off S'' is generated by the
     # surviving faces of its tetrahedra
     pieces = (p for t in KC.simplices(3) for p in below[t])
-    cut = SimplicialComplex.from_simplices(
+    cut = build_complex(
         kept for p in pieces if (kept := [v for v in p if v not in in_surfaces])
     )
     vertex_map = last_vertex_map({v: all_simplices[v] for v in cut.vertices})

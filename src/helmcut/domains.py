@@ -264,18 +264,13 @@ def intersection_form(S: SimplicialComplex) -> SurfaceFormData:
 
 
 @dataclass(frozen=True)
-class ComponentProjection:
-    """P_j: the projection of Ker(i_*) into H1 of one boundary component."""
-
-    coords: tuple[tuple[int, ...], ...]  # generating vectors in the H1(S_j) basis
-
-
-@dataclass(frozen=True)
 class BoundaryKernelData:
     components: tuple[SimplicialComplex, ...]
     genus_list: tuple[int, ...]
     kernel_coords: tuple[tuple[int, ...], ...]  # basis of Ker(i_*), concatenated basis
-    projections: tuple[ComponentProjection, ...]
+    # P_j per boundary component S_j: the nonzero projections of the basis
+    # of Ker(i_*) into H1(S_j), in the H1(S_j) basis, which generate it
+    projections: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
@@ -315,20 +310,11 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
         raise InternalConsistencyError(
             f"kernel rank {len(kernel_coords)} != total boundary genus {sum(info.genus_list)}"
         )
-    projections = []
-    for start, stop in slices:
-        pcoords = []
-        for vec in kernel_coords:
-            sub = vec[start:stop]
-            if any(sub):
-                pcoords.append(tuple(sub))
-        projections.append(ComponentProjection(tuple(pcoords)))
-    return BoundaryKernelData(
-        comps,
-        info.genus_list,
-        tuple(kernel_coords),
-        tuple(projections),
+    projections = tuple(
+        tuple(vec[start:stop] for vec in kernel_coords if any(vec[start:stop]))
+        for start, stop in slices
     )
+    return BoundaryKernelData(comps, info.genus_list, tuple(kernel_coords), projections)
 
 
 # -- Lagrangian obstruction ------------------------------------------------
@@ -379,8 +365,7 @@ def lagrangian_obstruction(K) -> LagrangianReport:
     """
     data = kernel_of_boundary_inclusion(K)
     verdicts = []
-    for j, (S, proj) in enumerate(zip(data.components, data.projections)):
-        P = proj.coords
+    for j, (S, P) in enumerate(zip(data.components, data.projections)):
         # P B P^T, read in row order: the first pair (u, v) with <u, v> != 0
         pairings = matmul(matmul(P, intersection_form(S).matrix.to_lists()), list(zip(*P)))
         witness = next(

@@ -284,43 +284,28 @@ def seifert_data(D: LinkDiagram) -> SeifertData:
 # -- Reidemeister-I reduction and verdicts ---------------------------------
 
 
-def remove_kinks(D: LinkDiagram) -> LinkDiagram:
-    """Greedily remove Reidemeister-I kinks (crossings where two cyclically
-    adjacent slots carry the same arc) until none remain.  A diagram
-    without kinks is returned itself."""
-    crossings = list(D.crossings)
-    unknots = list(D.unknot_arcs)
-    changed = True
-    while changed:
-        changed = False
-        for k, x in enumerate(crossings):
-            a, b, c, d = x
-            if a == b or b == c:
-                loop = b
-            elif c == d or d == a:
-                loop = d
-            else:
-                continue
-            rest = [arc for arc in x if arc != loop]
-            del crossings[k]
-            if not rest:  # 1-crossing unknot component
-                unknots.append(loop)
-            else:
-                keep, drop = min(rest), max(rest)
-                if keep == drop:  # figure-eight shaped single crossing
-                    unknots.append(keep)
-                else:
-                    crossings = [
-                        tuple(keep if arc == drop else arc for arc in x2)
-                        for x2 in crossings
-                    ]
-                    if not any(keep in x2 for x2 in crossings):
-                        unknots.append(keep)
-            changed = True
-            break
-    if len(crossings) == len(D.crossings):
-        return D
-    return _trace(crossings, unknots)
+def _kink_free(crossings) -> list[tuple[int, int, int, int]]:
+    """The crossings left once Reidemeister-I kinks (crossings where two
+    cyclically adjacent slots carry the same arc) are removed greedily,
+    the first kink first, the scan restarting after each removal.
+    Removing a kink joins its two other arcs under the smaller label."""
+    crossings = list(crossings)
+    k = 0
+    while k < len(crossings):
+        a, b, c, d = x = crossings[k]
+        if a == b or b == c:
+            loop = b
+        elif c == d or d == a:
+            loop = d
+        else:
+            k += 1
+            continue
+        del crossings[k]
+        if rest := [arc for arc in x if arc != loop]:
+            keep, drop = min(rest), max(rest)
+            crossings = [tuple(keep if arc == drop else arc for arc in x2) for x2 in crossings]
+        k = 0
+    return crossings
 
 
 @dataclass(frozen=True)
@@ -350,8 +335,7 @@ def link_helmholtz_verdict(D: LinkDiagram, mubar_max_length: int = 4) -> LinkVer
     if mubar_max_length < 2:
         raise DiagramError(f"mu-bar length must be at least 2, got {mubar_max_length}")
     certs: list[dict] = []
-    reduced = remove_kinks(D)
-    trivial = not reduced.crossings
+    trivial = not _kink_free(D.crossings)
     lk = linking_matrix(D)
     n = D.component_count
     for i in range(n):

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations, product
 
 import pytest
@@ -20,6 +21,7 @@ from helmcut.builders import (
 )
 from helmcut.complexes import (
     ComplexError,
+    MarkedComplex,
     boundary_subcomplex,
     build_complex,
     euler_characteristic,
@@ -157,15 +159,29 @@ def test_cube_out_of_range_at_either_corner():
 
 def test_lattice_path_parsing():
     paths = parse_lattice_paths("0,0,0; 1,0,0; 1,1,0; 0,1,0; 0,0,0\n# comment\n")
-    assert len(paths) == 1 and paths[0].closed
-    assert len(paths[0].points) == 4
-    open_path = parse_lattice_paths("0,0,0; 1,0,0; 2,0,0")[0]
-    assert not open_path.closed
+    assert [p.points for p in paths] == [((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))]
     with pytest.raises(BuildError):
         parse_lattice_paths("0,0,0; 2,0,0; 0,0,0")  # non-unit step
     with pytest.raises(BuildError):
-        parse_lattice_paths("0,0,0; 1,0,0; 0,0,0")  # repeated edge
-    assert parse_lattice_paths(" +1, -0 ,0; 1,1,0")[0].points == ((1, 0, 0), (1, 1, 0))
+        parse_lattice_paths("0,0,0; 1,0,0; 0,0,0")  # one edge there and back
+    square = parse_lattice_paths(" +1, -0 ,0; 1,1,0; 2,1,0; 2,0,0; 1,0,0")[0]
+    assert square.points == ((1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,0,0; 1,0,0; 2,0,0",
+        "0,0,0; 1,0,0; 1,1,0; 0,1,0",
+        "0,0,0",
+        ";",
+        # a closed line, then an open one
+        "0,0,0; 1,0,0; 1,1,0; 0,1,0; 0,0,0\n5,0,0; 6,0,0",
+    ],
+)
+def test_lattice_path_rejects_an_open_line(text):
+    with pytest.raises(BuildError, match="^lattice path does not return to its first point$"):
+        parse_lattice_paths(text)
 
 
 @pytest.mark.parametrize(
@@ -200,7 +216,7 @@ def _rectangle(x0, x1, y, z0, z1):
         + [(x, y, z1) for x in range(x1, x0, -1)]
         + [(x0, y, z) for z in range(z1, z0, -1)]
     )
-    return LatticePath(tuple(pts), closed=True)
+    return LatticePath(tuple(pts))
 
 
 def _square(n):
@@ -211,7 +227,7 @@ def _square(n):
         + [(x, n, 0) for x in range(n, 0, -1)]
         + [(0, y, 0) for y in range(n, 0, -1)]
     )
-    return LatticePath(tuple(pts), closed=True)
+    return LatticePath(tuple(pts))
 
 
 def test_link_complement_rejects_face_to_face_tubes():
@@ -229,24 +245,26 @@ def test_link_complement_rejects_out_of_range_box_before_building(monkeypatch):
         raise AssertionError("the box was built")
 
     monkeypatch.setattr(builders, "cubes_to_complex", fail)
-    far = LatticePath(tuple((x + 20_000, y, z) for x, y, z in _square(4).points), closed=True)
+    far = LatticePath(tuple((x + 20_000, y, z) for x, y, z in _square(4).points))
     with pytest.raises(BuildError, match="lattice point out of supported range"):
         lattice_link_complement([_square(4), far])
 
 
 @st.composite
-def _closed_walks(draw):
-    """Text of one or two closed lattice walks near the origin: random unit
-    steps, then back to the start one axis at a time."""
+def _closed_walks(draw, scale=1):
+    """Text of one or two closed lattice walks near the origin: random
+    moves of scale unit steps each, then back to the start one axis at a
+    time."""
     lines = []
     for _ in range(draw(st.integers(1, 2))):
         start = draw(st.tuples(*[st.integers(-3, 3)] * 3))
         pts = [start]
         moves = st.tuples(st.integers(0, 2), st.sampled_from((-1, 1)))
         for axis, d in draw(st.lists(moves, min_size=1, max_size=6)):
-            p = list(pts[-1])
-            p[axis] += d
-            pts.append(tuple(p))
+            for _ in range(scale):
+                p = list(pts[-1])
+                p[axis] += d
+                pts.append(tuple(p))
         for axis in draw(st.permutations(range(3))):
             while pts[-1][axis] != start[axis]:
                 p = list(pts[-1])
@@ -266,6 +284,91 @@ def test_lattice_link_input_raises_only_complex_errors(text):
         pass
 
 
+def _walked_marks(paths):
+    """The marks of the box of paths by a walk over every cube face: a face
+    between a domain cube and a cube of tube i goes to "tube_i", every
+    other boundary face to "outer"."""
+    excluded = [builders._dilate(builders._path_cubes(path)) for path in paths]
+    owner = {c: i for i, cubes in enumerate(excluded) for c in cubes}
+    spans = [range(min(c[a] for c in owner) - 1, max(c[a] for c in owner) + 2) for a in range(3)]
+    domain = {c for c in product(*spans) if c not in owner}
+    marks = {"outer": [], **{f"tube_{i}": [] for i in range(len(paths))}}
+    for cube in domain:
+        for axis in range(3):
+            for d in (-1, 1):
+                n = list(cube)
+                n[axis] += d
+                n = tuple(n)
+                if n not in domain:
+                    name = f"tube_{owner[n]}" if n in owner else "outer"
+                    marks[name] += square_face_triangles(cube if d == 1 else n, axis)
+    return marks
+
+
+# every BuildError a link box could raise before its marks were read off
+# its boundary
+_BOX_ERRORS = re.compile(
+    r"thickenings of components \d+ and \d+ collide|need at least one path"
+    r"|lattice point out of supported range: .*"
+    r"|a boundary component does not fill exactly one mark"
+    r"|outer box boundary is not a sphere|tube_\d+ boundary is not a torus"
+)
+
+
+def _assert_marks_are_walked(paths):
+    try:
+        M = lattice_link_complement(paths)
+    except BuildError as e:
+        assert _BOX_ERRORS.fullmatch(str(e)), str(e)
+        return
+    except ComplexError:  # a boundary that is not a closed surface
+        return
+    assert M.marks == MarkedComplex(M.complex, _walked_marks(paths)).marks
+
+
+def test_walked_marks_of_the_link_presets():
+    for M, paths in [
+        (unknot_box(), [_square(5)]),
+        (preset("hopf_box"), builders._load_paths("hopf")),
+        (preset("trefoil_box"), builders._load_paths("trefoil")),
+    ]:
+        assert M.marks == MarkedComplex(M.complex, _walked_marks(paths)).marks
+
+
+def _moved(path, axis, by):
+    return LatticePath(tuple(p[:axis] + (p[axis] + by,) + p[axis + 1:] for p in path.points))
+
+
+# a square or rectangle with a hole, and a second one moved off it along an
+# axis, near enough for some pairs to collide
+_holed = st.builds(_square, st.integers(5, 7)) | st.builds(
+    lambda w, h: _rectangle(0, w, 0, 0, h), st.integers(5, 7), st.integers(5, 7)
+)
+_apart = st.tuples(_holed, st.builds(_moved, _holed, st.integers(0, 2), st.integers(6, 12)))
+# a square pierced by a rectangle, as in hopf.path, whose arms pass at
+# distance 4 (a collision) to 6 from the square's plane
+_pierced = st.builds(
+    lambda w, lo, hi: (_square(10), _rectangle(5, 5 + w, 5, -lo, hi)),
+    st.integers(10, 11), st.integers(4, 6), st.integers(4, 6),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_apart | _pierced)
+def test_link_box_marks_are_the_walked_faces_of_two_rectangles(paths):
+    _assert_marks_are_walked(list(paths))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_closed_walks() | _closed_walks(scale=5))
+def test_link_box_marks_are_the_walked_faces_of_closed_walks(text):
+    try:
+        paths = parse_lattice_paths(text)
+    except BuildError:  # a walk that meets itself or has no area
+        return
+    _assert_marks_are_walked(paths)
+
+
 def test_surface_shell_structure():
     M = surface_shell(2)
     assert euler_characteristic(M.complex) == 2 - 2 * 2  # chi(surface x interval)
@@ -281,7 +384,12 @@ def test_corpus_size_and_names_unique():
 
 
 def test_lattice_path_validation_direct():
-    with pytest.raises(BuildError):
-        LatticePath(((0, 0, 0),), closed=True)
-    with pytest.raises(BuildError):
-        LatticePath(((0, 0, 0), (1, 0, 0), (0, 0, 0)), closed=False)
+    with pytest.raises(BuildError, match="lattice path too short"):
+        LatticePath(((0, 0, 0),))
+    with pytest.raises(BuildError, match="lattice path too short"):
+        LatticePath(((0, 0, 0), (1, 0, 0), (0, 0, 0)))
+    with pytest.raises(BuildError, match="lattice path repeats a vertex"):
+        LatticePath(((0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 0, 0)))
+    # the step from the last point back to the first is checked too
+    with pytest.raises(BuildError, match=re.escape("non-unit step (1, 2, 0) -> (0, 0, 0)")):
+        LatticePath(((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)))

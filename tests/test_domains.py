@@ -136,8 +136,8 @@ def test_intersection_pairing_rejects_foreign_edges_and_non_cycles():
 
 def test_each_boundary_component_is_oriented_once():
     # shell: two spheres; handlebody(2): one genus-2 surface; the unknot
-    # box: a sphere and a torus, which lattice_link_complement's own check
-    # orients, so the count starts before the build.  Each component is
+    # box: a sphere and a torus, which lattice_link_complement orients to
+    # read their genera, so the count starts before the build.  Each component is
     # also checked to be a closed surface once.
     for build in (shell, lambda: handlebody(2), lambda: unknot_box().complex):
         before = orient_surface.cache_info().misses
