@@ -46,7 +46,7 @@ from .domains import (
     kernel_of_boundary_inclusion,
     lagrangian_obstruction,
 )
-from .exact_linalg import IntegerMatrix, SmithDecomposition, smith_normal_form
+from .exact_linalg import IntegerMatrix, smith_normal_form
 from .groups import (
     GroupPresentation,
     MagnusSeries,

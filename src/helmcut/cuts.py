@@ -200,23 +200,15 @@ def _cut(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> CutRes
 # -- relative classes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelativeClassData:
-    matrix: IntegerMatrix  # columns: [Sigma_i]; rows: free basis of H2(K, dK)
-    rank: int
-
-
 def _relative_classes(
     KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]
-) -> RelativeClassData:
+) -> tuple[tuple[int, ...], ...]:
+    """The classes [Sigma_i] in H2(K, dK): one column per surface, one row
+    per free generator of H2(K, dK)."""
     bd = boundary_subcomplex(KC)
     H = homology_of_pair(KC, bd)
-    chains = [orient_surface(S) for S in surfaces]
-    cols = [H.class_coords(chain, 2)[0] for chain in chains]
-    rows = H.betti(2)
-    Mx = IntegerMatrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
-    rank = smith_normal_form(Mx).rank if rows and cols else 0
-    return RelativeClassData(Mx, rank)
+    cols = [H.class_coords(orient_surface(S), 2)[0] for S in surfaces]
+    return tuple(tuple(c[i] for c in cols) for i in range(H.betti(2)))
 
 
 # -- classification --------------------------------------------------------
@@ -230,7 +222,8 @@ class CutVerdict:
     is_helmholtz_cut_system: bool
     is_weak_cut_system: bool
     is_minimal_weak: bool
-    relative_class_matrix: IntegerMatrix
+    # rows: free basis of H2(K, dK); columns: the classes [Sigma_i]
+    relative_class_matrix: tuple[tuple[int, ...], ...]
     relative_class_rank: int
 
     @property
@@ -249,7 +242,7 @@ class CutVerdict:
             "is_helmholtz_cut_system": self.is_helmholtz_cut_system,
             "is_weak_cut_system": self.is_weak_cut_system,
             "is_minimal_weak": self.is_minimal_weak,
-            "relative_class_matrix": self.relative_class_matrix.to_lists(),
+            "relative_class_matrix": [list(r) for r in self.relative_class_matrix],
             "relative_class_rank": self.relative_class_rank,
         }
 
@@ -268,6 +261,9 @@ def classify_cut_system(K, F: SurfaceSystem) -> CutVerdict:
 
 def _classify(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> CutVerdict:
     rel = _relative_classes(KC, surfaces)
+    rank = 0
+    if rel and surfaces:
+        rank = len(smith_normal_form(IntegerMatrix(len(rel), len(surfaces), rel)).diagonal)
     cut = _cut(KC, surfaces)
     betti = []
     beta4_vanishes = True
@@ -279,7 +275,7 @@ def _classify(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> C
             if pushed and not is_boundary_witness(KC, pushed).bounds:
                 beta4_vanishes = False
     b1 = homology_of(KC).betti(1)
-    weak_by_rank = rel.rank == b1
+    weak_by_rank = rank == b1
     if weak_by_rank != beta4_vanishes:
         raise InternalConsistencyError(
             "relative-class rank criterion and direct component-H1 check disagree"
@@ -293,8 +289,8 @@ def _classify(KC: SimplicialComplex, surfaces: Sequence[SimplicialComplex]) -> C
         helmholtz,
         weak_by_rank,
         minimal,
-        rel.matrix,
-        rel.rank,
+        rel,
+        rank,
     )
 
 

@@ -233,16 +233,10 @@ def _strand_ends(
     return ends
 
 
-@dataclass(frozen=True)
-class SurfaceFormData:
-    generators: tuple[Chain, ...]          # basis cycles of H1 of the surface
-    matrix: IntegerMatrix                  # pairing matrix on that basis
-
-
 @derived
-def intersection_form(S: SimplicialComplex) -> SurfaceFormData:
+def intersection_form(S: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """Pairing matrix of the intersection form on H1 of a closed oriented
-    connected surface, on the homology basis fixed by homology_of.
+    connected surface, on the basis homology_of(S).free_generators(1).
 
     Consistency requirements (skew-symmetry, unimodularity) are enforced.
     """
@@ -252,12 +246,11 @@ def intersection_form(S: SimplicialComplex) -> SurfaceFormData:
     # each generator's strand ends are read once, for its row and its column
     ends = [_strand_ends(fans, z) for z in gens]
     M = [[_pairing(z, ze, w, we) for w, we in zip(gens, ends)] for z, ze in zip(gens, ends)]
-    mat = IntegerMatrix(n, n, M)
     if any(M[i][j] != -M[j][i] for i in range(n) for j in range(n)):
         raise InternalConsistencyError("intersection form is not skew-symmetric")
-    if n and smith_normal_form(mat).diagonal != (1,) * n:
+    if n and smith_normal_form(IntegerMatrix(n, n, M)).diagonal != (1,) * n:
         raise InternalConsistencyError("intersection form is not unimodular")
-    return SurfaceFormData(tuple(gens), mat)
+    return tuple(map(tuple, M))
 
 
 # -- kernel of the boundary inclusion --------------------------------------
@@ -302,10 +295,8 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
         rows.append([c[0][i] for c in cols] + [0] * nt)
     for i, d in enumerate(tors):
         rows.append([c[1][i] for c in cols] + [d if j == i else 0 for j in range(nt)])
-    A = IntegerMatrix(len(rows), m + nt, rows) if rows else IntegerMatrix(0, m + nt, [])
-    snf = smith_normal_form(A)
-    V = snf.V.to_lists()
-    kernel_coords = [tuple(V[i][j] for i in range(m)) for j in range(snf.rank, m + nt)]
+    snf = smith_normal_form(IntegerMatrix(len(rows), m + nt, rows))
+    kernel_coords = [tuple(r[j] for r in snf.V[:m]) for j in range(len(snf.diagonal), m + nt)]
     if len(kernel_coords) != sum(info.genus_list):
         raise InternalConsistencyError(
             f"kernel rank {len(kernel_coords)} != total boundary genus {sum(info.genus_list)}"
@@ -367,7 +358,7 @@ def lagrangian_obstruction(K) -> LagrangianReport:
     verdicts = []
     for j, (S, P) in enumerate(zip(data.components, data.projections)):
         # P B P^T, read in row order: the first pair (u, v) with <u, v> != 0
-        pairings = matmul(matmul(P, intersection_form(S).matrix.to_lists()), list(zip(*P)))
+        pairings = matmul(matmul(P, intersection_form(S)), list(zip(*P)))
         witness = next(
             ((u, v, val) for u, row in zip(P, pairings) for v, val in zip(P, row) if val), None
         )

@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: matrices and Smith normal form.
+"""Exact integer linear algebra on lists of integer rows: the product
+`matmul` and the Smith normal form.
 
 Everything here uses Python's arbitrary-precision integers; no floating
 point.  The Smith normal form uses smallest-nonzero-absolute-value pivoting
@@ -7,12 +8,12 @@ with (row, col) index tiebreak, so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class IntegerMatrix:
-    """Immutable dense integer matrix."""
+    """A dense integer matrix, checked entry by entry, as the Smith normal
+    form takes it: its width survives when it has no rows."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -30,43 +31,6 @@ class IntegerMatrix:
         self.cols = cols
         self.entries = tuple(ent)
 
-    @staticmethod
-    def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry {ij} out of bounds")
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntegerMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        if not other.rows:  # matmul reads the column count from a row of other
-            return IntegerMatrix(self.rows, other.cols, [[0] * other.cols] * self.rows)
-        return IntegerMatrix(self.rows, other.cols, matmul(self.to_lists(), other.to_lists()))
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows, [list(c) for c in zip(*self.entries)] if self.rows and self.cols else [[] for _ in range(self.cols)])
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({self.rows}x{self.cols})"
-
 
 def matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     n = len(A)
@@ -83,33 +47,28 @@ def matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ M @ V == D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+class SmithDecomposition(NamedTuple):
+    """U M V is the m x n matrix with `diagonal` leading and zeros elsewhere;
+    U, V are unimodular with inverses U_inv, V_inv.  `diagonal` holds the
+    nonzero invariant factors d_i > 0, d_i | d_{i+1}, so the rank is its
+    length."""
 
-    D: IntegerMatrix
-    U: IntegerMatrix
-    V: IntegerMatrix
-    U_inv: IntegerMatrix
-    V_inv: IntegerMatrix
+    diagonal: tuple[int, ...]
+    U: list[list[int]]
+    V: list[list[int]]
+    U_inv: list[list[int]]
+    V_inv: list[list[int]]
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for i in range(min(self.D.rows, self.D.cols)) if self.D[i, i] != 0)
 
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        n = min(self.D.rows, self.D.cols)
-        return tuple(self.D[i, i] for i in range(n))
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
     m, n = M.rows, M.cols
-    D = M.to_lists()
-    U = IntegerMatrix.identity(m).to_lists()
-    Ui = IntegerMatrix.identity(m).to_lists()
-    V = IntegerMatrix.identity(n).to_lists()
-    Vi = IntegerMatrix.identity(n).to_lists()
+    D = [list(r) for r in M.entries]
+    U, Ui = _identity(m), _identity(m)
+    V, Vi = _identity(n), _identity(n)
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -213,10 +172,4 @@ def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
         if D[t][t] < 0:
             negate_row(t)
         t += 1
-    return SmithDecomposition(
-        IntegerMatrix(m, n, D),
-        IntegerMatrix(m, m, U),
-        IntegerMatrix(n, n, V),
-        IntegerMatrix(m, m, Ui),
-        IntegerMatrix(n, n, Vi),
-    )
+    return SmithDecomposition(tuple(D[i][i] for i in range(t)), U, V, Ui, Vi)

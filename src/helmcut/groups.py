@@ -86,12 +86,8 @@ def abelianize(P: GroupPresentation) -> HomologyGroup:
         for g, e in rel:
             row[idx[g]] += e
         rows.append(row)
-    if not rows:
-        return HomologyGroup(len(P.generators), ())
-    snf = smith_normal_form(IntegerMatrix(len(rows), len(P.generators), rows))
-    torsion = tuple(d for d in snf.diagonal if d > 1)
-    rank = len(P.generators) - snf.rank
-    return HomologyGroup(rank, torsion)
+    d = smith_normal_form(IntegerMatrix(len(rows), len(P.generators), rows)).diagonal
+    return HomologyGroup(len(P.generators) - len(d), tuple(x for x in d if x > 1))
 
 
 def longitude_words(D: LinkDiagram) -> tuple[Word, ...]:

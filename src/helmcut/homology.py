@@ -72,25 +72,23 @@ class _DimData:
         self.index = {c: i for i, c in enumerate(cells)}
         A = _boundary_matrix(cells_prev, cells, boundary_of)
         snfA = smith_normal_form(IntegerMatrix(len(cells_prev), len(cells), A))
-        r = snfA.rank
-        Vi = snfA.V_inv.to_lists()
-        self.cycle_rows = Vi[:r]
-        kernel_rows = Vi[r:]
+        r = len(snfA.diagonal)
+        self.cycle_rows = snfA.V_inv[:r]
+        kernel_rows = snfA.V_inv[r:]
         k = len(kernel_rows)
         Bp = matmul(kernel_rows, _boundary_matrix(cells, cells_next, boundary_of))
         snfB = smith_normal_form(IntegerMatrix(k, len(cells_next), Bp))
-        self.r2 = snfB.rank
-        self.d = snfB.diagonal[: self.r2]
+        self.d = snfB.diagonal
+        self.r2 = len(self.d)
         self.group = HomologyGroup(k - self.r2, tuple(d for d in self.d if d > 1))
-        self.coord_rows = matmul(snfB.U.to_lists(), kernel_rows)
+        self.coord_rows = matmul(snfB.U, kernel_rows)
         positions = [i for i in range(self.r2) if self.d[i] > 1] + list(range(self.r2, k))
-        Ui_cols = snfB.U_inv.transpose().to_lists()
-        kernel_basis = snfA.V.transpose().to_lists()[r:]
+        kernel_basis = [list(c) for c in zip(*snfA.V)][r:]
         self.gens_residual: list[Chain] = [
             {c: v for c, v in zip(cells, vec) if v}
-            for vec in matmul([Ui_cols[p] for p in positions], kernel_basis)
+            for vec in matmul([[row[p] for row in snfB.U_inv] for p in positions], kernel_basis)
         ]
-        self.bounding_cols = [row[: self.r2] for row in snfB.V.to_lists()]
+        self.bounding_cols = [row[: self.r2] for row in snfB.V]
 
     def homology_coords(self, res_chain: Chain) -> list[int]:
         """Coordinates y (length k) of a residual cycle, in the SNF basis."""

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +95,28 @@ def test_link_commands(capsys):
     assert code == 0 and json.loads(out)["genus"] == 1
     code, out, _ = run_capture(capsys, "link-verdict", "--pd", "hopf")
     assert code == 0 and json.loads(out)["weakly_helmholtz"] == "no"
+
+
+def run_module(module, *argv):
+    """Run `python -m module argv` with the package on PYTHONPATH, as src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+@pytest.mark.parametrize("module", ["helmcut", "helmcut.cli"])
+def test_module_form_runs_the_cli(capsys, module):
+    code, out, err = run_capture(capsys, "homology", "--preset", "ball")
+    p = run_module(module, "homology", "--preset", "ball")
+    assert (p.returncode, p.stdout, p.stderr) == (code, out, err) == (0, out, "")
+    # bad input exits 2 with one stderr line, as the console script does
+    p = run_module(module, "link-verdict", "--pd", "hopf", "--mubar-length", "1")
+    assert p.returncode == 2 and p.stdout == "" and len(p.stderr.splitlines()) == 1
 
 
 def test_input_file_and_output_file(tmp_path, capsys):

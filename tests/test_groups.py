@@ -48,6 +48,8 @@ def test_abelianizations():
     assert str(abelianize(wirtinger(diagram("hopf")))) == "Z + Z"
     assert str(abelianize(wirtinger(diagram("whitehead")))) == "Z + Z"
     assert str(abelianize(GroupPresentation((1,), (((1, 1), (1, 1)),)))) == "Z/2"
+    # no relators: the Smith form of a matrix with no rows and two columns
+    assert str(abelianize(GroupPresentation((1, 2), ()))) == "Z + Z"
     # abelianize(wirtinger) = Z^components on the whole corpus
     from helmcut.links import diagram_names
 
