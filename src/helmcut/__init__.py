@@ -7,7 +7,6 @@ from .complexes import (
     MarkedComplex,
     NotADomainError,
     SimplicialComplex,
-    SurfaceInfo,
     boundary_subcomplex,
     build_complex,
     connected_components,
@@ -40,7 +39,6 @@ from .domains import (
     DomainReport,
     LagrangianReport,
     analyze_domain,
-    corank_bounds,
     intersection_form,
     is_simple,
     kernel_of_boundary_inclusion,

@@ -160,8 +160,7 @@ def shell() -> SimplicialComplex:
 def surface_shell(g: int) -> MarkedComplex:
     """(closed genus-g surface) x [0,1]."""
     surface = boundary_subcomplex(handlebody(g))
-    info = surface_info(surface)
-    if info.component_count != 1 or info.genus_list != (g,):
+    if surface_info(surface) != (g,):
         raise BuildError("handlebody boundary is not the expected surface")
     return product_with_interval(surface)
 
@@ -280,8 +279,8 @@ def lattice_link_complement(paths: Sequence[LatticePath]) -> MarkedComplex:
     # each boundary component and its genus, by its smallest vertex: the
     # root that vertex_roots gives every vertex of the component
     surfaces = {
-        S.vertices[0]: (S, info.genus)
-        for S, info in zip(connected_components(bd), surface_info(bd).components)
+        S.vertices[0]: (S, genus)
+        for S, genus in zip(connected_components(bd), surface_info(bd))
     }
     roots = [vertex_roots(bd).get(v) for v in anchors.values()]
     if set(roots) != surfaces.keys() or len(roots) != len(surfaces):

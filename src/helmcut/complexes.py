@@ -11,7 +11,6 @@ import bisect
 import functools
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -338,30 +337,6 @@ def push_cycle(cycle: Mapping[Simplex, int], vertex_map: Mapping[int, int]) -> d
 # -- closed surfaces -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceComponentInfo:
-    euler_characteristic: int
-    orientable: bool
-    genus: int | None  # (2 - chi) / 2 for orientable components, else None
-
-
-@dataclass(frozen=True)
-class SurfaceInfo:
-    components: tuple[SurfaceComponentInfo, ...]
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-    @property
-    def orientable(self) -> bool:
-        return all(c.orientable for c in self.components)
-
-    @property
-    def genus_list(self) -> tuple[int | None, ...]:
-        return tuple(c.genus for c in self.components)
-
-
 @derived
 def _check_closed_surface(S: SimplicialComplex) -> array:
     """Raise ComplexError unless S is a closed surface: no tetrahedra, two
@@ -445,20 +420,20 @@ def orient_surface(S: SimplicialComplex) -> dict[Simplex, int] | None:
 
 
 @derived
-def surface_info(S: SimplicialComplex) -> SurfaceInfo:
-    """Per-component Euler characteristic, orientability and genus."""
-    infos = []
+def surface_info(S: SimplicialComplex) -> tuple[int | None, ...]:
+    """The genus of each component of a closed surface, in the order of
+    connected_components(S); None for a non-orientable component."""
+    genera = []
     for comp in connected_components(S):
         _check_closed_surface(comp)
         chi = euler_characteristic(comp)
-        orientable = orient_surface(comp) is not None
         genus: int | None = None
-        if orientable:
+        if orient_surface(comp) is not None:
             if chi % 2:
                 raise ComplexError("odd Euler characteristic on an orientable closed surface")
             genus = (2 - chi) // 2
-        infos.append(SurfaceComponentInfo(chi, orientable, genus))
-    return SurfaceInfo(tuple(infos))
+        genera.append(genus)
+    return tuple(genera)
 
 
 # -- domains ---------------------------------------------------------------
@@ -542,11 +517,6 @@ class MarkedComplex:
             name: tuple(sorted(tuple(sorted(s)) for s in gens))
             for name, gens in marks.items()
         }
-
-    def mark(self, name: str) -> SimplicialComplex:
-        if name not in self.marks:
-            raise ComplexError(f"unknown marked subcomplex: {name!r}")
-        return self.complex.subcomplex(self.marks[name])
 
 
 def product_with_interval(S: SimplicialComplex) -> MarkedComplex:

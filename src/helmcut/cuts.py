@@ -3,9 +3,11 @@
 A surface system lives in a domain complex K, one that passes
 complexes.check_domain (see helmcut.domains); every entry point here runs
 that check first.  A surface system in K is a finite family of disjoint,
-connected, two-sided, properly embedded surfaces; K is orientable, and in
-an orientable K a properly embedded surface is two-sided exactly when it
-is orientable, so sidedness is read from the surface's own orientation.
+connected, two-sided, properly embedded surfaces.  A surface has one or
+two triangles on every edge and a connected link, one arc or one circle,
+at every vertex.  K is orientable, and in an orientable K a properly
+embedded surface is two-sided exactly when it is orientable, so sidedness
+is read from the surface's own orientation.
 Cutting K along the system is realized combinatorially in a derived
 subdivision K'' of K near the surfaces S (Rourke-Sanderson, Introduction
 to PL topology, ch. 3, derived neighbourhoods): star each simplex of K
@@ -114,6 +116,23 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
         for e, c in zip(S.simplices(1), counts):
             if not 1 <= c <= 2:
                 raise SurfaceSystemError("non-surface", f"edge {e} of {name} has {c} triangles")
+        # so the link of each vertex is arcs and circles: it is one of them
+        # iff a walk from a rim edge at the vertex (any edge, if none is on
+        # the rim), each step through a triangle other than the last one,
+        # meets every edge at the vertex
+        faces, s_tris = s_index.faces[2], S.simplices(2)
+        for p, (v,) in enumerate(S.simplices(0)):
+            edges = s_index.cofaces_of(0, p)
+            e = first = next((q for q in edges if counts[q] == 1), edges[0])
+            t, met = -1, 1
+            while (t := next((u for u in s_index.cofaces_of(1, e) if u != t), -1)) >= 0:
+                f = faces[3 * t:3 * t + 3]
+                e = sum(f) - e - f[s_tris[t].index(v)]
+                if e == first:
+                    break
+                met += 1
+            if met != len(edges):
+                raise SurfaceSystemError("non-surface", f"link of vertex {v} of {name} is not connected")
         for e, c in zip(S.simplices(1), counts):
             if c == 1 and e not in bd_edges:
                 raise SurfaceSystemError(
@@ -225,14 +244,6 @@ class CutVerdict:
     # rows: free basis of H2(K, dK); columns: the classes [Sigma_i]
     relative_class_matrix: tuple[tuple[int, ...], ...]
     relative_class_rank: int
-
-    @property
-    def independent(self) -> bool:
-        return self.relative_class_rank == self.system_size
-
-    @property
-    def cut_connected(self) -> bool:
-        return self.component_count == 1
 
     def to_json(self) -> dict:
         return {

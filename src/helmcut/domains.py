@@ -10,8 +10,8 @@ Its docstring says what it misses.
 
 This module computes the boundary decomposition, the standard numerical
 identities, the kernel of the boundary inclusion on first homology, the
-skew intersection form on each boundary surface, the Lagrangian
-obstruction, and corank bounds.
+skew intersection form on each boundary surface, and the Lagrangian
+obstruction.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .complexes import (
     orient_surface,
     surface_info,
 )
-from .cuts import classify_cut_system
 from .exact_linalg import IntegerMatrix, matmul, smith_normal_form
 from .homology import (
     Chain,
@@ -91,8 +90,7 @@ def analyze_domain(K) -> DomainReport:
     groups = homology_groups(K)
     betti = tuple(g.rank for g in groups)
     chi = euler_characteristic(K)
-    info = surface_info(boundary_subcomplex(K))
-    genus_list = info.genus_list
+    genus_list = surface_info(boundary_subcomplex(K))
     b1_bd = sum(homology_of(S).betti(1) for S in boundary_components(K))
     torsion_free = all(not g.torsion for g in groups)
     h1 = len(genus_list)
@@ -139,10 +137,8 @@ def is_simple(K) -> SimplicityReport:
     is a gradient); simple domains have b2 = h and spherical boundary."""
     K = as_domain(K)
     H = homology_of(K)
-    info = surface_info(boundary_subcomplex(K))
-    report = SimplicityReport(
-        H.betti(1) == 0, H.betti(1), H.betti(2), info.component_count, info.genus_list
-    )
+    genus_list = surface_info(boundary_subcomplex(K))
+    report = SimplicityReport(H.betti(1) == 0, H.betti(1), H.betti(2), len(genus_list), genus_list)
     if report.simple and not report.profile_consistent:
         raise InternalConsistencyError("simple domain with non-simple profile")
     return report
@@ -275,7 +271,7 @@ def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
 @derived
 def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
     comps = boundary_components(K)
-    info = surface_info(boundary_subcomplex(K))
+    genus_list = surface_info(boundary_subcomplex(K))
     gens: list[Chain] = []
     slices: list[tuple[int, int]] = []  # generator index range per component
     for S in comps:
@@ -297,15 +293,15 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
         rows.append([c[1][i] for c in cols] + [d if j == i else 0 for j in range(nt)])
     snf = smith_normal_form(IntegerMatrix(len(rows), m + nt, rows))
     kernel_coords = [tuple(r[j] for r in snf.V[:m]) for j in range(len(snf.diagonal), m + nt)]
-    if len(kernel_coords) != sum(info.genus_list):
+    if len(kernel_coords) != sum(genus_list):
         raise InternalConsistencyError(
-            f"kernel rank {len(kernel_coords)} != total boundary genus {sum(info.genus_list)}"
+            f"kernel rank {len(kernel_coords)} != total boundary genus {sum(genus_list)}"
         )
     projections = tuple(
         tuple(vec[start:stop] for vec in kernel_coords if any(vec[start:stop]))
         for start, stop in slices
     )
-    return BoundaryKernelData(comps, info.genus_list, tuple(kernel_coords), projections)
+    return BoundaryKernelData(comps, genus_list, tuple(kernel_coords), projections)
 
 
 # -- Lagrangian obstruction ------------------------------------------------
@@ -365,21 +361,3 @@ def lagrangian_obstruction(K) -> LagrangianReport:
         verdicts.append(LagrangianVerdict(j, witness is None, witness))
     return LagrangianReport(tuple(verdicts), not all(v.lagrangian for v in verdicts))
 
-
-# -- corank bounds ---------------------------------------------------------
-
-
-def corank_bounds(K, system=None) -> tuple[int, int]:
-    """(lower, upper) bounds for the corank of the fundamental group.
-
-    upper = b1.  lower = size of the exhibited surface system when the cut
-    engine verifies it as independent and non-disconnecting, else 0.  The
-    exact corank is not computed.
-    """
-    upper = homology_of(as_domain(K)).betti(1)
-    lower = 0
-    if system is not None:
-        cls = classify_cut_system(K, system)
-        if cls.independent and cls.cut_connected:
-            lower = min(cls.system_size, upper)
-    return lower, upper

@@ -10,7 +10,8 @@ and its dual.  The rest is shrunk by exact chain-complex reductions
 Smith normal form.  Each degree's basis is fixed once per complex and
 reused by every caller, so class coordinates are stable: it is read
 once into coordinate rows, generator chains lifted into K once, and
-witness columns (see _DimData).
+witness columns (see _DimData).  Classes and bounding chains are read in
+degrees 1..3 only; H0 is read off the roots.
 """
 
 from __future__ import annotations
@@ -127,16 +128,14 @@ class ComplexHomology:
     kept.
 
     The root of each component that does not meet `dropped` (see the
-    module docstring) is left out of the cells too; degree 0 comes from
-    the roots, and a 0-chain's class is its sum on each rooted component.
+    module docstring) is left out of the cells too, and degree 0 comes
+    from the roots.
     """
 
     def __init__(self, K: SimplicialComplex, dropped: Collection[Simplex]):
         root = vertex_roots(K)
         met = {root[s[0]] for s in dropped if len(s) == 1}
         self.roots: list[int] = [v for v, r in root.items() if v == r and r not in met]
-        self._root_of = root
-        self._root_index = {r: i for i, r in enumerate(self.roots)}
         # the layers, not K: a value derived from K must not refer back to it
         self._layers = tuple(K.simplices(d) for d in range(4))
         self._offsets = [0, *accumulate(len(layer) for layer in self._layers[:3])]
@@ -180,18 +179,6 @@ class ComplexHomology:
     def betti(self, n: int) -> int:
         return self.group(n).rank
 
-    def _to_ids(self, chain: Mapping) -> Chain:
-        """The chain renumbered; root vertices are not cells and drop out."""
-        out: Chain = {}
-        for c, v in chain.items():
-            if v:
-                i = self._cell(c)
-                if i is not None:
-                    out[i] = v
-                elif len(c) != 1 or c[0] not in self._root_index:
-                    raise ComplexError(f"cell not in complex: {c}")
-        return out
-
     def _to_cells(self, chain: Chain) -> Chain:
         out: Chain = {}
         for i, v in chain.items():
@@ -203,9 +190,15 @@ class ComplexHomology:
         """The chain renumbered, once checked to be a (relative) n-cycle:
         its simplices have n + 1 vertices, and its boundary in K may only
         have faces outside the cells."""
-        if not 0 <= n <= 3 or any(len(c) != n + 1 for c in chain):
-            raise ComplexError(f"chain is not a {n}-chain of a complex of dimension at most 3")
-        ids = self._to_ids(chain)
+        if not 1 <= n <= 3 or any(len(c) != n + 1 for c in chain):
+            raise ComplexError(f"chain is not a {n}-chain with 1 <= {n} <= 3")
+        ids: Chain = {}
+        for c, v in chain.items():
+            if v:
+                i = self._cell(c)
+                if i is None:
+                    raise ComplexError(f"cell not in complex: {c}")
+                ids[i] = v
         if any(self._cell(f) is not None for f in chain_boundary(chain)):
             raise NotACycleError("chain has nonzero boundary")
         return ids
@@ -226,17 +219,8 @@ class ComplexHomology:
         return self.generators(n)[len(self.group(n).torsion):]
 
     def class_coords(self, chain: Mapping, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(free coordinates, torsion residues) of a cycle's homology class;
-        in degree 0 the coefficient sum on each rooted component."""
+        """(free coordinates, torsion residues) of a cycle's homology class."""
         ids = self._cycle_ids(chain, n)
-        if n == 0:
-            sums = [0] * len(self.roots)
-            for c, v in chain.items():
-                if v:
-                    i = self._root_index.get(self._root_of[c[0]])
-                    if i is not None:
-                        sums[i] += v
-            return tuple(sums), ()
         d = self.dims[n]
         y = d.homology_coords(self.reduced.project(ids, n))
         free = tuple(y[d.r2:])
@@ -245,10 +229,7 @@ class ComplexHomology:
 
     def solve_boundary(self, chain: Mapping, n: int):
         """Return a (n+1)-chain w with dw = chain, or None if the class is
-        nonzero.  In degree 0, w solves the problem relative to the roots,
-        which is checked to solve it outright."""
-        if n == 0 and any(self.class_coords(chain, 0)[0]):
-            return None
+        nonzero."""
         ids = self._cycle_ids(chain, n)
         d = self.dims[n]
         proj, hchain = self.reduced.project_with_homotopy(ids, n)
@@ -260,14 +241,7 @@ class ComplexHomology:
         res_w = {c: v for c, row in zip(cells_next, d.bounding_cols) if (v := _dot(row, coeffs))}
         witness = self.reduced.include(res_w, n + 1)
         add_scaled(witness, hchain, 1)
-        w = self._to_cells(witness)
-        if n == 0:
-            # dw - chain may only have faces in dropped: no cells, no roots
-            rest = chain_boundary(w)
-            add_scaled(rest, chain, -1)
-            if any(self._cell(f) is not None or f[0] in self._root_index for f in rest):
-                raise InternalConsistencyError("degree-0 boundary lift failed")
-        return w
+        return self._to_cells(witness)
 
 
 # -- factories -------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helmcut import groups
-from helmcut.builders import preset
+from helmcut.builders import encode_point, preset
 from helmcut.cli import run
 from helmcut.complexes import (
     MarkedComplex,
@@ -27,6 +27,7 @@ from test_cuts import (
     WHISKER,
     meridian_disk_with_whisker,
     pinched_disk,
+    section_and_cone,
     solid_klein_bottle,
 )
 from test_domains import cone_over_torus, punctured_rp2_x_s1
@@ -274,6 +275,16 @@ def test_surface_pinched_to_the_boundary_exits_2_with_one_line(tmp_path, capsys,
     code, out, err = run_capture(capsys, command, "--input", str(bad))
     assert (code, out) == (2, "")
     assert err == f"error: boundary-leak: interior vertex {PINCH} of disk lies on the domain boundary\n"
+
+
+@pytest.mark.parametrize("command", ["cut", "classify-cuts"])
+def test_surface_pinched_at_a_vertex_exits_2_with_one_line(tmp_path, capsys, command):
+    K, section, cone = section_and_cone()
+    bad = tmp_path / "pinched-mark.json"
+    bad.write_text(json.dumps(marked_complex_to_json(MarkedComplex(K, {"m": section + cone}))))
+    code, out, err = run_capture(capsys, command, "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: non-surface: link of vertex {encode_point((2, 2, 1))} of m is not connected\n"
 
 
 @pytest.mark.parametrize("command", ["cut", "classify-cuts"])

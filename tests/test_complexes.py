@@ -84,9 +84,7 @@ def test_boundary_squares_to_zero():
 def test_boundary_subcomplex_of_tetrahedron_is_sphere():
     K = build_complex([(0, 1, 2, 3)])
     S = boundary_subcomplex(K)
-    info = surface_info(S)
-    assert info.component_count == 1
-    assert info.genus_list == (0,)
+    assert surface_info(S) == (0,)
     assert is_pure_3(K)
     # a simplex of lower dimension that is no face of a tetrahedron
     for extra in [(3, 4), (2, 3, 4), (5,)]:
@@ -209,19 +207,27 @@ def test_push_cycle_collapses_degenerate_edges():
 
 
 def test_surface_info_torus():
-    info = surface_info(build_complex(TORUS7))
-    assert info.component_count == 1
-    assert info.orientable
-    assert info.genus_list == (1,)
+    assert surface_info(build_complex(TORUS7)) == (1,)
     assert orient_surface(build_complex(TORUS7)) is not None
 
 
 def test_surface_info_projective_plane_nonorientable():
     S = build_complex(RP2_6)
-    info = surface_info(S)
-    assert info.component_count == 1
-    assert not info.orientable
+    assert surface_info(S) == (None,)
     assert orient_surface(S) is None
+
+
+def test_surface_info_follows_the_order_of_connected_components():
+    # torus, sphere and RP2 relabelled apart: one genus per component, in
+    # the order of connected_components, which lattice_link_complement
+    # zips the genera with
+    sphere = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    parts = [(TORUS7, 0), (sphere, 10), (RP2_6, 20)]
+    S = build_complex([tuple(v + shift for v in t) for tris, shift in parts for t in tris])
+    assert surface_info(S) == (1, 0, None)
+    comps = connected_components(S)
+    assert [euler_characteristic(c) for c in comps] == [0, 2, 1]
+    assert tuple(surface_info(c)[0] for c in comps) == (1, 0, None)
 
 
 def test_orient_surface_orients_the_tetrahedra_of_a_3_complex():
@@ -275,8 +281,8 @@ def test_product_with_interval_marks():
     S = build_complex(TORUS7)
     M = product_with_interval(S)
     assert set(M.marks) == {"bottom", "top"}
-    bottom = M.mark("bottom")
-    assert surface_info(bottom).genus_list == (1,)
+    bottom = M.complex.subcomplex(M.marks["bottom"])
+    assert surface_info(bottom) == (1,)
     assert is_pure_3(M.complex)
 
 

@@ -3,7 +3,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helmcut.builders import ball, cubes_to_complex, preset, preset_names, square_face_triangles
+from helmcut.builders import (
+    ball,
+    cubes_to_complex,
+    encode_point,
+    preset,
+    preset_names,
+    square_face_triangles,
+)
 from helmcut.complexes import (
     ComplexError,
     MarkedComplex,
@@ -142,6 +149,32 @@ def test_surface_touching_the_boundary_at_an_interior_vertex_leaks():
         validate_surface_system(M, surface_system_from_marks(M))
     assert e.value.diagnostic == "boundary-leak"
     assert str(e.value) == f"boundary-leak: interior vertex {PINCH} of disk lies on the domain boundary"
+
+
+def section_and_cone() -> tuple[SimplicialComplex, list, list]:
+    """The 4x4x2 block of unit cubes, its section z = 1, and the disk coned
+    from (2, 2, 1) to the unit square on the top face above it.  Each is a
+    properly embedded disk, and they share only the vertex (2, 2, 1)."""
+    K = cubes_to_complex([(x, y, z) for x in range(4) for y in range(4) for z in range(2)])
+    section = [t for x in range(4) for y in range(4) for t in square_face_triangles((x, y, 0), 2)]
+    square = [encode_point(p) for p in [(2, 2, 2), (3, 2, 2), (3, 3, 2), (2, 3, 2)]]
+    apex = encode_point((2, 2, 1))
+    cone = [tuple(sorted((apex, square[i - 1], square[i]))) for i in range(4)]
+    return K, section, cone
+
+
+def test_surface_pinched_at_a_vertex_is_not_a_surface():
+    # every edge passes the edge checks, but the link of the shared vertex
+    # is two circles; as two marks, the surfaces overlap there
+    K, section, cone = section_and_cone()
+    apex = encode_point((2, 2, 1))
+    with pytest.raises(SurfaceSystemError) as e:
+        classify_cut_system(K, SurfaceSystem(("m",), (tuple(section + cone),)))
+    assert str(e.value) == f"non-surface: link of vertex {apex} of m is not connected"
+    assert diagnostic_of(K, SurfaceSystem(("a", "b"), (tuple(section), tuple(cone)))) == "overlap"
+    for disk in (section, cone):
+        v = classify_cut_system(K, SurfaceSystem(("d",), (tuple(disk),)))
+        assert v.component_count == 2 and v.is_helmholtz_cut_system
 
 
 def grid_disk(symmetry):
@@ -361,13 +394,14 @@ def test_connectivity_vs_independence_equivalence():
     for name, _ in cases:
         M = preset(name)
         v = classify_cut_system(M, surface_system_from_marks(M))
-        lhs = v.cut_connected
-        rhs = v.independent and v.relative_class_rank == homology_of(M.complex).betti(1)
+        lhs = v.component_count == 1
+        rhs = (v.relative_class_rank == v.system_size
+               and v.relative_class_rank == homology_of(M.complex).betti(1))
         assert lhs == rhs, name
     # and the disconnecting direction
     M = two_cube_ball_with_disk()
     v = classify_cut_system(M, surface_system_from_marks(M))
-    assert (not v.independent) and (not v.cut_connected)
+    assert v.relative_class_rank != v.system_size and v.component_count != 1
 
 
 def test_mayer_vietoris_identity_on_handlebody_cuts():

@@ -26,7 +26,6 @@ from helmcut.domains import (
     NotADomainError,
     analyze_domain,
     boundary_components,
-    corank_bounds,
     intersection_form,
     intersection_pairing,
     is_simple,
@@ -185,8 +184,7 @@ def punctured_rp2_x_s1():
 )
 def test_pseudo_manifolds_and_non_orientable_manifolds_are_not_domains(build, message):
     K = build()
-    for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion, lagrangian_obstruction,
-                  corank_bounds):
+    for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion, lagrangian_obstruction):
         with pytest.raises(NotADomainError) as e:
             check(K)
         assert str(e.value) == message
@@ -222,7 +220,7 @@ def test_domain_check_passes_every_cube_domain(cubes):
 
 def test_disconnected_complex_is_not_a_domain():
     K = build_complex([(0, 1, 2, 3), (4, 5, 6, 7)])
-    for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion, corank_bounds):
+    for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion):
         with pytest.raises(NotADomainError, match="domain complex must be connected"):
             check(K)
 
@@ -263,16 +261,6 @@ def test_lagrangian_obstruction(name):
         # the witness is a pair of kernel classes with nonzero pairing
         assert v.witness is not None and v.witness[2] != 0
         assert rep.to_json()["certificate"] is not None
-
-
-def test_corank_bounds_examples():
-    M = preset("solid_torus_with_meridian_disk")
-    from helmcut.cuts import surface_system_from_marks
-
-    assert corank_bounds(M, surface_system_from_marks(M)) == (1, 1)
-    M2 = preset("trefoil_mapping_torus")
-    assert corank_bounds(M2, surface_system_from_marks(M2)) == (1, 1)
-    assert corank_bounds(preset("torus_shell")) == (0, 2)
 
 
 def test_surface_shell_not_simple_but_unobstructed_profile():
