@@ -56,6 +56,13 @@ def encode_point(p: Point) -> int:
     return ((x + _OFF) * _SPAN + (y + _OFF)) * _SPAN + (z + _OFF)
 
 
+def decode_point(label: int) -> Point:
+    """The lattice point that encode_point encodes as label."""
+    xy, z = divmod(label, _SPAN)
+    x, y = divmod(xy, _SPAN)
+    return (x - _OFF, y - _OFF, z - _OFF)
+
+
 # The 8 corners of a cube as offsets from its encoded min corner: corner
 # 4x + 2y + z is the min corner plus (x, y, z).
 _CORNERS = tuple((x * _SPAN + y) * _SPAN + z for x, y, z in product((0, 1), repeat=3))
@@ -237,7 +244,18 @@ def _dilate(cubes: set[Cube]) -> set[Cube]:
     return out
 
 
-def lattice_link_complement(paths: Sequence[LatticePath]) -> MarkedComplex:
+class LinkBox(MarkedComplex):
+    """The box-domain of a lattice link, made by lattice_link_complement,
+    with the link's components: the cores of its tubes, in mark order."""
+
+    __slots__ = ("cores",)
+
+    def __init__(self, complex, marks, cores: tuple[LatticePath, ...]):
+        super().__init__(complex, marks)
+        self.cores = cores
+
+
+def lattice_link_complement(paths: Sequence[LatticePath]) -> LinkBox:
     """Box-domain of a lattice link: a cube box minus tubes around each path.
 
     The tube around a path is the union of closed unit cubes touching it,
@@ -250,7 +268,7 @@ def lattice_link_complement(paths: Sequence[LatticePath]) -> MarkedComplex:
     a domain cube: it is less than the least cube of tube i, the collision
     check keeps it out of every other tube, and the box has a one-cube
     margin.  A boundary that does not split into these surfaces, one per
-    anchor, raises BuildError.
+    anchor, raises BuildError.  The paths are kept as the box's cores.
     """
     excluded = [_dilate(_path_cubes(path)) for path in paths]
     for i in range(len(excluded)):
@@ -291,7 +309,7 @@ def lattice_link_complement(paths: Sequence[LatticePath]) -> MarkedComplex:
     for i in range(len(paths)):
         if marks[f"tube_{i}"][1] != 1:
             raise BuildError(f"tube_{i} boundary is not a torus")
-    return MarkedComplex(K, {name: S.simplices(2) for name, (S, _) in marks.items()})
+    return LinkBox(K, {name: S.simplices(2) for name, (S, _) in marks.items()}, tuple(paths))
 
 
 def _load_paths(name: str) -> list[LatticePath]:
@@ -354,11 +372,11 @@ def _preset_torus_shell() -> MarkedComplex:
     return surface_shell(1)
 
 
-def _preset_trefoil_box() -> MarkedComplex:
+def _preset_trefoil_box() -> LinkBox:
     return lattice_link_complement(_load_paths("trefoil"))
 
 
-def _preset_hopf_box() -> MarkedComplex:
+def _preset_hopf_box() -> LinkBox:
     return lattice_link_complement(_load_paths("hopf"))
 
 
@@ -390,7 +408,7 @@ def preset(name: str) -> MarkedComplex:
     return _PRESETS[name]()
 
 
-def unknot_box() -> MarkedComplex:
+def unknot_box() -> LinkBox:
     """Box-domain of a square unknot (used by the extended domain corpus)."""
     square = LatticePath(
         tuple(

@@ -12,13 +12,39 @@ This module computes the boundary decomposition, the standard numerical
 identities, the kernel of the boundary inclusion on first homology, the
 skew intersection form on each boundary surface, and the Lagrangian
 obstruction.
+
+The homology of the domain itself comes by one of two routes.  In general
+it is homology_of(K), a reduction of the 3-dimensional complex.  A link
+box (builders.LinkBox: a lattice box minus open tubes around the n
+components of a lattice link, which it keeps as its cores) reads it off
+the link instead.  Alexander duality (Hatcher, "Algebraic Topology", 2002,
+Thm. 3.44) gives H~^(2-i)(K) = H~_i(S^3 - K), and S^3 - K, the n open
+tubes and the outside of the box (a ball), has the homology of n circles
+and a point.  So H^1(K) = H^2(K) = Z^n and H^3(K) = 0, and by universal
+coefficients H_*(K) = (Z, Z^n, Z^n, 0), torsion-free.  The duality is the
+linking pairing, perfect between H1(K) and H1(S^3 - K), which is free on
+the cores: a cycle's class in H1(K) = Z^n is its vector of linking
+numbers with the cores (Rolfsen, "Knots and Links", 1976, ch. 5).
+_linking_numbers counts them as signed crossings in one integer
+projection, and says why no crossing there is degenerate.  The n x m matrix of linking numbers of the m boundary
+generators must have rank n, or InternalConsistencyError; that ties
+b1 = b2 = n to the data, so identities (i)-(iii) of analyze_domain stay
+checks against chi(K) and the boundary's b1, while (iv) and (v) restate
+the theorem.  Homology of the boundary surfaces, their intersection
+forms, cuts and the homology command keep the reduction.
+
+The routes never share a memo entry: a LinkBox takes the linking route
+and its bare complex the reduction, in either order of calls.  They
+give the same Betti numbers and the same kernel lattice, in possibly
+different bases, so a Lagrangian witness may differ between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
+from .builders import LatticePath, LinkBox, decode_point
 from .complexes import (
     ComplexError,
     NotADomainError,  # raised by as_domain, and importable from here too
@@ -35,7 +61,7 @@ from .complexes import (
     orient_surface,
     surface_info,
 )
-from .exact_linalg import IntegerMatrix, matmul, smith_normal_form
+from .exact_linalg import IntegerMatrix, SmithDecomposition, matmul, smith_normal_form
 from .homology import (
     Chain,
     InternalConsistencyError,
@@ -77,6 +103,25 @@ class DomainReport:
         }
 
 
+def _cores(K) -> tuple[LatticePath, ...]:
+    """The cores of a link box, or () for any other input."""
+    return K.cores if isinstance(K, LinkBox) else ()
+
+
+def _homology_profile(
+    K: SimplicialComplex, cores: tuple[LatticePath, ...]
+) -> tuple[tuple[int, int, int, int], bool]:
+    """(Betti numbers, torsion-free) of a domain: for a link box from the
+    rank of its linking classes (see the module docstring), else from
+    homology_of(K)."""
+    if cores:
+        _linking_classes(K, cores)  # rank n, or InternalConsistencyError
+        n = len(cores)
+        return (1, n, n, 0), True
+    groups = homology_groups(K)
+    return tuple(g.rank for g in groups), all(not g.torsion for g in groups)
+
+
 def analyze_domain(K) -> DomainReport:
     """Numerical profile of a domain plus the standard identity checks:
 
@@ -85,14 +130,16 @@ def analyze_domain(K) -> DomainReport:
     (iii) b1(boundary) = 2 b1
     (iv)  homology torsion-free in all degrees
     (v)   b3 = 0
+
+    On a link box, (iv) and (v) restate Alexander duality (see the module
+    docstring).
     """
+    cores = _cores(K)
     K = as_domain(K)
-    groups = homology_groups(K)
-    betti = tuple(g.rank for g in groups)
+    betti, torsion_free = _homology_profile(K, cores)
     chi = euler_characteristic(K)
     genus_list = surface_info(boundary_subcomplex(K))
     b1_bd = sum(homology_of(S).betti(1) for S in boundary_components(K))
-    torsion_free = all(not g.torsion for g in groups)
     h1 = len(genus_list)
     checks = (
         ("chi_eq_1_minus_b1_plus_b2", chi == 1 - betti[1] + betti[2]),
@@ -135,10 +182,11 @@ class SimplicityReport:
 def is_simple(K) -> SimplicityReport:
     """A domain is simple iff b1 = 0 (equivalently, every curl-free field
     is a gradient); simple domains have b2 = h and spherical boundary."""
+    cores = _cores(K)
     K = as_domain(K)
-    H = homology_of(K)
+    (_, b1, b2, _), _ = _homology_profile(K, cores)
     genus_list = surface_info(boundary_subcomplex(K))
-    report = SimplicityReport(H.betti(1) == 0, H.betti(1), H.betti(2), len(genus_list), genus_list)
+    report = SimplicityReport(b1 == 0, b1, b2, len(genus_list), genus_list)
     if report.simple and not report.profile_consistent:
         raise InternalConsistencyError("simple domain with non-simple profile")
     return report
@@ -255,8 +303,6 @@ def intersection_form(S: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class BoundaryKernelData:
     components: tuple[SimplicialComplex, ...]
-    genus_list: tuple[int, ...]
-    kernel_coords: tuple[tuple[int, ...], ...]  # basis of Ker(i_*), concatenated basis
     # P_j per boundary component S_j: the nonzero projections of the basis
     # of Ker(i_*) into H1(S_j), in the H1(S_j) basis, which generate it
     projections: tuple[tuple[tuple[int, ...], ...], ...]
@@ -264,44 +310,161 @@ class BoundaryKernelData:
 
 def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
     """Integer kernel of i_*: H1(boundary) -> H1(domain), with per-component
-    projections P_j.  The rank must equal the total boundary genus."""
-    return _boundary_kernel(as_domain(K))
+    projections P_j.  The rank must equal the total boundary genus.  A
+    link box reads i_* off its linking classes (see the module docstring)."""
+    cores = _cores(K)
+    return _boundary_kernel(as_domain(K), cores)
 
 
-@derived
-def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
-    comps = boundary_components(K)
-    genus_list = surface_info(boundary_subcomplex(K))
+def _boundary_generators(
+    comps: Sequence[SimplicialComplex],
+) -> tuple[list[Chain], list[tuple[int, int]]]:
+    """The free H1 generators of the boundary components, concatenated,
+    and the range of each component's among them."""
     gens: list[Chain] = []
-    slices: list[tuple[int, int]] = []  # generator index range per component
+    slices: list[tuple[int, int]] = []
     for S in comps:
         start = len(gens)
         gens.extend(homology_of(S).free_generators(1))
         slices.append((start, len(gens)))
-    HK = homology_of(K)
-    rK = HK.betti(1)
-    tors = HK.group(1).torsion
-    # columns: boundary generators; rows: free coords of H1(K), then one row
-    # per torsion factor (solved modulo the factor via helper columns)
+    return gens, slices
+
+
+@derived
+def _boundary_kernel(K: SimplicialComplex, cores: tuple[LatticePath, ...]) -> BoundaryKernelData:
+    """The kernel by the linking route for the cores of a link box, and by
+    the reduction for cores = (); each route has its own memo entry."""
+    comps = boundary_components(K)
+    gens, slices = _boundary_generators(comps)
     m = len(gens)
-    cols = [HK.class_coords(g, 1) for g in gens]
-    nt = len(tors)
-    rows = []
-    for i in range(rK):
-        rows.append([c[0][i] for c in cols] + [0] * nt)
-    for i, d in enumerate(tors):
-        rows.append([c[1][i] for c in cols] + [d if j == i else 0 for j in range(nt)])
-    snf = smith_normal_form(IntegerMatrix(len(rows), m + nt, rows))
-    kernel_coords = [tuple(r[j] for r in snf.V[:m]) for j in range(len(snf.diagonal), m + nt)]
-    if len(kernel_coords) != sum(genus_list):
-        raise InternalConsistencyError(
-            f"kernel rank {len(kernel_coords)} != total boundary genus {sum(genus_list)}"
-        )
+    if cores:
+        snf = _linking_classes(K, cores)
+    else:
+        HK = homology_of(K)
+        rK = HK.betti(1)
+        tors = HK.group(1).torsion
+        # columns: boundary generators; rows: free coords of H1(K), then one
+        # row per torsion factor (solved modulo the factor via helper columns)
+        cols = [HK.class_coords(g, 1) for g in gens]
+        nt = len(tors)
+        rows = []
+        for i in range(rK):
+            rows.append([c[0][i] for c in cols] + [0] * nt)
+        for i, d in enumerate(tors):
+            rows.append([c[1][i] for c in cols] + [d if j == i else 0 for j in range(nt)])
+        snf = smith_normal_form(IntegerMatrix(len(rows), m + nt, rows))
+    kernel = [tuple(r[j] for r in snf.V[:m]) for j in range(len(snf.diagonal), len(snf.V))]
+    genus = sum(surface_info(boundary_subcomplex(K)))
+    if len(kernel) != genus:
+        raise InternalConsistencyError(f"kernel rank {len(kernel)} != total boundary genus {genus}")
     projections = tuple(
-        tuple(vec[start:stop] for vec in kernel_coords if any(vec[start:stop]))
+        tuple(vec[start:stop] for vec in kernel if any(vec[start:stop]))
         for start, stop in slices
     )
-    return BoundaryKernelData(comps, genus_list, tuple(kernel_coords), projections)
+    return BoundaryKernelData(comps, projections)
+
+
+# -- linking classes of a link box -----------------------------------------
+
+
+@derived
+def _linking_classes(K: SimplicialComplex, cores: tuple[LatticePath, ...]) -> SmithDecomposition:
+    """Smith form of the n x m matrix of linking numbers of the boundary
+    generators with the n cores of a link box: their classes in H1(K) =
+    Z^n.  A rank other than n raises InternalConsistencyError."""
+    gens, _ = _boundary_generators(boundary_components(K))
+    snf = smith_normal_form(IntegerMatrix(len(cores), len(gens), _linking_numbers(gens, cores)))
+    if len(snf.diagonal) != len(cores):
+        raise InternalConsistencyError(
+            f"linking matrix of rank {len(snf.diagonal)} with {len(cores)} cores"
+        )
+    return snf
+
+
+# the projection (x, y, z) -> (_A x + z, _B y + z) of _linking_numbers
+_A, _B = 1009, 1013
+
+
+def _linking_numbers(cycles: Sequence[Chain], cores: Sequence[LatticePath]) -> list[list[int]]:
+    """lk(z, L_j) for 1-cycles z on encoded lattice points, off the cores:
+    row j, column z.
+
+    lk(z, L) is the signed count of the crossings where z passes over L in
+    the projection pi(x, y, z) = (A x + z, B y + z), A = 1009, B = 1013, with
+    over meaning larger z; a crossing counts +1 where z's direction turns
+    counterclockwise (seen from above), through less than a half turn,
+    onto L's.  Cycles count by linearity, so a chain needs no splitting
+    into loops.
+
+    No crossing is degenerate, that is, no vertex of either curve projects
+    onto a segment of the other (overlapping segments and vertex on vertex
+    are cases of this).  Every segment runs from a lattice point Q to Q + f
+    with f in {0,1}^3 up to sign: a unit step of a core, or an edge of a
+    Kuhn-split cube.  pi is one-to-one except along d = (B, A, -AB), so a
+    vertex P on pi([Q, Q + f]) means P - Q = s f + t d, 0 <= s <= 1.  The
+    coordinates lie in encode_point's range -99..155, so each component of
+    P - Q is at most 254, and the z component gives |t| AB <= 255.  Then
+    |t| B and |t| A are less than 1, and the x and y components are integers:
+    if f_x = 0 or f_y = 0, t = 0; if f_x = f_y = 1, P_x - P_y - Q_x + Q_y
+    = t (B - A), less than 1, so t = 0 again.  With t = 0 the curves meet,
+    but each core lies inside its open tube, off the boundary of K.  So
+    every crossing is transversal at inner points, and its two points
+    differ by t d, t != 0.  An endpoint hit all the same raises
+    InternalConsistencyError.
+
+    The two points of a crossing differ by at most 254/A < 1/3 in x and in
+    y.  So an edge of z whose least vertex is (p_x, p_y, .) can only cross
+    a core step whose lesser end is (q_x, q_y, .) and whose x span is g_x
+    (0 or 1) when q_x - 1 <= p_x <= q_x + g_x, and likewise in y.  Each
+    core step is filed under those columns (p_x, p_y), and each edge looks
+    up its own.
+    """
+    columns: dict[tuple[int, int], list] = {}
+    for j, core in enumerate(cores):
+        pts = core.points
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            lo, hi = min(a, b), max(a, b)
+            step = (j, a, _project(a), _project(b), b[2] - a[2])
+            for x in range(lo[0] - 1, hi[0] + 1):
+                for y in range(lo[1] - 1, hi[1] + 1):
+                    columns.setdefault((x, y), []).append(step)
+    rows = [[0] * len(cycles) for _ in cores]
+    for col, z in enumerate(cycles):
+        for e, c in z.items():
+            P, Q = map(decode_point, e)
+            for j, sign in _over_crossings(P, Q, columns.get(P[:2], ())):
+                rows[j][col] += c * sign
+    return rows
+
+
+def _project(p: tuple[int, int, int]) -> tuple[int, int]:
+    x, y, z = p
+    return _A * x + z, _B * y + z
+
+
+def _over_crossings(P, Q, steps) -> Iterator[tuple[int, int]]:
+    """(core, sign) of each crossing where the edge from P to Q passes over
+    one of the given core steps, by exact integer cross products (see
+    _linking_numbers)."""
+    (p0, p1), (q0, q1) = _project(P), _project(Q)
+    r0, r1 = q0 - p0, q1 - p1
+    for j, C, (c0, c1), (d0, d1), dz in steps:
+        s0, s1 = d0 - c0, d1 - c1
+        den = r0 * s1 - r1 * s0
+        if not den:
+            continue  # parallel, and by the argument not overlapping
+        sign = 1 if den > 0 else -1
+        w0, w1 = c0 - p0, c1 - p1
+        # the crossing is at P + (sn / den)(Q - P) and C + (un / den) step
+        sn, un = sign * (w0 * s1 - w1 * s0), sign * (w0 * r1 - w1 * r0)
+        den *= sign
+        if not (0 <= sn <= den and 0 <= un <= den):
+            continue
+        if sn in (0, den) or un in (0, den):
+            raise InternalConsistencyError(f"degenerate crossing of edge {P}-{Q} with a core")
+        # den times (height of the edge - height of the core) there
+        if (P[2] - C[2]) * den + sn * (Q[2] - P[2]) - un * dz > 0:
+            yield j, sign
 
 
 # -- Lagrangian obstruction ------------------------------------------------

@@ -120,10 +120,19 @@ def test_criterion_07_lagrangian_obstruction():
     assert lagrangian_obstruction(preset("hopf_box")).obstructed
     rep = lagrangian_obstruction(preset("solid_torus"))
     assert not rep.obstructed
+    from helmcut.complexes import boundary_subcomplex, surface_info
     from helmcut.domains import kernel_of_boundary_inclusion
+    from helmcut.exact_linalg import IntegerMatrix, smith_normal_form
+    from helmcut.homology import homology_of
 
-    data = kernel_of_boundary_inclusion(preset("solid_torus"))
-    assert len(data.kernel_coords) == 1 == sum(data.genus_list)
+    K = preset("solid_torus").complex
+    data = kernel_of_boundary_inclusion(K)
+    # kernel rank: the m boundary generators less the rank of their classes
+    HK = homology_of(K)
+    gens = [g for S in data.components for g in homology_of(S).free_generators(1)]
+    coords = [[HK.class_coords(g, 1)[0][i] for g in gens] for i in range(HK.betti(1))]
+    rank = len(smith_normal_form(IntegerMatrix(len(coords), len(gens), coords)).diagonal)
+    assert len(gens) - rank == 1 == sum(surface_info(boundary_subcomplex(K)))
     _line(7, "torus shell and hopf box certified non-weakly-Helmholtz; solid torus unobstructed")
 
 

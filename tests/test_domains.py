@@ -1,12 +1,18 @@
+import json
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helmcut.builders import (
+    BuildError,
+    LatticePath,
+    LinkBox,
     cubes_to_complex,
     domain_corpus,
     handlebody,
+    lattice_link_complement,
     preset,
     shell,
     surface_shell,
@@ -20,6 +26,7 @@ from helmcut.complexes import (
     mapping_torus,
     orient_surface,
     product_with_interval,
+    surface_info,
 )
 import helmcut.domains
 from helmcut.domains import (
@@ -32,9 +39,10 @@ from helmcut.domains import (
     kernel_of_boundary_inclusion,
     lagrangian_obstruction,
 )
-from helmcut.exact_linalg import IntegerMatrix, smith_normal_form
+from helmcut.exact_linalg import IntegerMatrix, matmul, smith_normal_form
 from helmcut.homology import InternalConsistencyError, NotACycleError, homology_of
 
+from test_builders import _moved, _rectangle, _square
 from test_complexes import RP2_6, TORUS7
 
 
@@ -233,18 +241,23 @@ KERNEL_RANKS = {"ball": 0, "solid_torus": 1, "handlebody2": 2, "shell": 0,
 @pytest.mark.parametrize("name", sorted(KERNEL_RANKS))
 def test_boundary_kernel_rank_equals_total_genus(name):
     K = preset(name).complex
+    # raises InternalConsistencyError unless its kernel rank is the genus
     data = kernel_of_boundary_inclusion(K)
-    assert len(data.kernel_coords) == KERNEL_RANKS[name] == sum(data.genus_list)
-    # i_*: H1(boundary) -> H1(K) is onto the free part over the integers:
-    # the free class coordinates of the boundary generators have unit
-    # Smith normal form of full row rank
+    # the kernel rank is m minus the rank of the free class coordinates of
+    # the m boundary generators, as no preset has torsion in H1
     HK = homology_of(K)
+    assert not HK.group(1).torsion
     gens = [g for S in data.components for g in homology_of(S).free_generators(1)]
     cols = [HK.class_coords(g, 1)[0] for g in gens]
     r = HK.betti(1)
-    if r:
-        snf = smith_normal_form(IntegerMatrix(r, len(cols), [[c[i] for c in cols] for i in range(r)]))
-        assert snf.diagonal == (1,) * r
+    rows = [[c[i] for c in cols] for i in range(r)]
+    diagonal = smith_normal_form(IntegerMatrix(r, len(cols), rows)).diagonal if r else ()
+    genus = sum(surface_info(boundary_subcomplex(K)))
+    assert len(gens) - len(diagonal) == KERNEL_RANKS[name] == genus
+    # i_*: H1(boundary) -> H1(K) is onto the free part over the integers:
+    # the free class coordinates of the boundary generators have unit
+    # Smith normal form of full row rank
+    assert diagonal == (1,) * r
 
 
 OBSTRUCTED = {"torus_shell": True, "hopf_box": True, "ball": False, "shell": False,
@@ -269,3 +282,217 @@ def test_surface_shell_not_simple_but_unobstructed_profile():
     assert rep.all_checks_pass
     assert rep.genus_list == (2, 2)
     assert not is_simple(M).simple
+
+
+# -- link boxes: linking numbers against the reduction ---------------------
+
+
+def _point(v):
+    """The lattice point of an encoded vertex label (builders.encode_point)."""
+    return (v // 65536 - 100, v // 256 % 256 - 100, v % 256 - 100)
+
+
+def _disk_crossings(z, rect):
+    """lk(z, rect) for a 1-cycle z off an axis-aligned lattice rectangle:
+    the signed count of z's edges that cross the rectangle's flat disk,
+    lifted off its plane by a little along the normal axis k.  An edge of
+    a cube complex moves by at most 1 in k, so it crosses the lifted disk
+    iff it runs between the plane and the level above from a point
+    strictly inside the rectangle; it counts +1 going up along the
+    right-hand normal of the rectangle's traversal."""
+    pts = rect.points
+    k = next(a for a in range(3) if len({p[a] for p in pts}) == 1)
+    u, v = [a for a in range(3) if a != k]
+    level = pts[0][k]
+    (u0, u1), (v0, v1) = [(min(p[a] for p in pts), max(p[a] for p in pts)) for a in (u, v)]
+    closed = list(zip(pts, pts[1:] + pts[:1]))
+    area = sum(p[u] * q[v] - q[u] * p[v] for p, q in closed)
+    # e_u x e_v is e_k for (u, v, k) in cyclic order, and -e_k for (0, 2, 1)
+    sign = (1 if area > 0 else -1) * (-1 if k == 1 else 1)
+    total = 0
+    for e, c in z.items():
+        for at, other, up in ((_point(e[0]), _point(e[1]), 1), (_point(e[1]), _point(e[0]), -1)):
+            if at[k] == level and other[k] == level + 1 and u0 < at[u] < u1 and v0 < at[v] < v1:
+                total += c * up * sign
+    return total
+
+
+def _kernel_basis(rows, m):
+    """A basis of the integer kernel of the len(rows) x m matrix, as rows."""
+    snf = smith_normal_form(IntegerMatrix(len(rows), m, rows))
+    return [[snf.V[i][j] for i in range(m)] for j in range(len(snf.diagonal), m)]
+
+
+def _same_lattice(a, b, m):
+    """The row lattices of a and b in Z^m are equal: stacking them adds no
+    invariant factor and no rank."""
+    d = [smith_normal_form(IntegerMatrix(len(x), m, x)).diagonal for x in (a, b, a + b)]
+    return d[0] == d[1] == d[2]
+
+
+def _assert_routes_agree(M, rects):
+    """The linking route of a link box M against the reduction of its bare
+    complex, with the rectangles' disk crossings as the oracle of the
+    linking numbers when rects are M's cores."""
+    K = M.complex
+    link, reduced = analyze_domain(M), analyze_domain(K)
+    assert link.betti == reduced.betti == (1, len(M.cores), len(M.cores), 0)
+    assert link.to_json() == reduced.to_json()
+    assert is_simple(M).to_json() == is_simple(K).to_json()
+    assert lagrangian_obstruction(M).obstructed == lagrangian_obstruction(K).obstructed
+    gens = [g for S in boundary_components(K) for g in homology_of(S).free_generators(1)]
+    m, n = len(gens), len(M.cores)
+    lk = helmcut.domains._linking_numbers(gens, M.cores)
+    if rects is not None:
+        assert lk == [[_disk_crossings(z, r) for z in gens] for r in rects]
+    HK = homology_of(K)
+    assert not HK.group(1).torsion
+    coords = [[HK.class_coords(g, 1)[0][i] for g in gens] for i in range(n)]
+    # the same kernel of H1(boundary) -> H1(K), from both matrices and from
+    # both routes' projections
+    assert _same_lattice(_kernel_basis(lk, m), _kernel_basis(coords, m), m)
+    link_P, reduced_P = (kernel_of_boundary_inclusion(X).projections for X in (M, K))
+    for P, Q in zip(link_P, reduced_P):
+        assert _same_lattice(list(map(list, P)), list(map(list, Q)), len((P or Q or [()])[0]))
+    # coords = W lk for a unimodular W: lk has the right inverse V[:, :n] U
+    snf = smith_normal_form(IntegerMatrix(n, m, lk))
+    assert snf.diagonal == (1,) * n
+    right = matmul([row[:n] for row in snf.V], snf.U)
+    assert matmul(lk, right) == [[int(i == j) for j in range(n)] for i in range(n)]
+    W = matmul(coords, right)
+    assert matmul(W, lk) == coords
+    assert smith_normal_form(IntegerMatrix(n, n, W)).diagonal == (1,) * n
+
+
+def test_linking_route_agrees_with_the_reduction_on_the_presets():
+    _assert_routes_agree(unknot_box(), unknot_box().cores)
+    hopf = preset("hopf_box")
+    _assert_routes_agree(hopf, hopf.cores)  # a square pierced by a rectangle
+
+
+def _turned(path, perm, reverse):
+    """path with its axes permuted, traversed backwards if reverse."""
+    pts = [tuple(p[a] for a in perm) for p in path.points]
+    return LatticePath(tuple(pts[:1] + pts[:0:-1] if reverse else pts))
+
+
+# linked: a square pierced by a rectangle as in hopf.path; unlinked: two
+# rectangles in parallel planes 5 or 6 apart; then the axes permuted and
+# each traversal reversed or not
+_linked = st.builds(
+    lambda w, lo, hi: (_square(10), _rectangle(5, 5 + w, 5, -lo, hi)),
+    st.integers(10, 11), st.integers(5, 6), st.integers(5, 6),
+)
+_unlinked = st.builds(
+    lambda w, h, gap: (_rectangle(0, w, 0, 0, h), _rectangle(1, 6, gap, -1, 5)),
+    st.integers(5, 6), st.integers(5, 6), st.integers(5, 6),
+)
+_rectangle_pairs = st.builds(
+    lambda pair, perm, rev: [_turned(p, perm, r) for p, r in zip(pair, rev)],
+    _linked | _unlinked, st.permutations(range(3)), st.tuples(st.booleans(), st.booleans()),
+)
+
+
+@settings(max_examples=3, deadline=None)
+@given(_rectangle_pairs)
+def test_linking_route_agrees_with_the_reduction_on_rectangle_pairs(rects):
+    _assert_routes_agree(lattice_link_complement(rects), rects)
+
+
+# a lattice link's coordinates reach from -96 to 152: its box then spans
+# encode_point's whole range -99..155 in that axis
+_LOW, _HIGH = -96, 152
+
+
+def _placed(paths, corner):
+    """paths shifted to touch the given corner of the range, one side per
+    axis: False for the low end, True for the high end."""
+    pts = [p for path in paths for p in path.points]
+    shift = [
+        _HIGH - max(p[a] for p in pts) if high else _LOW - min(p[a] for p in pts)
+        for a, high in enumerate(corner)
+    ]
+    return [
+        LatticePath(tuple(tuple(c + s for c, s in zip(p, shift)) for p in path.points))
+        for path in paths
+    ]
+
+
+def _assert_no_degenerate_crossing(paths, corner, betti, obstructed):
+    placed = _placed(paths, corner)
+    M = lattice_link_complement(placed)
+    assert analyze_domain(M).betti == betti
+    assert lagrangian_obstruction(M).obstructed is obstructed
+    gens = [g for S in boundary_components(M.complex) for g in homology_of(S).free_generators(1)]
+    lk = helmcut.domains._linking_numbers(gens, M.cores)
+    assert lk == [[_disk_crossings(z, r) for z in gens] for r in placed]
+    # one step further out leaves the range
+    out = [2 * high - 1 for high in corner]
+    beyond = [_moved(_moved(_moved(p, 0, out[0]), 1, out[1]), 2, out[2]) for p in placed]
+    with pytest.raises(BuildError, match="out of supported range"):
+        lattice_link_complement(beyond)
+
+
+# _linking_numbers raises InternalConsistencyError at a degenerate crossing
+
+
+@pytest.mark.parametrize("corner", list(product((False, True), repeat=3)))
+def test_no_degenerate_crossing_at_the_corners_of_the_range(corner):
+    _assert_no_degenerate_crossing([_square(5)], corner, (1, 1, 1, 0), False)
+
+
+@pytest.mark.parametrize("corner", [(False,) * 3, (True,) * 3])
+def test_no_degenerate_crossing_of_a_hopf_pair_at_the_ends_of_the_range(corner):
+    paths = [_square(10), _rectangle(5, 15, 5, -5, 5)]
+    _assert_no_degenerate_crossing(paths, corner, (1, 2, 2, 0), True)
+
+
+def test_a_degenerate_crossing_outside_the_range_raises():
+    # the point (B, A, -AB) projects onto the origin, as no two points of
+    # the range do, so a core step from it meets an edge from the origin
+    # at both their ends
+    A, B = helmcut.domains._A, helmcut.domains._B
+    C, D = (B, A, -A * B), (B, A, 1 - A * B)
+    step = (0, C, helmcut.domains._project(C), helmcut.domains._project(D), 1)
+    with pytest.raises(InternalConsistencyError, match="degenerate crossing"):
+        list(helmcut.domains._over_crossings((0, 0, 0), (1, 0, 0), [step]))
+
+
+def _analyze_json(X):
+    """The analyze command's output for a domain or a link box."""
+    out = analyze_domain(X).to_json()
+    out["simple"] = is_simple(X).to_json()
+    out["lagrangian_obstruction"] = lagrangian_obstruction(X).to_json()
+    return json.dumps(out, sort_keys=True)
+
+
+def test_link_box_analysis_does_not_depend_on_call_order():
+    # the linking route and the reduction keep separate memo entries on K
+    first, second = unknot_box(), unknot_box()
+    box_first = _analyze_json(first), _analyze_json(first.complex)
+    bare_first = _analyze_json(second.complex), _analyze_json(second)
+    assert box_first == bare_first[::-1]
+    for M in (first, second):
+        kernel = kernel_of_boundary_inclusion(M)
+        assert kernel is kernel_of_boundary_inclusion(M)
+        assert kernel is not kernel_of_boundary_inclusion(M.complex)
+
+
+def test_cores_that_do_not_fit_the_box_raise():
+    # a core moved off the box links no boundary cycle: rank 0, not 1
+    M = unknot_box()
+    off = LinkBox(M.complex, M.marks, (_moved(M.cores[0], 2, 40),))
+    for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion):
+        with pytest.raises(InternalConsistencyError, match="linking matrix of rank 0 with 1 cores"):
+            check(off)
+    assert analyze_domain(M).all_checks_pass
+
+
+def test_a_link_box_is_analysed_without_a_3d_reduction():
+    M = unknot_box()
+    misses = homology_of.cache_info().misses
+    _analyze_json(M)
+    # the homology of the two boundary surfaces only
+    assert homology_of.cache_info().misses - misses == 2
+    _analyze_json(M.complex)
+    assert homology_of.cache_info().misses - misses == 3
