@@ -49,7 +49,6 @@ from .groups import (
     GroupPresentation,
     MagnusSeries,
     MubarValue,
-    RewriteDepthError,
     abelianize,
     longitude_words,
     milnor_mu,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal-consistency
-failure (also an arc whose in-arcs never reach a meridian); errors are one
-stderr line.  All results are printed as deterministic JSON (sorted keys).
+failure (an InternalConsistencyError only); errors are one stderr line.
+Domain verdicts read H1(K) modulo torsion.  All results are printed as
+deterministic JSON (sorted keys).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .links import (
     parse_pd,
     seifert_data,
 )
-from .groups import RewriteDepthError, milnor_mubar
+from .groups import milnor_mubar
 
 # a count in ASCII digits; int() alone also reads "\u0664" and "1_0"
 _COUNT = re.compile(r"\s*[0-9]+\s*")
@@ -261,7 +262,7 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         _emit(args.func(args), args)
-    except (InternalConsistencyError, RewriteDepthError) as e:
+    except InternalConsistencyError as e:
         _print_error(f"internal consistency failure: {e}")
         return 1
     except (ComplexError, DiagramError, BuildError, ValueError) as e:

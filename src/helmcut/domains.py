@@ -13,6 +13,9 @@ identities, the kernel of the boundary inclusion on first homology, the
 skew intersection form on each boundary surface, and the Lagrangian
 obstruction.
 
+Helmholtz conditions concern curl-free fields, whose classes are real
+(de Rham) classes, so every verdict here reads H1(K) modulo torsion.
+
 The homology of the domain itself comes by one of two routes.  In general
 it is homology_of(K), a reduction of the 3-dimensional complex.  A link
 box (builders.LinkBox: a lattice box minus open tubes around the n
@@ -26,12 +29,13 @@ linking pairing, perfect between H1(K) and H1(S^3 - K), which is free on
 the cores: a cycle's class in H1(K) = Z^n is its vector of linking
 numbers with the cores (Rolfsen, "Knots and Links", 1976, ch. 5).
 _linking_numbers counts them as signed crossings in one integer
-projection, and says why no crossing there is degenerate.  The n x m matrix of linking numbers of the m boundary
-generators must have rank n, or InternalConsistencyError; that ties
-b1 = b2 = n to the data, so identities (i)-(iii) of analyze_domain stay
-checks against chi(K) and the boundary's b1, while (iv) and (v) restate
-the theorem.  Homology of the boundary surfaces, their intersection
-forms, cuts and the homology command keep the reduction.
+projection, and says why no crossing there is degenerate.  The n x m
+matrix of linking numbers of the m boundary generators must have rank n,
+or InternalConsistencyError; that ties b1 = b2 = n to the data, so
+identities (i)-(iii) of analyze_domain stay checks against chi(K) and the
+boundary's b1, while (iv) and (v) restate the theorem.  Homology of the
+boundary surfaces, their intersection forms, cuts and the homology
+command keep the reduction.
 
 The routes never share a memo entry: a LinkBox takes the linking route
 and its bare complex the reduction, in either order of calls.  They
@@ -42,6 +46,7 @@ different bases, so a Lagrangian witness may differ between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 from .builders import LatticePath, LinkBox, decode_point
@@ -108,20 +113,6 @@ def _cores(K) -> tuple[LatticePath, ...]:
     return K.cores if isinstance(K, LinkBox) else ()
 
 
-def _homology_profile(
-    K: SimplicialComplex, cores: tuple[LatticePath, ...]
-) -> tuple[tuple[int, int, int, int], bool]:
-    """(Betti numbers, torsion-free) of a domain: for a link box from the
-    rank of its linking classes (see the module docstring), else from
-    homology_of(K)."""
-    if cores:
-        _linking_classes(K, cores)  # rank n, or InternalConsistencyError
-        n = len(cores)
-        return (1, n, n, 0), True
-    groups = homology_groups(K)
-    return tuple(g.rank for g in groups), all(not g.torsion for g in groups)
-
-
 def analyze_domain(K) -> DomainReport:
     """Numerical profile of a domain plus the standard identity checks:
 
@@ -136,7 +127,13 @@ def analyze_domain(K) -> DomainReport:
     """
     cores = _cores(K)
     K = as_domain(K)
-    betti, torsion_free = _homology_profile(K, cores)
+    if cores:
+        _boundary_classes(K, cores)  # rank n, or InternalConsistencyError
+        n = len(cores)
+        betti, torsion_free = (1, n, n, 0), True
+    else:
+        groups = homology_groups(K)
+        betti, torsion_free = tuple(g.rank for g in groups), all(not g.torsion for g in groups)
     chi = euler_characteristic(K)
     genus_list = surface_info(boundary_subcomplex(K))
     b1_bd = sum(homology_of(S).betti(1) for S in boundary_components(K))
@@ -182,11 +179,9 @@ class SimplicityReport:
 def is_simple(K) -> SimplicityReport:
     """A domain is simple iff b1 = 0 (equivalently, every curl-free field
     is a gradient); simple domains have b2 = h and spherical boundary."""
-    cores = _cores(K)
-    K = as_domain(K)
-    (_, b1, b2, _), _ = _homology_profile(K, cores)
-    genus_list = surface_info(boundary_subcomplex(K))
-    report = SimplicityReport(b1 == 0, b1, b2, len(genus_list), genus_list)
+    d = analyze_domain(K)
+    _, b1, b2, _ = d.betti
+    report = SimplicityReport(b1 == 0, b1, b2, d.boundary_component_count, d.genus_list)
     if report.simple and not report.profile_consistent:
         raise InternalConsistencyError("simple domain with non-simple profile")
     return report
@@ -309,25 +304,12 @@ class BoundaryKernelData:
 
 
 def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
-    """Integer kernel of i_*: H1(boundary) -> H1(domain), with per-component
-    projections P_j.  The rank must equal the total boundary genus.  A
-    link box reads i_* off its linking classes (see the module docstring)."""
+    """Integer kernel of i_*: H1(boundary) -> H1(domain) modulo torsion, with
+    per-component projections P_j; the integral kernel has finite index in
+    it.  The rank must equal the total boundary genus.  A link box reads
+    i_* off its linking classes (see the module docstring)."""
     cores = _cores(K)
     return _boundary_kernel(as_domain(K), cores)
-
-
-def _boundary_generators(
-    comps: Sequence[SimplicialComplex],
-) -> tuple[list[Chain], list[tuple[int, int]]]:
-    """The free H1 generators of the boundary components, concatenated,
-    and the range of each component's among them."""
-    gens: list[Chain] = []
-    slices: list[tuple[int, int]] = []
-    for S in comps:
-        start = len(gens)
-        gens.extend(homology_of(S).free_generators(1))
-        slices.append((start, len(gens)))
-    return gens, slices
 
 
 @derived
@@ -335,46 +317,40 @@ def _boundary_kernel(K: SimplicialComplex, cores: tuple[LatticePath, ...]) -> Bo
     """The kernel by the linking route for the cores of a link box, and by
     the reduction for cores = (); each route has its own memo entry."""
     comps = boundary_components(K)
-    gens, slices = _boundary_generators(comps)
-    m = len(gens)
-    if cores:
-        snf = _linking_classes(K, cores)
-    else:
-        HK = homology_of(K)
-        rK = HK.betti(1)
-        tors = HK.group(1).torsion
-        # columns: boundary generators; rows: free coords of H1(K), then one
-        # row per torsion factor (solved modulo the factor via helper columns)
-        cols = [HK.class_coords(g, 1) for g in gens]
-        nt = len(tors)
-        rows = []
-        for i in range(rK):
-            rows.append([c[0][i] for c in cols] + [0] * nt)
-        for i, d in enumerate(tors):
-            rows.append([c[1][i] for c in cols] + [d if j == i else 0 for j in range(nt)])
-        snf = smith_normal_form(IntegerMatrix(len(rows), m + nt, rows))
-    kernel = [tuple(r[j] for r in snf.V[:m]) for j in range(len(snf.diagonal), len(snf.V))]
+    snf = _boundary_classes(K, cores)
+    kernel = [tuple(r[j] for r in snf.V) for j in range(len(snf.diagonal), len(snf.V))]
     genus = sum(surface_info(boundary_subcomplex(K)))
     if len(kernel) != genus:
         raise InternalConsistencyError(f"kernel rank {len(kernel)} != total boundary genus {genus}")
+    # each component's generators are a slice of the columns
+    ends = list(accumulate(homology_of(S).betti(1) for S in comps))
     projections = tuple(
         tuple(vec[start:stop] for vec in kernel if any(vec[start:stop]))
-        for start, stop in slices
+        for start, stop in zip([0] + ends, ends)
     )
     return BoundaryKernelData(comps, projections)
 
 
-# -- linking classes of a link box -----------------------------------------
+# -- boundary classes in H1(K) modulo torsion ------------------------------
 
 
 @derived
-def _linking_classes(K: SimplicialComplex, cores: tuple[LatticePath, ...]) -> SmithDecomposition:
-    """Smith form of the n x m matrix of linking numbers of the boundary
-    generators with the n cores of a link box: their classes in H1(K) =
-    Z^n.  A rank other than n raises InternalConsistencyError."""
-    gens, _ = _boundary_generators(boundary_components(K))
-    snf = smith_normal_form(IntegerMatrix(len(cores), len(gens), _linking_numbers(gens, cores)))
-    if len(snf.diagonal) != len(cores):
+def _boundary_classes(K: SimplicialComplex, cores: tuple[LatticePath, ...]) -> SmithDecomposition:
+    """Smith form of the classes in H1(K) modulo torsion of the free H1
+    generators of the boundary components, concatenated, one column each.
+    For the n cores of a link box they are the generators' linking numbers
+    with the cores, and a rank other than n raises
+    InternalConsistencyError; for cores = () they are the free coordinates
+    of homology_of(K).class_coords."""
+    gens = [g for S in boundary_components(K) for g in homology_of(S).free_generators(1)]
+    if cores:
+        rows = _linking_numbers(gens, cores)
+    else:
+        HK = homology_of(K)
+        cols = [HK.class_coords(g, 1)[0] for g in gens]
+        rows = [[c[i] for c in cols] for i in range(HK.betti(1))]
+    snf = smith_normal_form(IntegerMatrix(len(rows), len(gens), rows))
+    if cores and len(snf.diagonal) != len(cores):
         raise InternalConsistencyError(
             f"linking matrix of rank {len(snf.diagonal)} with {len(cores)} cores"
         )

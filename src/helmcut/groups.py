@@ -33,10 +33,6 @@ from .links import DiagramError, LinkDiagram
 Word = tuple  # of (generator, ±1) letters
 
 
-class RewriteDepthError(RuntimeError):
-    """An arc's in-arcs cycle without reaching a meridian."""
-
-
 # -- Wirtinger presentation ------------------------------------------------
 
 
@@ -187,15 +183,17 @@ def _meridian_series(D: LinkDiagram, q: int) -> dict[int, list[dict[int, int]]]:
     for (out, _), _, (inn, _), (over, eps) in reversed(wirtinger(D).relators):
         if out not in meridians:
             defining[out] = (inn, over, eps)
-    order: list[int] = []  # every arc after its in-arc
-    for g in sorted(defining):
-        chain: list[int] = []
-        while g in defining and g not in order:
-            if g in chain:
-                raise RewriteDepthError(f"the in-arcs of arc {g} cycle without reaching a meridian")
-            chain.append(g)
-            g = defining[g][0]
-        order.extend(reversed(chain))
+    # along a traced component an under-pass leads from its in-arc into the
+    # arc it defines, so first appearance puts every arc after its in-arc
+    order: list[int] = []
+    solved = set(meridians)
+    for comp in D.components:
+        for arc in comp:
+            if (g := rep[arc]) not in solved:
+                if defining[g][0] not in solved:
+                    raise InternalConsistencyError(f"arc {g} comes before its in-arc in the trace")
+                solved.add(g)
+                order.append(g)
     shift = [(D.component_count + 1) ** d for d in range(q)]
     var = {rep[arc]: c + 1 for c, comp in enumerate(D.components) for arc in comp}
     # by degree; a meridian is 1 + z exactly

@@ -19,6 +19,7 @@ from helmcut.complexes import (
     marked_complex_to_json,
     product_with_interval,
 )
+from helmcut.homology import InternalConsistencyError
 
 from test_complexes import RP2_6
 from test_cuts import (
@@ -30,7 +31,7 @@ from test_cuts import (
     section_and_cone,
     solid_klein_bottle,
 )
-from test_domains import cone_over_torus, punctured_rp2_x_s1
+from test_domains import cone_over_torus, minus_identity_mapping_torus, punctured_rp2_x_s1
 
 
 def run_capture(capsys, *argv):
@@ -67,6 +68,16 @@ def test_classify_cuts_flagship(capsys):
     data = json.loads(out)
     assert data["is_helmholtz_cut_system"] is False
     assert data["is_weak_cut_system"] is True
+
+
+def test_classify_cuts_with_torsion_exits_0(tmp_path, capsys):
+    path = tmp_path / "minus_identity.json"
+    path.write_text(json.dumps(marked_complex_to_json(minus_identity_mapping_torus())))
+    code, out, _ = run_capture(capsys, "classify-cuts", "--input", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["component_betti"] == [[1, 2, 0, 0]]
+    assert data["is_weak_cut_system"] is True and data["is_minimal_weak"] is True
 
 
 def test_cut_handlebody2(capsys):
@@ -446,9 +457,9 @@ def test_determinism_byte_identical(capsys):
         assert out1 == out2 and out1
 
 
-def test_rewrite_depth_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+def test_internal_consistency_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     def fail(D, q):
-        raise groups.RewriteDepthError("meridian rewriting did not stabilize")
+        raise InternalConsistencyError("an arc precedes its in-arc in the trace")
 
     monkeypatch.setattr(groups, "_meridian_series", fail)
     # a freshly parsed diagram has no derived expansions yet

@@ -40,6 +40,8 @@ from helmcut.cuts import (
 )
 from helmcut.homology import betti_numbers, homology_of
 
+from test_domains import minus_identity_mapping_torus
+
 
 def two_cube_ball_with_disk() -> MarkedComplex:
     """Two stacked unit cubes with the shared square face marked: cutting
@@ -364,6 +366,25 @@ def test_cut_trefoil_mapping_torus_along_fiber():
     assert v.is_weak_cut_system and v.is_minimal_weak
     assert v.relative_class_rank == 1
     assert time.time() - t0 < 60.0
+
+
+def test_cut_minus_identity_mapping_torus_along_fiber():
+    # the piece's H1 generators are torsion in H1(K) = Z + Z/2 + Z/2: they
+    # bound only twice over, and weak is a rational criterion
+    M = minus_identity_mapping_torus()
+    F = surface_system_from_marks(M)
+    v = classify_cut_system(M, F)
+    assert v.component_betti == ((1, 2, 0, 0),)
+    assert v.is_weak_cut_system and v.is_minimal_weak and not v.is_helmholtz_cut_system
+    assert find_minimal_weak_subsets(M, F) == [("fiber",)]
+
+
+def test_surface_system_checks_its_shape():
+    F = surface_system_from_marks(preset("handlebody2"))
+    with pytest.raises(ComplexError, match="2 surface names for 1 triangle lists"):
+        SurfaceSystem(F.names, F.triangles[:1])
+    with pytest.raises(ComplexError, match="surface named twice: 'disk_0'"):
+        SurfaceSystem(F.names[:1] * 2, F.triangles[:1] * 2)
 
 
 def test_empty_system_on_solid_torus_is_not_weak():

@@ -14,6 +14,7 @@ from helmcut.builders import (
     handlebody,
     lattice_link_complement,
     preset,
+    punctured_torus_with_monodromy,
     shell,
     surface_shell,
     unknot_box,
@@ -183,6 +184,13 @@ def punctured_rp2_x_s1():
     return punctured_times_circle(build_complex(RP2_6))
 
 
+def minus_identity_mapping_torus():
+    """The punctured-torus bundle with monodromy -I, x -> 6x (mod 7) on the
+    7-vertex torus: H1 = Z + Z/2 + Z/2, a domain with torsion."""
+    fiber, _ = punctured_torus_with_monodromy()
+    return mapping_torus(fiber, {v: 6 * v % 7 for v in fiber.vertices})
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -274,6 +282,38 @@ def test_lagrangian_obstruction(name):
         # the witness is a pair of kernel classes with nonzero pairing
         assert v.witness is not None and v.witness[2] != 0
         assert rep.to_json()["certificate"] is not None
+
+
+def test_boundary_kernel_is_read_modulo_torsion():
+    M = minus_identity_mapping_torus()
+    report = analyze_domain(M)
+    assert report.betti == (1, 1, 0, 0) and not report.torsion_free
+    data = kernel_of_boundary_inclusion(M)
+    (P,) = data.projections
+    assert len(P) == 1 == sum(report.genus_list)
+    assert not lagrangian_obstruction(M).obstructed
+    # the oracle: the integral kernel, with one row per torsion factor of
+    # H1(K) solved modulo it through a helper column, lies in the returned
+    # lattice with the same rank, so with finite index
+    HK = homology_of(M.complex)
+    tors = HK.group(1).torsion
+    assert tors == (2, 2)
+    gens = [g for S in data.components for g in homology_of(S).free_generators(1)]
+    m, nt = len(gens), len(tors)
+    free, residues = zip(*(HK.class_coords(g, 1) for g in gens))
+    rows = [[c[i] for c in free] + [0] * nt for i in range(HK.betti(1))]
+    rows += [
+        [c[i] for c in residues] + [d if j == i else 0 for j in range(nt)]
+        for i, d in enumerate(tors)
+    ]
+    integral = [vec[:m] for vec in _kernel_basis(rows, m + nt)]
+    returned = list(map(list, P))
+    assert len(integral) == len(returned)
+    stacked = [
+        smith_normal_form(IntegerMatrix(len(x), m, x)).diagonal
+        for x in (returned, returned + integral)
+    ]
+    assert stacked[0] == stacked[1]
 
 
 def test_surface_shell_not_simple_but_unobstructed_profile():
