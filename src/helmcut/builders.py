@@ -334,7 +334,7 @@ def punctured_torus_with_monodromy() -> tuple[SimplicialComplex, dict[int, int]]
 
 def trefoil_mapping_torus() -> MarkedComplex:
     fiber, phi = punctured_torus_with_monodromy()
-    return mapping_torus(fiber, phi, steps=3)
+    return mapping_torus(fiber, phi)
 
 
 # -- preset catalog --------------------------------------------------------

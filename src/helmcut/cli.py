@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .builders import BuildError, preset, preset_names
+from .builders import preset, preset_names
 from .complexes import ComplexError, MarkedComplex, marked_complex_from_json
 from .cuts import (
     classify_cut_system,
@@ -50,7 +50,7 @@ def _read(path: str, error: type[Exception]) -> str:
 
 def _load_complex(args) -> MarkedComplex:
     if args.preset and args.input:
-        raise DiagramError("give either --preset or --input, not both")
+        raise ComplexError("give either --preset or --input, not both")
     if args.preset:
         return preset(args.preset)
     if args.input:
@@ -265,7 +265,7 @@ def run(argv=None) -> int:
     except InternalConsistencyError as e:
         _print_error(f"internal consistency failure: {e}")
         return 1
-    except (ComplexError, DiagramError, BuildError, ValueError) as e:
+    except ValueError as e:  # ComplexError, DiagramError and BuildError among them
         _print_error(f"error: {e}")
         return 2
     return 0

@@ -334,44 +334,67 @@ def push_cycle(cycle: Mapping[Simplex, int], vertex_map: Mapping[int, int]) -> d
     return out
 
 
-# -- closed surfaces -------------------------------------------------------
+# -- surfaces --------------------------------------------------------------
 
 
 @derived
-def _check_closed_surface(S: SimplicialComplex) -> array:
-    """Raise ComplexError unless S is a closed surface: no tetrahedra, two
-    triangles on every edge, and the link of every vertex one circle.
-
-    Returns the edges at each vertex in the order of a walk around it, from
-    its smallest edge through that edge's smallest triangle: at vertex p,
-    walks[start[p]:start[p + 1]] with start = face_index(S).coface_start[0].
-    Memoized on S, so each surface is checked once."""
+def _surface_walks(S: SimplicialComplex) -> array:
+    """Raise ComplexError unless S is a surface, closed or with a rim: no
+    tetrahedra, one or two triangles on every edge (one on a rim edge), and
+    the link of every vertex one arc or one circle.  Returns, memoized on S,
+    the edges at vertex p in the order of a walk around it from its smallest
+    rim edge, else its smallest edge, through that edge's smallest triangle:
+    walks[start[p]:start[p + 1]] with start = face_index(S).coface_start[0]."""
     if S.simplices(3):
-        raise ComplexError("not a surface: contains tetrahedra")
+        raise ComplexError(f"contains tetrahedron {S.simplices(3)[0]}")
     index = face_index(S)
+    start, ends = index.coface_start[1], index.faces[1]
+    rim: dict[int, int] = {}  # vertex position -> its smallest rim edge
     for q, e in enumerate(S.simplices(1)):
-        n = len(index.cofaces_of(1, q))
-        if n != 2:
-            raise ComplexError(f"not a closed surface: edge {e} has {n} triangles")
-    # so the triangles of edge q are pair[2 * q] and pair[2 * q + 1]
-    pair, faces, tris = index.cofaces[1], index.faces[2], S.simplices(2)
+        n = start[q + 1] - start[q]
+        if not 1 <= n <= 2:
+            raise ComplexError(f"edge {e} has {n} triangles")
+        if n == 1:
+            rim.setdefault(ends[2 * q], q)
+            rim.setdefault(ends[2 * q + 1], q)
+    cofaces, faces, tris = index.cofaces[1], index.faces[2], S.simplices(2)
     walks = array("i")
     for p, (v,) in enumerate(S.simplices(0)):
         edges = index.cofaces_of(0, p)
         if not edges:
-            raise ComplexError(f"not a closed surface: vertex {v} has no edges")
-        # walk around v from an edge, through a triangle, to that triangle's
-        # other edge at v: the face that is neither the edge nor the face
-        # opposite v; with two triangles on every edge the walk closes, and
-        # the link of v is one circle iff the walk meets every edge at v
-        e, t, first = edges[0], -1, len(walks)
-        while len(walks) == first or e != edges[0]:
+            raise ComplexError(f"vertex {v} has no edges")
+        # walk around v from an edge through a triangle other than the last
+        # to that triangle's other edge at v (neither the edge nor the face
+        # opposite v); the link is arcs and circles, so the walk stops at a
+        # rim edge or its first edge, and meets every edge at v iff it is one
+        first = e = rim.get(p, edges[0])
+        t, base = -1, len(walks)
+        while e != first or len(walks) == base:
             walks.append(e)
-            t = pair[2 * e + 1] if pair[2 * e] == t else pair[2 * e]
+            a = start[e]
+            t = cofaces[a] if cofaces[a] != t else cofaces[a + 1] if start[e + 1] - a == 2 else -1
+            if t < 0:
+                break
             f = faces[3 * t:3 * t + 3]
             e = sum(f) - e - f[tris[t].index(v)]
-        if len(walks) - first != len(edges):
-            raise ComplexError(f"not a closed surface: link of vertex {v} is not a single circle")
+        if len(walks) - base != len(edges):
+            raise ComplexError(f"link of vertex {v} is not a single {'arc' if p in rim else 'circle'}")
+    return walks
+
+
+@derived
+def _check_closed_surface(S: SimplicialComplex) -> array:
+    """_surface_walks(S) once S passes as a closed surface, one with two
+    triangles on every edge, or ComplexError "not a closed surface: ..."."""
+    try:
+        walks = _surface_walks(S)
+    except ComplexError as e:
+        raise ComplexError(f"not a closed surface: {e}") from None
+    # the walk passed, so every edge has one or two triangles
+    index, edges = face_index(S), S.simplices(1)
+    if len(index.cofaces[1]) != 2 * len(edges):
+        q = next(q for q in range(len(edges)) if len(index.cofaces_of(1, q)) == 1)
+        raise ComplexError(f"not a closed surface: edge {edges[q]} has 1 triangles")
     return walks
 
 
@@ -549,13 +572,12 @@ def _maximal(S: SimplicialComplex) -> list[Simplex]:
     ]
 
 
-def mapping_torus(
-    S: SimplicialComplex, phi: Mapping[int, int], steps: int = 3
-) -> MarkedComplex:
+def mapping_torus(S: SimplicialComplex, phi: Mapping[int, int]) -> MarkedComplex:
     """Triangulated (S x [0,1]) / ((x,1) ~ (phi(x),0)) with marked "fiber" S x 0.
 
-    phi must be a simplicial automorphism of S; steps >= 3 keeps the glued
-    triangulation simplicial for automorphisms without fixed simplices.
+    phi must be a simplicial automorphism of S.  There are three prism
+    layers: with two, the identity on the 7-vertex torus passes both gluing
+    checks below but has Betti numbers (1, 2, 9, 1), not T^3's (1, 3, 3, 1).
     """
     verts = sorted(S.vertices)
     if sorted(phi.keys()) != verts or sorted(phi.values()) != verts:
@@ -563,8 +585,7 @@ def mapping_torus(
     for s in S.all_simplices():
         if not S.has_simplex([phi[v] for v in s]):
             raise ComplexError(f"phi is not simplicial: image of {s} missing")
-    if steps < 1:
-        raise ComplexError("steps must be positive")
+    steps = 3  # prism layers, see above
     idx = {v: i for i, v in enumerate(verts)}
 
     def label(v: int, t: int) -> int:
@@ -575,12 +596,12 @@ def mapping_torus(
     pieces = _product_simplices(S, steps, label)
     for p in pieces:
         if len(set(p)) != len(p):
-            raise ComplexError("mapping torus gluing is degenerate; increase steps")
+            raise ComplexError("mapping torus gluing is degenerate")
     K = build_complex(pieces)
     dim = S.dimension
     expected = (dim + 1) * steps * len(S.simplices(dim))
     if len(K.simplices(dim + 1)) != expected:
-        raise ComplexError("mapping torus gluing identified distinct simplices; increase steps")
+        raise ComplexError("mapping torus gluing identified distinct simplices")
     marks = {"fiber": [tuple(label(v, 0) for v in s) for s in _maximal(S)]}
     return MarkedComplex(K, marks)
 

@@ -4,10 +4,12 @@ A surface system lives in a domain complex K, one that passes
 complexes.check_domain (see helmcut.domains); every entry point here runs
 that check first.  A surface system in K is a finite family of disjoint,
 connected, two-sided, properly embedded surfaces.  A surface has one or
-two triangles on every edge and a connected link, one arc or one circle,
-at every vertex.  K is orientable, and in an orientable K a properly
-embedded surface is two-sided exactly when it is orientable, so sidedness
-is read from the surface's own orientation.
+two triangles on every edge and one arc or one circle as the link of
+every vertex (complexes._surface_walks, which checks closed surfaces too);
+it is properly embedded when it meets the boundary of K exactly in its
+rim, the edges of one triangle, and their vertices.  K is orientable, and
+in an orientable K a properly embedded surface is two-sided exactly when
+it is orientable, so sidedness is read from the surface's own orientation.
 Cutting K along the system is realized combinatorially in a derived
 subdivision K'' of K near the surfaces S (Rourke-Sanderson, Introduction
 to PL topology, ch. 3, derived neighbourhoods): star each simplex of K
@@ -30,6 +32,7 @@ from .complexes import (
     MarkedComplex,
     Simplex,
     SimplicialComplex,
+    _surface_walks,
     as_domain,
     boundary_subcomplex,
     build_complex,
@@ -91,6 +94,15 @@ def surface_system_from_marks(M: MarkedComplex, names: Sequence[str] | None = No
 # -- validation ------------------------------------------------------------
 
 
+# (dimension, on the rim) -> message, for a leak (see validate_surface_system)
+_LEAKS = {
+    (1, True): "boundary edge {} of {} is not on the domain boundary",
+    (1, False): "interior edge {} of {} lies on the domain boundary",
+    (0, False): "interior vertex {} of {} lies on the domain boundary",
+    (2, False): "triangle {} of {} is not interior to the domain",
+}
+
+
 def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
     """Check all surface-system invariants; returns the surfaces as
     subcomplexes.  Raises NotADomainError (complexes.check_domain), then
@@ -98,7 +110,6 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
     non-surface, one-sided, boundary-leak) on the first violated invariant."""
     KC = as_domain(K)
     bd = boundary_subcomplex(KC)
-    bd_edges, bd_tris = set(bd.simplices(1)), set(bd.simplices(2))
 
     surfaces = []
     seen: dict[Simplex, str] = {}
@@ -106,61 +117,28 @@ def validate_surface_system(K, F: SurfaceSystem) -> list[SimplicialComplex]:
         if not tris:
             raise SurfaceSystemError("non-surface", f"{name} has no triangles")
         S = KC.subcomplex(tris)
-        if S.dimension != 2 or S.simplices(3):
-            raise SurfaceSystemError("non-surface", f"{name} is not 2-dimensional")
+        try:
+            _surface_walks(S)
+        except ComplexError as e:
+            raise SurfaceSystemError("non-surface", f"{name}: {e}") from None
         if len(connected_components(S)) != 1:
             raise SurfaceSystemError("disconnected", f"{name} is not connected")
         # every simplex belongs to at most one surface
-        for dim in range(3):
-            for s in S.simplices(dim):
-                if s in seen:
-                    raise SurfaceSystemError(
-                        "overlap", f"{name} and {seen[s]} share {s}"
-                    )
-                seen[s] = name
-        # manifold condition and boundary behaviour
-        s_index = face_index(S)
-        counts = [len(s_index.cofaces_of(1, q)) for q in range(len(S.simplices(1)))]
-        for e, c in zip(S.simplices(1), counts):
-            if not 1 <= c <= 2:
-                raise SurfaceSystemError("non-surface", f"edge {e} of {name} has {c} triangles")
-        # so the link of each vertex is arcs and circles: it is one of them
-        # iff a walk from a rim edge at the vertex (any edge, if none is on
-        # the rim), each step through a triangle other than the last one,
-        # meets every edge at the vertex
-        faces, s_tris = s_index.faces[2], S.simplices(2)
-        for p, (v,) in enumerate(S.simplices(0)):
-            edges = s_index.cofaces_of(0, p)
-            e = first = next((q for q in edges if counts[q] == 1), edges[0])
-            t, met = -1, 1
-            while (t := next((u for u in s_index.cofaces_of(1, e) if u != t), -1)) >= 0:
-                f = faces[3 * t:3 * t + 3]
-                e = sum(f) - e - f[s_tris[t].index(v)]
-                if e == first:
-                    break
-                met += 1
-            if met != len(edges):
-                raise SurfaceSystemError("non-surface", f"link of vertex {v} of {name} is not connected")
-        for e, c in zip(S.simplices(1), counts):
-            if c == 1 and e not in bd_edges:
-                raise SurfaceSystemError(
-                    "boundary-leak", f"boundary edge {e} of {name} is not on the domain boundary"
-                )
-            if c == 2 and e in bd_edges:
-                raise SurfaceSystemError(
-                    "boundary-leak", f"interior edge {e} of {name} lies on the domain boundary"
-                )
-        rim = {v for e, c in zip(S.simplices(1), counts) if c == 1 for v in e}
-        for (v,) in S.simplices(0):
-            if v not in rim and bd.has_simplex((v,)):
-                raise SurfaceSystemError(
-                    "boundary-leak", f"interior vertex {v} of {name} lies on the domain boundary"
-                )
-        for t in S.simplices(2):
-            if t in bd_tris:
-                raise SurfaceSystemError(
-                    "boundary-leak", f"triangle {t} of {name} is not interior to the domain"
-                )
+        for s in S.all_simplices():
+            if s in seen:
+                raise SurfaceSystemError("overlap", f"{name} and {seen[s]} share {s}")
+            seen[s] = name
+        # properly embedded: S meets the domain boundary exactly in its rim,
+        # the edges of one triangle and their vertices; once the edges pass,
+        # every rim vertex is on the boundary
+        start = face_index(S).coface_start[1]
+        rim = {f for q, e in enumerate(S.simplices(1)) if start[q + 1] - start[q] == 1
+               for f in (e, e[:1], e[1:])}
+        for d in (1, 0, 2):
+            for s in S.simplices(d):
+                if (s in rim) != bd.has_simplex(s):
+                    message = _LEAKS[d, s in rim].format(s if d else s[0], name)
+                    raise SurfaceSystemError("boundary-leak", message)
         # K is orientable, and in an orientable 3-manifold a properly
         # embedded surface S is two-sided exactly when it is orientable:
         # TK|S = TS + the normal line bundle, so w1 of that bundle is w1(S)

@@ -197,7 +197,7 @@ def _vertex_fans(S: SimplicialComplex) -> dict[int, dict[Simplex, int]]:
 
     Walking the fan from an edge through the positively-oriented triangle
     between them yields the next edge counterclockwise.  Each fan starts at
-    the vertex's smallest edge and orients the walk of _check_closed_surface.
+    the vertex's smallest edge and orients the walk of complexes._surface_walks.
     """
     walks = _check_closed_surface(S)
     orientation = orient_surface(S)

@@ -174,6 +174,18 @@ def test_unreadable_input_or_unwritable_output_exits_2_with_one_line(tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("homology",), "a complex is required: --preset NAME or --input FILE"),
+        (("homology", "--preset", "ball", "--input", "x.json"), "give either --preset or --input, not both"),
+    ],
+)
+def test_no_complex_or_two_complexes_exit_2_with_one_line(capsys, argv, err):
+    code, out, stderr = run_capture(capsys, *argv)
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"simplices": 5}',
@@ -276,7 +288,7 @@ def test_surface_with_a_bare_edge_exits_2_with_one_line(tmp_path, capsys, comman
     bad.write_text(json.dumps(marked_complex_to_json(meridian_disk_with_whisker())))
     code, out, err = run_capture(capsys, command, "--input", str(bad))
     assert (code, out) == (2, "")
-    assert err == f"error: non-surface: edge {WHISKER} of disk has 0 triangles\n"
+    assert err == f"error: non-surface: disk: edge {WHISKER} has 0 triangles\n"
 
 
 @pytest.mark.parametrize("command", ["cut", "classify-cuts"])
@@ -295,7 +307,7 @@ def test_surface_pinched_at_a_vertex_exits_2_with_one_line(tmp_path, capsys, com
     bad.write_text(json.dumps(marked_complex_to_json(MarkedComplex(K, {"m": section + cone}))))
     code, out, err = run_capture(capsys, command, "--input", str(bad))
     assert (code, out) == (2, "")
-    assert err == f"error: non-surface: link of vertex {encode_point((2, 2, 1))} of m is not connected\n"
+    assert err == f"error: non-surface: m: link of vertex {encode_point((2, 2, 1))} is not a single circle\n"
 
 
 @pytest.mark.parametrize("command", ["cut", "classify-cuts"])

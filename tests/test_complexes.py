@@ -1,12 +1,15 @@
 import json
+from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helmcut.complexes import (
     ComplexError,
     MarkedComplex,
+    _check_closed_surface,
     _class_roots,
+    _surface_walks,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
     build_complex,
@@ -24,8 +27,9 @@ from helmcut.complexes import (
     push_cycle,
     surface_info,
 )
-from helmcut.builders import cubes_to_complex
+from helmcut.builders import cubes_to_complex, preset, preset_names
 from helmcut.cuts import _cut
+from helmcut.homology import betti_numbers
 
 TORUS7 = [((i % 7), ((i + 1) % 7), ((i + 3) % 7)) for i in range(7)] + [
     ((i % 7), ((i + 2) % 7), ((i + 3) % 7)) for i in range(7)
@@ -249,6 +253,65 @@ def test_surface_info_rejects_a_surface_pinched_at_a_vertex():
         surface_info(build_complex(TORUS7 + [(9,)]))
 
 
+def closed_surface_walks(S):
+    """An oracle for _check_closed_surface, written apart from the walker of
+    closed and cut surfaces: with two triangles on every edge, each vertex
+    is walked from its smallest edge through that edge's smallest triangle,
+    back to that edge.  Raises ComplexError with the same messages."""
+    index = face_index(S)
+    for q, e in enumerate(S.simplices(1)):
+        n = len(index.cofaces_of(1, q))
+        if n != 2:
+            raise ComplexError(f"not a closed surface: edge {e} has {n} triangles")
+    pair, faces, tris = index.cofaces[1], index.faces[2], S.simplices(2)
+    walks = array("i")
+    for p, (v,) in enumerate(S.simplices(0)):
+        edges = index.cofaces_of(0, p)
+        if not edges:
+            raise ComplexError(f"not a closed surface: vertex {v} has no edges")
+        e, t, first = edges[0], -1, len(walks)
+        while len(walks) == first or e != edges[0]:
+            walks.append(e)
+            t = pair[2 * e + 1] if pair[2 * e] == t else pair[2 * e]
+            f = faces[3 * t:3 * t + 3]
+            e = sum(f) - e - f[tris[t].index(v)]
+        if len(walks) - first != len(edges):
+            raise ComplexError(f"not a closed surface: link of vertex {v} is not a single circle")
+    return walks
+
+
+def _assert_closed_walks_match_the_oracle(S):
+    try:
+        want = closed_surface_walks(S)
+    except ComplexError as e:
+        with pytest.raises(ComplexError) as got:
+            _check_closed_surface(S)
+        assert str(got.value) == str(e)
+        return
+    assert _check_closed_surface(S) == _surface_walks(S) == want
+
+
+def test_closed_walks_equal_the_oracle_on_preset_boundaries():
+    surfaces = [build_complex(TORUS7), build_complex(RP2_6)]
+    for name in preset_names():
+        surfaces.extend(connected_components(boundary_subcomplex(preset(name).complex)))
+    assert len(surfaces) > 2 + len(preset_names())
+    for S in surfaces:
+        closed_surface_walks(S)  # each is a closed surface
+        _assert_closed_walks_match_the_oracle(S)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)), min_size=1))
+@example({(0, 0, 0), (1, 1, 0)})
+@example({(0, 0, 0), (1, 1, 1)})
+def test_closed_walks_equal_the_oracle_on_cube_domains(cubes):
+    # boundaries pinched at an edge or a vertex, as in the two examples,
+    # must fail with the oracle's message too
+    for S in connected_components(boundary_subcomplex(cubes_to_complex(sorted(cubes)))):
+        _assert_closed_walks_match_the_oracle(S)
+
+
 @st.composite
 def _items_and_pairs(draw):
     """Distinct items in any order, and pairs of them with self-pairs and
@@ -289,16 +352,18 @@ def test_product_with_interval_marks():
 def test_mapping_torus_identity_is_product():
     S = build_complex(TORUS7)
     ident = {v: v for v in S.vertices}
-    M = mapping_torus(S, ident, steps=3)
+    M = mapping_torus(S, ident)
     assert "fiber" in M.marks
     assert euler_characteristic(M.complex) == 0
+    # T^3, which two prism layers would not give
+    assert betti_numbers(M.complex) == (1, 3, 3, 1)
 
 
 def test_mapping_torus_rejects_non_simplicial_map():
     S = build_complex(TORUS7)
     bad = {v: 0 for v in S.vertices}
     with pytest.raises(ComplexError):
-        mapping_torus(S, bad, steps=3)
+        mapping_torus(S, bad)
 
 
 def test_json_round_trip():

@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from helmcut.complexes import (
     SimplicialComplex,
     _class_roots,
     _position,
+    _surface_walks,
     barycentric_subdivide_with_map,
     build_complex,
     connected_components,
@@ -27,6 +29,7 @@ from helmcut.complexes import (
     mapping_torus,
     marked_complex_from_json,
     orient_surface,
+    surface_info,
 )
 from helmcut.cuts import (
     CutResult,
@@ -109,7 +112,7 @@ def test_bare_edge_is_not_a_surface():
     with pytest.raises(SurfaceSystemError) as e:
         validate_surface_system(M, surface_system_from_marks(M))
     assert e.value.diagnostic == "non-surface"
-    assert str(e.value) == f"non-surface: edge {WHISKER} of disk has 0 triangles"
+    assert str(e.value) == f"non-surface: disk: edge {WHISKER} has 0 triangles"
 
 
 def test_boundary_leak_diagnostic():
@@ -172,11 +175,41 @@ def test_surface_pinched_at_a_vertex_is_not_a_surface():
     apex = encode_point((2, 2, 1))
     with pytest.raises(SurfaceSystemError) as e:
         classify_cut_system(K, SurfaceSystem(("m",), (tuple(section + cone),)))
-    assert str(e.value) == f"non-surface: link of vertex {apex} of m is not connected"
+    assert str(e.value) == f"non-surface: m: link of vertex {apex} is not a single circle"
     assert diagnostic_of(K, SurfaceSystem(("a", "b"), (tuple(section), tuple(cone)))) == "overlap"
     for disk in (section, cone):
         v = classify_cut_system(K, SurfaceSystem(("d",), (tuple(disk),)))
         assert v.component_count == 2 and v.is_helmholtz_cut_system
+
+
+@pytest.mark.parametrize(
+    "shape, abstract, block",
+    [
+        # two tetrahedron boundaries; the section and the cone
+        ("circle", [t for a in (0, 4) for t in combinations((0, a + 1, a + 2, a + 3), 3)],
+         lambda section, cone: section + cone),
+        # a tetrahedron boundary and a triangle; the section and a cone triangle
+        ("arc", list(combinations((0, 1, 2, 3), 3)) + [(0, 4, 5)],
+         lambda section, cone: section + cone[:1]),
+        # two triangles; two opposite cone triangles
+        ("arc", [(0, 1, 2), (0, 3, 4)], lambda section, cone: cone[::2]),
+    ],
+)
+def test_a_vertex_whose_link_is_two_pieces_is_rejected(shape, abstract, block):
+    # the link of vertex 0, and of the apex in the block, is two circles,
+    # an arc and a circle, or two arcs
+    S = build_complex(abstract)
+    with pytest.raises(ComplexError) as e:
+        _surface_walks(S)
+    assert str(e.value) == f"link of vertex 0 is not a single {shape}"
+    with pytest.raises(ComplexError, match="^not a closed surface: "):
+        surface_info(S)
+    K, section, cone = section_and_cone()
+    F = SurfaceSystem(("m",), (tuple(block(section, cone)),))
+    with pytest.raises(SurfaceSystemError) as e:
+        validate_surface_system(K, F)
+    apex = encode_point((2, 2, 1))
+    assert str(e.value) == f"non-surface: m: link of vertex {apex} is not a single {shape}"
 
 
 def grid_disk(symmetry):
@@ -201,16 +234,54 @@ def grid_disk(symmetry):
 
 
 def middle_row_surface(symmetry):
-    """The mapping torus (steps=4) of the grid disk under the symmetry, with
+    """The mapping torus of the grid disk under the symmetry, with
     the sub-mapping-torus of the middle row: a Moebius band in a solid
     torus for the rotation, an annulus for the identity."""
     disk, phi = grid_disk(symmetry)
-    M = mapping_torus(disk, phi, steps=4)
+    M = mapping_torus(disk, phi)
     idx = {vtx: i for i, vtx in enumerate(sorted(disk.vertices))}
     row = {idx[d] for d in (3, 4, 5)}  # middle row of the grid
-    # label = idx * steps + t
-    band = tuple(t for t in M.complex.simplices(2) if all(lab // 4 in row for lab in t))
+    # label = idx * 3 + t, with three prism layers
+    band = tuple(t for t in M.complex.simplices(2) if all(lab // 3 in row for lab in t))
     return M, band
+
+
+def assert_walks_go_around(S):
+    """Each vertex's walk in _surface_walks(S) meets every edge at the
+    vertex once, each step through a triangle of S; it starts at the
+    smallest rim edge, an edge of one triangle, and ends at the other, or,
+    at a vertex off the rim, starts at the smallest edge and closes up."""
+    index, edges, tris = face_index(S), S.simplices(1), S.simplices(2)
+    walks, start = _surface_walks(S), index.coface_start[0]
+    rim = {e for q, e in enumerate(edges) if len(index.cofaces_of(1, q)) == 1}
+    for p, (v,) in enumerate(S.simplices(0)):
+        walk = [edges[q] for q in walks[start[p]:start[p + 1]]]
+        at_v = sorted(e for e in edges if v in e)
+        assert sorted(walk) == at_v
+        ends = [e for e in at_v if e in rim]
+        assert ends in ([], [walk[0], walk[-1]])
+        if not ends:
+            assert walk[0] == at_v[0]
+            walk.append(walk[0])
+        fan = [tuple(sorted(set(a) | set(b))) for a, b in zip(walk, walk[1:])]
+        assert set(fan) <= set(tris)
+        assert fan[0] == min(t for t in tris if set(walk[0]) <= set(t))
+
+
+def test_rim_walks_go_around_disk_annulus_and_moebius_band():
+    disk, _ = grid_disk("identity")
+    surfaces = [disk]
+    for symmetry in ("identity", "rotation"):  # an annulus, a Moebius band
+        M, band = middle_row_surface(symmetry)
+        surfaces.append(M.complex.subcomplex(band))
+    for S in surfaces:
+        assert_walks_go_around(S)
+    assert [orient_surface(S) is not None for S in surfaces] == [True, True, False]
+    # by hand on the grid disk: corner 0 from its rim edge (0, 1) to (0, 3),
+    # centre 4 from (0, 4) through the triangle (0, 1, 4) and back
+    walks, start = _surface_walks(disk), face_index(disk).coface_start[0]
+    walk = {v: [disk.simplices(1)[q] for q in walks[start[v]:start[v + 1]]] for v in (0, 4)}
+    assert walk == {0: [(0, 1), (0, 4), (0, 3)], 4: [(0, 4), (1, 4), (4, 5), (4, 8), (4, 7), (3, 4)]}
 
 
 def test_one_sided_diagnostic_moebius_band_in_solid_torus():
@@ -304,7 +375,7 @@ def solid_klein_bottle():
     """The mapping torus of the grid disk under the transpose, a reflection,
     with its marked fiber disk: not orientable, so not a domain."""
     disk, phi = grid_disk("transpose")
-    return mapping_torus(disk, phi, steps=4)
+    return mapping_torus(disk, phi)
 
 
 # a triangle in three tetrahedra, and the triangle (1, 2, 3) marked

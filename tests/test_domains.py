@@ -22,6 +22,7 @@ from helmcut.builders import (
 from helmcut.complexes import (
     ComplexError,
     _check_closed_surface,
+    _surface_walks,
     boundary_subcomplex,
     build_complex,
     mapping_torus,
@@ -143,10 +144,11 @@ def test_each_boundary_component_is_oriented_once():
     # shell: two spheres; handlebody(2): one genus-2 surface; the unknot
     # box: a sphere and a torus, which lattice_link_complement orients to
     # read their genera, so the count starts before the build.  Each component is
-    # also checked to be a closed surface once.
+    # also checked to be a closed surface, and walked, once.
     for build in (shell, lambda: handlebody(2), lambda: unknot_box().complex):
         before = orient_surface.cache_info().misses
         checked = _check_closed_surface.cache_info().misses
+        walked = _surface_walks.cache_info().misses
         K = build()
         analyze_domain(K)
         is_simple(K)
@@ -154,6 +156,7 @@ def test_each_boundary_component_is_oriented_once():
         # and K itself is oriented once, by the domain check
         assert orient_surface.cache_info().misses - before == len(boundary_components(K)) + 1
         assert _check_closed_surface.cache_info().misses - checked == len(boundary_components(K))
+        assert _surface_walks.cache_info().misses - walked == len(boundary_components(K))
 
 
 def test_non_orientable_boundary_is_rejected():
