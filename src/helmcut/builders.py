@@ -7,6 +7,21 @@ The simplices of a split cube are exactly the chains of its corner lattice
 {0,1}^3 under the coordinatewise order (Kuhn, 1960), so a cube set is
 written face-closed and sorted from one table of chains.  Lattice points
 are encoded as single integers so vertex labels stay plain ints.
+
+cubes_to_complex returns a CubeComplex, which writes those layers only on
+first use: its domain check, boundary and Euler characteristic are read
+off its cubes.  A union of closed unit cubes is a 3-manifold iff at every
+lattice vertex the cubes in the set, and those not in it, are each
+face-connected: the set is well-composed (Latecki, "3D well-composed
+pictures", Graphical Models and Image Processing 59, 1997).  One
+256-entry table, _vertex, holds that verdict for each set of the 8
+cubes at a vertex, with the vertex's share of V - E + F - C and the
+push-offs of the cells at it: a boundary vertex v moves to v + n(v)/16,
+n(v) the sum of the side vectors of the cubes at v outside the set, and
+an edge runs through its midpoint, pushed alike.  So the push-off of a
+boundary cycle misses the cubes (CubeComplex.pushed_point says why), as
+the linking route of helmcut.domains needs.  The boundary is the unit
+squares between a cube in the set and one outside, 2 Kuhn triangles each.
 """
 
 from __future__ import annotations
@@ -16,17 +31,20 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complexes import (
     ComplexError,
     MarkedComplex,
+    NotADomainError,
     Simplex,
     SimplicialComplex,
+    _class_roots,
     barycentric_subdivide_with_map,
     boundary_subcomplex,
     build_complex,
     connected_components,
+    derived,
     mapping_torus,
     product_with_interval,
     surface_info,
@@ -56,7 +74,7 @@ def encode_point(p: Point) -> int:
     return ((x + _OFF) * _SPAN + (y + _OFF)) * _SPAN + (z + _OFF)
 
 
-def decode_point(label: int) -> Point:
+def _decode_point(label: int) -> Point:
     """The lattice point that encode_point encodes as label."""
     xy, z = divmod(label, _SPAN)
     x, y = divmod(xy, _SPAN)
@@ -66,6 +84,8 @@ def decode_point(label: int) -> Point:
 # The 8 corners of a cube as offsets from its encoded min corner: corner
 # 4x + 2y + z is the min corner plus (x, y, z).
 _CORNERS = tuple((x * _SPAN + y) * _SPAN + z for x, y, z in product((0, 1), repeat=3))
+# the label steps along x, y and z
+_STRIDES = _CORNERS[4], _CORNERS[2], _CORNERS[1]
 
 # The chains of the corner lattice {0,1}^3, as tuples of corner numbers, by
 # dimension: 8 vertices, 19 edges, 18 triangles, and the 6 maximal chains
@@ -77,17 +97,34 @@ _TETS = tuple(
 )
 _KUHN = tuple(sorted({c for t in _TETS for c in combinations(t, n)}) for n in (1, 2, 3)) + (_TETS,)
 
+# The 2 triangles of the square between a cube and the next cube along each
+# axis, as offsets from the cube's encoded min corner: the last three
+# corners of the 2 tetrahedra of the cube whose walk starts along that
+# axis, so the diagonal runs from the smallest to the largest corner of
+# the square.
+_SQUARES = tuple(
+    tuple(tuple(_CORNERS[c] for c in tet[1:]) for tet in _TETS[2 * axis:2 * axis + 2])
+    for axis in range(3)
+)
 
-def _corner_labels(cube: Cube) -> list[int]:
-    """The encoded corners of cube by corner number, once its min and max
-    corners are in range (then so are the 6 between them)."""
+
+def _cube_label(cube: Cube) -> int:
+    """The encoded min corner of cube, once its min and max corners are in
+    range (then so are the 6 between them)."""
     base = encode_point(cube)
     encode_point(tuple(x + 1 for x in cube))
-    return [base + o for o in _CORNERS]
+    return base
 
 
-def cubes_to_complex(cubes: Iterable[Cube]) -> SimplicialComplex:
-    """The union of the Kuhn-split cubes, written face-closed and sorted.
+def cubes_to_complex(cubes: Iterable[Cube]) -> CubeComplex:
+    """The union of the Kuhn-split cubes, as a CubeComplex; every corner
+    is range-checked here, and the layers are written on first use."""
+    return CubeComplex(tuple(_cube_label(cube) for cube in sorted(set(cubes))))
+
+
+def _kuhn_layers(cubes: Sequence[int]) -> tuple[tuple[Simplex, ...], ...]:
+    """The layers of the Kuhn-split cubes of the given sorted encoded min
+    corners, face-closed and sorted.
 
     Every simplex of a cube holds the cube's own 8 label ints, not new
     ones, so the layers take no more memory than a face closure that
@@ -95,11 +132,11 @@ def cubes_to_complex(cubes: Iterable[Cube]) -> SimplicialComplex:
     Distinct cubes have distinct tetrahedra, whose smallest vertex is the
     cube's min corner, so the tetrahedra of the sorted cubes, each cube's
     in sorted order, need neither a set nor a sort."""
-    labels = [_corner_labels(cube) for cube in sorted(set(cubes))]
+    labels = [[base + o for o in _CORNERS] for base in cubes]
     verts, edges, tris = _KUHN[:3]
     tets = sorted(_KUHN[3])
     # the list is filled in order, so each set is freed once it is sorted
-    return SimplicialComplex([
+    return tuple(tuple(layer) for layer in [
         sorted({(c[i],) for c in labels for (i,) in verts}),
         sorted({(c[i], c[j]) for c in labels for i, j in edges}),
         sorted({(c[i], c[j], c[k]) for c in labels for i, j, k in tris}),
@@ -108,20 +145,151 @@ def cubes_to_complex(cubes: Iterable[Cube]) -> SimplicialComplex:
 
 
 def square_face_triangles(cube: Cube, axis: int) -> list[Simplex]:
-    """The 2 triangles of the face between cube and cube + e_axis.
-
-    They are the last three corners of the 2 tetrahedra of cube whose walk
-    starts along axis, so the Kuhn triangulation puts the diagonal from
-    the smallest to the largest corner of the square.
-    """
+    """The 2 triangles of the face between cube and cube + e_axis (see
+    _SQUARES)."""
     lo = list(cube)
     lo[axis] += 1
     # range-check the smallest and largest corners of the square; the min
     # corner of cube itself may lie below the range
-    base = encode_point(tuple(lo)) - _CORNERS[4 >> axis]
+    base = encode_point(tuple(lo)) - _STRIDES[axis]
     encode_point(tuple(x + 1 for x in cube))
-    c = [base + o for o in _CORNERS]
-    return [(c[j], c[k], c[m]) for _, j, k, m in _KUHN[3][2 * axis:2 * axis + 2]]
+    return [tuple(base + o for o in tri) for tri in _SQUARES[axis]]
+
+
+# -- cube complexes --------------------------------------------------------
+
+# The 8 cubes at a lattice vertex v are its octants: octant 4x + 2y + z is
+# the cube with min corner v + (x - 1, y - 1, z - 1), on side (2x - 1,
+# 2y - 1, 2z - 1) of v.  Octants b and b ^ 1, b ^ 2, b ^ 4 share a face,
+# and a cube is octant 7 - k of its corner k.  The cell of the cube grid
+# with min corner v that spans the axes of f (numbered like corners: 0 the
+# vertex, 4 the edge along x, 6 the square in x and y) lies in octant b
+# iff b & f == f.
+_SIDES = tuple(tuple(2 * c - 1 for c in corner) for corner in product((0, 1), repeat=3))
+
+
+def _face_connected(octants: list[int]) -> bool:
+    reached, todo = set(octants[:1]), octants[:1]
+    while todo:
+        b = todo.pop()
+        for n in (b ^ 1, b ^ 2, b ^ 4):
+            if n in octants and n not in reached:
+                reached.add(n)
+                todo.append(n)
+    return len(reached) == len(octants)
+
+
+class _Vertex(NamedTuple):
+    """What the set of octants in a cube set tells of their vertex."""
+
+    manifold: bool  # the octants in the set, and those not, each face-connected
+    chi: int  # the signed count of cells with min corner v: its share of V - E + F - C
+    pushes: tuple[Point, ...]  # by cell f: the sum over octants outside the set
+    # that hold the cell of twice the vector from the cell's center to theirs
+
+
+@lru_cache(maxsize=256)
+def _vertex(mask: int) -> _Vertex:
+    """The vertex table, by the mask of the octants in the set: bit b for
+    octant b.  A union of closed cubes is a 3-manifold iff every vertex is
+    a manifold entry: 255, or one of 126 masks of a boundary vertex (mask
+    0 passes too, but is no vertex of the set).  Each entry is worked out
+    on first use, so an import builds none."""
+    ins = [b for b in range(8) if mask >> b & 1]
+    outs = [b for b in range(8) if not mask >> b & 1]
+    chi = sum((-1) ** bin(f).count("1") for f in range(8) if any(b & f == f for b in ins))
+    pushes = tuple(
+        tuple(sum(_SIDES[b][a] - (f >> 2 - a & 1) for b in outs if b & f == f) for a in range(3))
+        for f in range(8)
+    )
+    return _Vertex(_face_connected(ins) and _face_connected(outs), chi, pushes)
+
+
+@derived
+def _vertex_masks(K: CubeComplex) -> dict[int, int]:
+    """Vertex -> the mask of its octants in the cubes of K."""
+    masks: dict[int, int] = {}
+    for base in K.cubes:
+        for k, o in enumerate(_CORNERS):
+            masks[base + o] = masks.get(base + o, 0) | 1 << 7 - k
+    return masks
+
+
+class CubeComplex(SimplicialComplex):
+    """The union of a set of unit lattice cubes, Kuhn-split.  It keeps its
+    cubes, the sorted encoded min corners, and writes its layers on first
+    use; its domain check, boundary and Euler characteristic come from the
+    cubes and the vertex table, so they write no layer."""
+
+    __slots__ = ("cubes", "_layers")
+
+    def __init__(self, cubes: tuple[int, ...]):
+        # the layers and their hash wait for first use
+        self.cubes = cubes
+        self._layers = None
+        self._derived: dict = {}
+
+    @property
+    def _simplices(self) -> tuple[tuple[Simplex, ...], ...]:
+        if self._layers is None:
+            self._layers = _kuhn_layers(self.cubes)
+        return self._layers
+
+    def __hash__(self) -> int:
+        return hash(self._simplices)
+
+    def _euler_characteristic(self) -> int:
+        return sum(_vertex(mask).chi for mask in _vertex_masks(self).values())
+
+    def _boundary(self) -> SimplicialComplex:
+        """The unit squares between a cube of K and one outside."""
+        if not self.cubes:
+            raise ComplexError("boundary_subcomplex requires a pure 3-complex")
+        cubes = set(self.cubes)
+        tris = []
+        for c in self.cubes:
+            for stride, square in zip(_STRIDES, _SQUARES):
+                for lo, out in ((c, c + stride), (c - stride, c - stride)):
+                    if out not in cubes:
+                        tris.extend(tuple(lo + o for o in tri) for tri in square)
+        tris.sort()
+        edges = sorted({e for x, y, z in tris for e in ((x, y), (x, z), (y, z))})
+        verts = sorted({(v,) for e in edges for v in e})
+        return SimplicialComplex([verts, edges, tris, []])
+
+    def _check_domain(self) -> None:
+        """Every vertex a manifold entry of the vertex table, then the cubes
+        face-connected.  Cubes that share only an edge or a vertex fail the
+        table there, so once it passes, connected means face-connected."""
+        if not self.cubes:
+            raise NotADomainError("domain complex must be pure 3-dimensional")
+        bad = [v for v, mask in _vertex_masks(self).items() if not _vertex(mask).manifold]
+        if bad:
+            raise NotADomainError(f"domain complex is not a 3-manifold at vertex {_decode_point(min(bad))}")
+        cubes = set(self.cubes)
+        pairs = ((c, c + s) for c in self.cubes for s in _STRIDES if c + s in cubes)
+        if len(set(_class_roots(self.cubes, pairs).values())) != 1:
+            raise NotADomainError("domain complex must be connected")
+
+    def pushed_point(self, cell: Simplex) -> Point:
+        """16 times the point that a boundary vertex (v,) or edge (v, w) is
+        pushed to, off the cubes: the cell's center plus 1/16 of its push
+        in the vertex table.
+
+        The push-off lies off the closed cubes, and so does the segment
+        from a vertex's push-off to the push-off of an edge at it.  Both
+        depend only on the table entries at the edge's two ends, and
+        tests/test_builders.py checks them exactly over every pair of
+        manifold entries at an edge along x and at a square diagonal in x
+        and y; the table is symmetric under permutations of the axes.  A
+        straight segment from one end's push-off to the other's would not
+        do: where the octants at both ends are symmetric under a
+        reflection that fixes the edge, their pushes have a zero component
+        and the segment runs along a face of a cube of the set."""
+        lo, hi = _decode_point(cell[0]), _decode_point(cell[-1])
+        f = 4 * (hi[0] - lo[0]) + 2 * (hi[1] - lo[1]) + hi[2] - lo[2]
+        push = _vertex(_vertex_masks(self)[cell[0]]).pushes[f]
+        return tuple(8 * (a + b) + n for a, b, n in zip(lo, hi, push))
 
 
 # -- elementary solids -----------------------------------------------------
@@ -195,6 +363,28 @@ class LatticePath:
                 raise BuildError(f"non-unit step {a} -> {b}")
 
 
+def _parse_point(chunk: str) -> Point:
+    """x,y,z: integers, each an optional sign and ASCII digits."""
+    coords = chunk.split(",")
+    if len(coords) != 3 or not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", c) for c in coords):
+        raise BuildError(f"bad lattice point: {chunk!r}")
+    return tuple(int(c) for c in coords)
+
+
+def _data_lines(text: str) -> Iterator[str]:
+    """The stripped lines of text, blank lines and # comments left out."""
+    for line in map(str.strip, text.splitlines()):
+        if line and not line.startswith("#"):
+            yield line
+
+
+def parse_cubes(text: str) -> list[Cube]:
+    """One cube per line, the x,y,z of its min corner as in
+    parse_lattice_paths; blank lines and lines starting with # are
+    skipped."""
+    return [_parse_point(line) for line in _data_lines(text)]
+
+
 def parse_lattice_paths(text: str) -> list[LatticePath]:
     """One closed component per line; semicolon-separated x,y,z triples of
     integers, each an optional sign and ASCII digits, the last point
@@ -202,19 +392,8 @@ def parse_lattice_paths(text: str) -> list[LatticePath]:
     raises BuildError.
     """
     paths = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        pts = []
-        for chunk in line.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            coords = chunk.split(",")
-            if len(coords) != 3 or not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", c) for c in coords):
-                raise BuildError(f"bad lattice point: {chunk!r}")
-            pts.append(tuple(int(c) for c in coords))
+    for line in _data_lines(text):
+        pts = [_parse_point(chunk) for chunk in map(str.strip, line.split(";")) if chunk]
         if len(pts) < 2 or pts[0] != pts[-1]:
             raise BuildError("lattice path does not return to its first point")
         paths.append(LatticePath(tuple(pts[:-1])))
@@ -244,18 +423,7 @@ def _dilate(cubes: set[Cube]) -> set[Cube]:
     return out
 
 
-class LinkBox(MarkedComplex):
-    """The box-domain of a lattice link, made by lattice_link_complement,
-    with the link's components: the cores of its tubes, in mark order."""
-
-    __slots__ = ("cores",)
-
-    def __init__(self, complex, marks, cores: tuple[LatticePath, ...]):
-        super().__init__(complex, marks)
-        self.cores = cores
-
-
-def lattice_link_complement(paths: Sequence[LatticePath]) -> LinkBox:
+def lattice_link_complement(paths: Sequence[LatticePath]) -> MarkedComplex:
     """Box-domain of a lattice link: a cube box minus tubes around each path.
 
     The tube around a path is the union of closed unit cubes touching it,
@@ -268,7 +436,8 @@ def lattice_link_complement(paths: Sequence[LatticePath]) -> LinkBox:
     a domain cube: it is less than the least cube of tube i, the collision
     check keeps it out of every other tube, and the box has a one-cube
     margin.  A boundary that does not split into these surfaces, one per
-    anchor, raises BuildError.  The paths are kept as the box's cores.
+    anchor, raises BuildError.  The boundary is read off the box's squares
+    (CubeComplex), so no layer is written.
     """
     excluded = [_dilate(_path_cubes(path)) for path in paths]
     for i in range(len(excluded)):
@@ -309,7 +478,7 @@ def lattice_link_complement(paths: Sequence[LatticePath]) -> LinkBox:
     for i in range(len(paths)):
         if marks[f"tube_{i}"][1] != 1:
             raise BuildError(f"tube_{i} boundary is not a torus")
-    return LinkBox(K, {name: S.simplices(2) for name, (S, _) in marks.items()}, tuple(paths))
+    return MarkedComplex(K, {name: S.simplices(2) for name, (S, _) in marks.items()})
 
 
 def _load_paths(name: str) -> list[LatticePath]:
@@ -372,11 +541,11 @@ def _preset_torus_shell() -> MarkedComplex:
     return surface_shell(1)
 
 
-def _preset_trefoil_box() -> LinkBox:
+def _preset_trefoil_box() -> MarkedComplex:
     return lattice_link_complement(_load_paths("trefoil"))
 
 
-def _preset_hopf_box() -> LinkBox:
+def _preset_hopf_box() -> MarkedComplex:
     return lattice_link_complement(_load_paths("hopf"))
 
 
@@ -408,7 +577,7 @@ def preset(name: str) -> MarkedComplex:
     return _PRESETS[name]()
 
 
-def unknot_box() -> LinkBox:
+def unknot_box() -> MarkedComplex:
     """Box-domain of a square unknot (used by the extended domain corpus)."""
     square = LatticePath(
         tuple(

@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .builders import preset, preset_names
+from .builders import cubes_to_complex, parse_cubes, preset, preset_names
 from .complexes import ComplexError, MarkedComplex, marked_complex_from_json
 from .cuts import (
     classify_cut_system,
@@ -49,8 +49,8 @@ def _read(path: str, error: type[Exception]) -> str:
 
 
 def _load_complex(args) -> MarkedComplex:
-    if args.preset and args.input:
-        raise ComplexError("give either --preset or --input, not both")
+    if sum(map(bool, (args.preset, args.input, args.cubes))) > 1:
+        raise ComplexError("give either --preset or --input or --cubes, not more than one")
     if args.preset:
         return preset(args.preset)
     if args.input:
@@ -59,7 +59,9 @@ def _load_complex(args) -> MarkedComplex:
         except json.JSONDecodeError as e:
             raise ComplexError(f"malformed JSON in {args.input}: {e}")
         return marked_complex_from_json(data)
-    raise ComplexError("a complex is required: --preset NAME or --input FILE")
+    if args.cubes:
+        return MarkedComplex(cubes_to_complex(parse_cubes(_read(args.cubes, ComplexError))), {})
+    raise ComplexError("a complex is required: --preset NAME, --input FILE or --cubes FILE")
 
 
 def _load_diagram(args):
@@ -199,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     def complex_opts(p):
         p.add_argument("--preset", help="bundled domain name (see preset-list)")
         p.add_argument("--input", help="path to a JSON complex file")
+        p.add_argument("--cubes", help="path to a cube set: one x,y,z min corner per line")
         p.add_argument("--output", help="write JSON here instead of stdout")
 
     def link_opts(p):

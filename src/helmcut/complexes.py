@@ -125,6 +125,52 @@ class SimplicialComplex:
     def contains(self, other: "SimplicialComplex") -> bool:
         return all(self.has_simplex(s) for s in other.all_simplices())
 
+    # -- facts a subclass may read off a coarser structure -----------------
+    # (builders.CubeComplex reads them off its cubes); callers go through
+    # euler_characteristic, boundary_subcomplex and check_domain
+
+    def _euler_characteristic(self) -> int:
+        return sum((-1) ** d * len(layer) for d, layer in enumerate(self._simplices))
+
+    def _boundary(self) -> "SimplicialComplex":
+        """The subcomplex generated by the triangles in exactly one
+        tetrahedron."""
+        if not is_pure_3(self):
+            raise ComplexError("boundary_subcomplex requires a pure 3-complex")
+        index = face_index(self)
+        start = index.coface_start[2]
+        tris = [p for p in range(len(start) - 1) if start[p + 1] - start[p] == 1]
+        edges = sorted({e for t in tris for e in index.faces_of(2, t)})
+        verts = sorted({v for e in edges for v in index.faces_of(1, e)})
+        # positions in increasing order keep the sorted order of the layers
+        return SimplicialComplex(
+            [[self.simplices(d)[p] for p in ps] for d, ps in enumerate((verts, edges, tris))] + [[]]
+        )
+
+    def _check_domain(self) -> None:
+        """Conditions (1)-(7) of check_domain, in order."""
+        if not is_pure_3(self):
+            raise NotADomainError("domain complex must be pure 3-dimensional")
+        start = face_index(self).coface_start[2]
+        tets = [b - a for a, b in zip(start, start[1:])]  # tetrahedra per triangle
+        if max(tets) > 2:
+            p = next(p for p, n in enumerate(tets) if n > 2)
+            raise NotADomainError(f"triangle {self.simplices(2)[p]} lies in {tets[p]} tetrahedra, not at most 2")
+        bd = boundary_subcomplex(self)
+        if not bd.simplices(2):
+            raise NotADomainError("domain complex must have non-empty boundary")
+        if len(set(vertex_roots(self).values())) != 1:
+            raise NotADomainError("domain complex must be connected")
+        try:
+            surface_info(bd)  # each component a closed surface, or ComplexError
+        except ComplexError as e:
+            raise NotADomainError(str(e)) from None
+        if orient_surface(self) is None:
+            raise NotADomainError("domain complex is not orientable")
+        chi, chi_bd = euler_characteristic(self), euler_characteristic(bd)
+        if 2 * chi != chi_bd:
+            raise NotADomainError(f"domain complex is not a 3-manifold: chi {chi}, boundary chi {chi_bd}")
+
 
 def build_complex(simplex_list: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Face closure of the given simplices (1-4 distinct vertices each)."""
@@ -145,7 +191,7 @@ def build_complex(simplex_list: Iterable[Sequence[int]]) -> SimplicialComplex:
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
-    return sum((-1) ** d * len(K.simplices(d)) for d in range(4))
+    return K._euler_characteristic()
 
 
 def chain_boundary(chain: Mapping[Simplex, int]) -> dict[Simplex, int]:
@@ -225,18 +271,9 @@ def is_pure_3(K: SimplicialComplex) -> bool:
 
 @derived
 def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
-    """Subcomplex generated by triangles incident to exactly one tetrahedron."""
-    if not is_pure_3(K):
-        raise ComplexError("boundary_subcomplex requires a pure 3-complex")
-    index = face_index(K)
-    start = index.coface_start[2]
-    tris = [p for p in range(len(start) - 1) if start[p + 1] - start[p] == 1]
-    edges = sorted({e for t in tris for e in index.faces_of(2, t)})
-    verts = sorted({v for e in edges for v in index.faces_of(1, e)})
-    # positions in increasing order keep K's sorted order
-    return SimplicialComplex(
-        [[K.simplices(d)[p] for p in ps] for d, ps in enumerate((verts, edges, tris))] + [[]]
-    )
+    """Subcomplex generated by triangles incident to exactly one tetrahedron;
+    a cube complex reads it off its squares (builders.CubeComplex)."""
+    return K._boundary()
 
 
 def _class_roots(items: Iterable, pairs: Iterable[Sequence]) -> dict:
@@ -394,7 +431,7 @@ def _check_closed_surface(S: SimplicialComplex) -> array:
     index, edges = face_index(S), S.simplices(1)
     if len(index.cofaces[1]) != 2 * len(edges):
         q = next(q for q in range(len(edges)) if len(index.cofaces_of(1, q)) == 1)
-        raise ComplexError(f"not a closed surface: edge {edges[q]} has 1 triangles")
+        raise ComplexError(f"not a closed surface: edge {edges[q]} is a rim edge, of one triangle")
     return walks
 
 
@@ -475,28 +512,10 @@ def check_domain(K: SimplicialComplex) -> None:
     chi(boundary), as for every compact 3-manifold.  After (1) and (2),
     2 chi(K) - chi(boundary) is the sum of the Euler defects of the vertex
     links (2 - chi(link) at an interior vertex), so (7) misses a
-    non-manifold whose defects cancel.  Memoized on K."""
-    if not is_pure_3(K):
-        raise NotADomainError("domain complex must be pure 3-dimensional")
-    start = face_index(K).coface_start[2]
-    tets = [b - a for a, b in zip(start, start[1:])]  # tetrahedra per triangle
-    if max(tets) > 2:
-        p = next(p for p, n in enumerate(tets) if n > 2)
-        raise NotADomainError(f"triangle {K.simplices(2)[p]} lies in {tets[p]} tetrahedra, not at most 2")
-    bd = boundary_subcomplex(K)
-    if not bd.simplices(2):
-        raise NotADomainError("domain complex must have non-empty boundary")
-    if len(set(vertex_roots(K).values())) != 1:
-        raise NotADomainError("domain complex must be connected")
-    try:
-        surface_info(bd)  # each component a closed surface, or ComplexError
-    except ComplexError as e:
-        raise NotADomainError(str(e)) from None
-    if orient_surface(K) is None:
-        raise NotADomainError("domain complex is not orientable")
-    chi, chi_bd = euler_characteristic(K), euler_characteristic(bd)
-    if 2 * chi != chi_bd:
-        raise NotADomainError(f"domain complex is not a 3-manifold: chi {chi}, boundary chi {chi_bd}")
+    non-manifold whose defects cancel.  A cube complex is checked exactly
+    instead, by its vertex table and face-connectivity
+    (builders.CubeComplex), and no condition is missed.  Memoized on K."""
+    K._check_domain()
 
 
 def as_domain(K) -> SimplicialComplex:

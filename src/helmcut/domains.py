@@ -3,10 +3,12 @@
 A "domain complex" stands for the closure of a bounded domain in R^3 with
 smooth-enough boundary: a connected, orientable, compact 3-manifold with
 non-empty boundary.  Every entry point here first runs the one domain
-check, complexes.check_domain: pure 3-dimensional, at most two tetrahedra
-on a triangle, non-empty boundary, connected, every boundary component a
-closed surface, orientable, and 2 chi(K) = chi(boundary), in this order.
-Its docstring says what it misses.
+check, complexes.check_domain.  On a simplicial complex it is: pure
+3-dimensional, at most two tetrahedra on a triangle, non-empty boundary,
+connected, every boundary component a closed surface, orientable, and
+2 chi(K) = chi(boundary), in this order; its docstring says what it
+misses.  On a union of unit cubes (builders.CubeComplex) it is exact: a
+vertex table and face-connectivity.
 
 This module computes the boundary decomposition, the standard numerical
 identities, the kernel of the boundary inclusion on first homology, the
@@ -17,30 +19,33 @@ Helmholtz conditions concern curl-free fields, whose classes are real
 (de Rham) classes, so every verdict here reads H1(K) modulo torsion.
 
 The homology of the domain itself comes by one of two routes.  In general
-it is homology_of(K), a reduction of the 3-dimensional complex.  A link
-box (builders.LinkBox: a lattice box minus open tubes around the n
-components of a lattice link, which it keeps as its cores) reads it off
-the link instead.  Alexander duality (Hatcher, "Algebraic Topology", 2002,
-Thm. 3.44) gives H~^(2-i)(K) = H~_i(S^3 - K), and S^3 - K, the n open
-tubes and the outside of the box (a ball), has the homology of n circles
-and a point.  So H^1(K) = H^2(K) = Z^n and H^3(K) = 0, and by universal
-coefficients H_*(K) = (Z, Z^n, Z^n, 0), torsion-free.  The duality is the
-linking pairing, perfect between H1(K) and H1(S^3 - K), which is free on
-the cores: a cycle's class in H1(K) = Z^n is its vector of linking
-numbers with the cores (Rolfsen, "Knots and Links", 1976, ch. 5).
-_linking_numbers counts them as signed crossings in one integer
-projection, and says why no crossing there is degenerate.  The n x m
-matrix of linking numbers of the m boundary generators must have rank n,
-or InternalConsistencyError; that ties b1 = b2 = n to the data, so
-identities (i)-(iii) of analyze_domain stay checks against chi(K) and the
-boundary's b1, while (iv) and (v) restate the theorem.  Homology of the
-boundary surfaces, their intersection forms, cuts and the homology
-command keep the reduction.
+it is homology_of(K), a reduction of the 3-dimensional complex.  A cube
+complex K, which lies in R^3, reads it off its boundary instead.  Let E
+be the closure of S^3 - K.  Each boundary component S_k bounds one
+component E_k of E, of which it is the whole boundary, since K is
+connected; so Alexander duality (Hatcher, "Algebraic Topology", 2002,
+Thm. 3.44), H~_i(K) = H~^(2-i)(E), gives H_*(K) = (Z, Z^G, Z^h, 0),
+torsion-free, where G is the total genus of the boundary and h + 1 the
+number of its components.  Mayer-Vietoris for S^3 = K u E gives H1(dK) =
+H1(K) + H1(E), so the push-offs into E of a basis of H1(dK) span H1(E),
+and the linking pairing of H1(K) with H1(E) is perfect (Rolfsen, "Knots
+and Links", 1976, ch. 5): a boundary cycle bounds in K iff it links no
+push-off of the boundary generators.  _linking_numbers counts these
+linking numbers as signed crossings in one integer projection; the
+push-offs and the reason no crossing is degenerate are in its docstring.
+The 2G x 2G linking matrix must have rank G, or
+InternalConsistencyError.  chi(K) is counted from the cubes' cells,
+V - E + F - C, apart from the boundary, so identities (i)-(iii) of
+analyze_domain stay checks against the boundary's genera and b1, while
+(iv) and (v) restate the theorem.  Homology of the boundary surfaces,
+their intersection forms, cuts and the homology command keep the
+reduction.
 
-The routes never share a memo entry: a LinkBox takes the linking route
-and its bare complex the reduction, in either order of calls.  They
-give the same Betti numbers and the same kernel lattice, in possibly
-different bases, so a Lagrangian witness may differ between them.
+The routes never share a memo entry: a cube complex takes the duality
+route and a plain copy of it, SimplicialComplex([K.simplices(d) for d in
+range(4)]), the reduction, in either order of calls.  They give the same
+Betti numbers and the same kernel lattice, in possibly different bases,
+so a Lagrangian witness may differ between them.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
-from .builders import LatticePath, LinkBox, decode_point
+from .builders import CubeComplex, _decode_point
 from .complexes import (
     ComplexError,
     NotADomainError,  # raised by as_domain, and importable from here too
@@ -108,11 +113,6 @@ class DomainReport:
         }
 
 
-def _cores(K) -> tuple[LatticePath, ...]:
-    """The cores of a link box, or () for any other input."""
-    return K.cores if isinstance(K, LinkBox) else ()
-
-
 def analyze_domain(K) -> DomainReport:
     """Numerical profile of a domain plus the standard identity checks:
 
@@ -122,22 +122,20 @@ def analyze_domain(K) -> DomainReport:
     (iv)  homology torsion-free in all degrees
     (v)   b3 = 0
 
-    On a link box, (iv) and (v) restate Alexander duality (see the module
-    docstring).
+    On a cube complex, (iv) and (v) restate Alexander duality (see the
+    module docstring).
     """
-    cores = _cores(K)
     K = as_domain(K)
-    if cores:
-        _boundary_classes(K, cores)  # rank n, or InternalConsistencyError
-        n = len(cores)
-        betti, torsion_free = (1, n, n, 0), True
+    genus_list = surface_info(boundary_subcomplex(K))
+    h1 = len(genus_list)
+    if isinstance(K, CubeComplex):
+        _boundary_classes(K)  # rank G, or InternalConsistencyError
+        betti, torsion_free = (1, sum(genus_list), h1 - 1, 0), True
     else:
         groups = homology_groups(K)
         betti, torsion_free = tuple(g.rank for g in groups), all(not g.torsion for g in groups)
     chi = euler_characteristic(K)
-    genus_list = surface_info(boundary_subcomplex(K))
     b1_bd = sum(homology_of(S).betti(1) for S in boundary_components(K))
-    h1 = len(genus_list)
     checks = (
         ("chi_eq_1_minus_b1_plus_b2", chi == 1 - betti[1] + betti[2]),
         ("chi_eq_components_minus_genus", 2 * chi == 2 * h1 - b1_bd),
@@ -306,18 +304,15 @@ class BoundaryKernelData:
 def kernel_of_boundary_inclusion(K) -> BoundaryKernelData:
     """Integer kernel of i_*: H1(boundary) -> H1(domain) modulo torsion, with
     per-component projections P_j; the integral kernel has finite index in
-    it.  The rank must equal the total boundary genus.  A link box reads
-    i_* off its linking classes (see the module docstring)."""
-    cores = _cores(K)
-    return _boundary_kernel(as_domain(K), cores)
+    it.  The rank must equal the total boundary genus.  A cube complex
+    reads i_* off linking numbers (see the module docstring)."""
+    return _boundary_kernel(as_domain(K))
 
 
 @derived
-def _boundary_kernel(K: SimplicialComplex, cores: tuple[LatticePath, ...]) -> BoundaryKernelData:
-    """The kernel by the linking route for the cores of a link box, and by
-    the reduction for cores = (); each route has its own memo entry."""
+def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
     comps = boundary_components(K)
-    snf = _boundary_classes(K, cores)
+    snf = _boundary_classes(K)
     kernel = [tuple(r[j] for r in snf.V) for j in range(len(snf.diagonal), len(snf.V))]
     genus = sum(surface_info(boundary_subcomplex(K)))
     if len(kernel) != genus:
@@ -335,81 +330,98 @@ def _boundary_kernel(K: SimplicialComplex, cores: tuple[LatticePath, ...]) -> Bo
 
 
 @derived
-def _boundary_classes(K: SimplicialComplex, cores: tuple[LatticePath, ...]) -> SmithDecomposition:
+def _boundary_classes(K: SimplicialComplex) -> SmithDecomposition:
     """Smith form of the classes in H1(K) modulo torsion of the free H1
     generators of the boundary components, concatenated, one column each.
-    For the n cores of a link box they are the generators' linking numbers
-    with the cores, and a rank other than n raises
-    InternalConsistencyError; for cores = () they are the free coordinates
-    of homology_of(K).class_coords."""
+    On a cube complex they are the generators' linking numbers with the
+    push-offs of the same generators, and a rank other than the total
+    boundary genus raises InternalConsistencyError; otherwise they are the
+    free coordinates of homology_of(K).class_coords."""
     gens = [g for S in boundary_components(K) for g in homology_of(S).free_generators(1)]
-    if cores:
-        rows = _linking_numbers(gens, cores)
+    if isinstance(K, CubeComplex):
+        rows = _linking_numbers(K, gens)
     else:
         HK = homology_of(K)
         cols = [HK.class_coords(g, 1)[0] for g in gens]
         rows = [[c[i] for c in cols] for i in range(HK.betti(1))]
     snf = smith_normal_form(IntegerMatrix(len(rows), len(gens), rows))
-    if cores and len(snf.diagonal) != len(cores):
-        raise InternalConsistencyError(
-            f"linking matrix of rank {len(snf.diagonal)} with {len(cores)} cores"
-        )
+    genus = sum(surface_info(boundary_subcomplex(K)))
+    if isinstance(K, CubeComplex) and len(snf.diagonal) != genus:
+        raise InternalConsistencyError(f"linking matrix of rank {len(snf.diagonal)} with total boundary genus {genus}")
     return snf
 
 
 # the projection (x, y, z) -> (_A x + z, _B y + z) of _linking_numbers
-_A, _B = 1009, 1013
+_A, _B = 1000003, 1000033
 
 
-def _linking_numbers(cycles: Sequence[Chain], cores: Sequence[LatticePath]) -> list[list[int]]:
-    """lk(z, L_j) for 1-cycles z on encoded lattice points, off the cores:
-    row j, column z.
+def _linking_numbers(K: CubeComplex, cycles: Sequence[Chain]) -> list[list[int]]:
+    """lk(z_j, z_i^+) for 1-cycles z_i of the boundary of a cube complex
+    K: row i, column j.
 
-    lk(z, L) is the signed count of the crossings where z passes over L in
-    the projection pi(x, y, z) = (A x + z, B y + z), A = 1009, B = 1013, with
-    over meaning larger z; a crossing counts +1 where z's direction turns
-    counterclockwise (seen from above), through less than a half turn,
-    onto L's.  Cycles count by linearity, so a chain needs no splitting
-    into loops.
+    The push-off z_i^+ takes each edge (v, w) of z_i to the two segments
+    from the push-off of v to that of the edge and on to that of w
+    (K.pushed_point), all off K.  Coordinates are scaled by 16, so every
+    vertex of either curve is a lattice point.
+
+    lk(z, w) is the signed count of the crossings where z passes over w in
+    the projection pi(x, y, z) = (A x + z, B y + z), A = 1000003, B =
+    1000033, with over meaning larger z; a crossing counts +1 where z's
+    direction turns counterclockwise (seen from above), through less than
+    a half turn, onto w's.  Cycles count by linearity, so a chain needs no
+    splitting into loops.
 
     No crossing is degenerate, that is, no vertex of either curve projects
     onto a segment of the other (overlapping segments and vertex on vertex
-    are cases of this).  Every segment runs from a lattice point Q to Q + f
-    with f in {0,1}^3 up to sign: a unit step of a core, or an edge of a
-    Kuhn-split cube.  pi is one-to-one except along d = (B, A, -AB), so a
-    vertex P on pi([Q, Q + f]) means P - Q = s f + t d, 0 <= s <= 1.  The
-    coordinates lie in encode_point's range -99..155, so each component of
-    P - Q is at most 254, and the z component gives |t| AB <= 255.  Then
-    |t| B and |t| A are less than 1, and the x and y components are integers:
-    if f_x = 0 or f_y = 0, t = 0; if f_x = f_y = 1, P_x - P_y - Q_x + Q_y
-    = t (B - A), less than 1, so t = 0 again.  With t = 0 the curves meet,
-    but each core lies inside its open tube, off the boundary of K.  So
-    every crossing is transversal at inner points, and its two points
-    differ by t d, t != 0.  An endpoint hit all the same raises
-    InternalConsistencyError.
+    are cases of this).  A segment runs from a point Q to Q + f with
+    |f_i| <= 16: an edge of z, or half an edge of z^+, whose ends move by
+    at most 4.  pi is one-to-one except along d = (B, A, -AB), so a vertex
+    P on pi([Q, Q + f]) means P - Q = s f + t d, 0 <= s <= 1.  Scaled
+    coordinates lie within 4 of 16 times encode_point's range -99..155, so
+    each component of P - Q is at most 16 * 254 + 8, and the z component
+    gives |t| AB <= 4088.  If f_x = 0, then t B is an integer of size
+    below 1, so t = 0; likewise if f_y = 0.  Otherwise f_y (P - Q)_x -
+    f_x (P - Q)_y = t (B f_y - A f_x) is an integer of size at most
+    4088 * 16 (1/A + 1/B) < 1, so it is 0, and as A and B are distinct
+    primes above 16, t = 0.  With t = 0 the curves meet, but z lies on
+    the boundary of K and z^+ off K.  So every crossing is transversal at
+    inner points, and its two points differ by t d, t != 0.  An endpoint
+    hit all the same raises InternalConsistencyError.
 
-    The two points of a crossing differ by at most 254/A < 1/3 in x and in
-    y.  So an edge of z whose least vertex is (p_x, p_y, .) can only cross
-    a core step whose lesser end is (q_x, q_y, .) and whose x span is g_x
-    (0 or 1) when q_x - 1 <= p_x <= q_x + g_x, and likewise in y.  Each
-    core step is filed under those columns (p_x, p_y), and each edge looks
-    up its own.
+    The two points of a crossing differ by less than 1 in scaled x and in
+    y, and all ends are integers, so a segment of z^+ can only cross an
+    edge of z whose scaled x and y ranges meet its own.  Each edge of z is
+    filed under the unit column (x, y) of its least vertex, and each
+    segment looks up the columns its ranges meet.
     """
+    points: dict = {}  # vertex -> its scaled point, cell -> its push-off
+
+    def scaled(v: int) -> tuple[int, int, int]:
+        if v not in points:
+            points[v] = tuple(16 * c for c in _decode_point(v))
+        return points[v]
+
+    def push(cell: Simplex) -> tuple[int, int, int]:
+        if cell not in points:
+            points[cell] = K.pushed_point(cell)
+        return points[cell]
+
     columns: dict[tuple[int, int], list] = {}
-    for j, core in enumerate(cores):
-        pts = core.points
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            lo, hi = min(a, b), max(a, b)
-            step = (j, a, _project(a), _project(b), b[2] - a[2])
-            for x in range(lo[0] - 1, hi[0] + 1):
-                for y in range(lo[1] - 1, hi[1] + 1):
-                    columns.setdefault((x, y), []).append(step)
-    rows = [[0] * len(cycles) for _ in cores]
-    for col, z in enumerate(cycles):
+    for j, z in enumerate(cycles):
         for e, c in z.items():
-            P, Q = map(decode_point, e)
-            for j, sign in _over_crossings(P, Q, columns.get(P[:2], ())):
-                rows[j][col] += c * sign
+            P, Q = map(scaled, e)
+            columns.setdefault((P[0] >> 4, P[1] >> 4), []).append((j, c, P, Q, _project(P), _project(Q)))
+    rows = [[0] * len(cycles) for _ in cycles]
+    for row, w in zip(rows, cycles):
+        for (a, b), c in w.items():
+            mid = push((a, b))
+            for S, T in ((push((a,)), mid), (mid, push((b,)))):
+                x0, x1 = sorted((S[0], T[0]))
+                y0, y1 = sorted((S[1], T[1]))
+                for x in range((x0 - 1) >> 4, (x1 >> 4) + 1):
+                    for y in range((y0 - 1) >> 4, (y1 >> 4) + 1):
+                        for j, zc, sign in _over_crossings(S, T, columns.get((x, y), ())):
+                            row[j] += zc * c * sign
     return rows
 
 
@@ -418,29 +430,29 @@ def _project(p: tuple[int, int, int]) -> tuple[int, int]:
     return _A * x + z, _B * y + z
 
 
-def _over_crossings(P, Q, steps) -> Iterator[tuple[int, int]]:
-    """(core, sign) of each crossing where the edge from P to Q passes over
-    one of the given core steps, by exact integer cross products (see
-    _linking_numbers)."""
-    (p0, p1), (q0, q1) = _project(P), _project(Q)
-    r0, r1 = q0 - p0, q1 - p1
-    for j, C, (c0, c1), (d0, d1), dz in steps:
-        s0, s1 = d0 - c0, d1 - c1
-        den = r0 * s1 - r1 * s0
+def _over_crossings(S, T, edges) -> Iterator[tuple[int, int, int]]:
+    """(cycle, coefficient, sign) of each crossing where one of the given
+    cycle edges passes over the segment from S to T, by exact integer
+    cross products (see _linking_numbers)."""
+    (s0, s1), (t0, t1) = _project(S), _project(T)
+    u0, u1 = t0 - s0, t1 - s1
+    for j, c, P, Q, (p0, p1), (q0, q1) in edges:
+        r0, r1 = q0 - p0, q1 - p1
+        den = r0 * u1 - r1 * u0
         if not den:
             continue  # parallel, and by the argument not overlapping
         sign = 1 if den > 0 else -1
-        w0, w1 = c0 - p0, c1 - p1
-        # the crossing is at P + (sn / den)(Q - P) and C + (un / den) step
-        sn, un = sign * (w0 * s1 - w1 * s0), sign * (w0 * r1 - w1 * r0)
+        w0, w1 = s0 - p0, s1 - p1
+        # the crossing is at P + (sn / den)(Q - P) and S + (un / den)(T - S)
+        sn, un = sign * (w0 * u1 - w1 * u0), sign * (w0 * r1 - w1 * r0)
         den *= sign
         if not (0 <= sn <= den and 0 <= un <= den):
             continue
         if sn in (0, den) or un in (0, den):
-            raise InternalConsistencyError(f"degenerate crossing of edge {P}-{Q} with a core")
-        # den times (height of the edge - height of the core) there
-        if (P[2] - C[2]) * den + sn * (Q[2] - P[2]) - un * dz > 0:
-            yield j, sign
+            raise InternalConsistencyError(f"degenerate crossing of edge {P}-{Q} with a push-off")
+        # den times (height of the edge - height of the push-off) there
+        if (P[2] - S[2]) * den + sn * (Q[2] - P[2]) - un * (T[2] - S[2]) > 0:
+            yield j, c, sign
 
 
 # -- Lagrangian obstruction ------------------------------------------------

@@ -22,8 +22,11 @@ from helmcut.builders import (
 from helmcut.complexes import (
     ComplexError,
     MarkedComplex,
+    NotADomainError,
+    SimplicialComplex,
     boundary_subcomplex,
     build_complex,
+    check_domain,
     euler_characteristic,
     surface_info,
 )
@@ -391,3 +394,131 @@ def test_lattice_path_validation_direct():
     # the step from the last point back to the first is checked too
     with pytest.raises(BuildError, match=re.escape("non-unit step (1, 2, 0) -> (0, 0, 0)")):
         LatticePath(((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)))
+
+
+# -- cube complexes: the vertex table and the push-offs ---------------------
+
+
+def _plain(K):
+    """A plain copy of a complex: the same layers, checked simplex by simplex."""
+    return SimplicialComplex([K.simplices(d) for d in range(4)])
+
+
+def _is_domain(K):
+    try:
+        check_domain(K)
+    except NotADomainError:
+        return False
+    return True
+
+
+# octant b of a vertex v is the cube with min corner v + _OCTANTS[b] - 1
+_OCTANTS = list(product((0, 1), repeat=3))
+
+
+def _mask(v, cubes):
+    return sum(1 << b for b, o in enumerate(_OCTANTS) if tuple(a + c - 1 for a, c in zip(v, o)) in cubes)
+
+
+def test_vertex_table_agrees_with_the_domain_check_at_one_vertex():
+    # all 255 nonempty sets of the 8 cubes at the vertex (1, 1, 1); a set
+    # that fails at another vertex fails at (1, 1, 1) too
+    for mask in range(1, 256):
+        K = cubes_to_complex(o for b, o in enumerate(_OCTANTS) if mask >> b & 1)
+        verdict = builders._vertex(mask).manifold
+        assert _is_domain(K) == verdict and K._layers is None, mask
+        assert _is_domain(_plain(K)) == verdict, mask
+    assert sum(entry.manifold for entry in map(builders._vertex, range(1, 255))) == 126
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)), min_size=1))
+def test_cube_complexes_agree_with_plain_copies(cubes):
+    # the domain check, the Euler characteristic and the boundary read off
+    # the cubes, against the simplicial ones of the same layers
+    K = cubes_to_complex(cubes)
+    read = _is_domain(K), euler_characteristic(K), boundary_subcomplex(K)
+    assert K._layers is None
+    P = _plain(K)
+    assert read == (_is_domain(P), euler_characteristic(P), boundary_subcomplex(P))
+
+
+def test_a_pinched_cube_pair_names_its_vertex():
+    K = cubes_to_complex([(0, 0, 0), (1, 1, 1)])
+    with pytest.raises(NotADomainError) as e:
+        check_domain(K)
+    assert str(e.value) == "domain complex is not a 3-manifold at vertex (1, 1, 1)"
+    with pytest.raises(NotADomainError, match="^domain complex must be connected$"):
+        check_domain(cubes_to_complex([(0, 0, 0), (2, 0, 0)]))
+    with pytest.raises(NotADomainError, match="^domain complex must be pure 3-dimensional$"):
+        check_domain(cubes_to_complex([]))
+
+
+def test_vertex_table_commutes_with_permutations_of_the_axes():
+    # so an edge along x and a square diagonal in x and y stand for all the
+    # boundary edges of a cube complex below
+    table = list(map(builders._vertex, range(256)))
+    for perm in permutations(range(3)):
+        def moved(b):
+            bits = [b >> 2 - a & 1 for a in range(3)]
+            return sum(bits[a] << 2 - perm[a] for a in range(3))
+
+        for mask in range(256):
+            image = table[sum(1 << moved(b) for b in range(8) if mask >> b & 1)]
+            entry = table[mask]
+            assert (image.manifold, image.chi) == (entry.manifold, entry.chi)
+            for f in range(8):
+                push = [0, 0, 0]
+                for a in range(3):
+                    push[perm[a]] = entry.pushes[f][a]
+                assert image.pushes[moved(f)] == tuple(push)
+
+
+def _meets_cube(S, T, cube):
+    """The segment from S to T meets the closed cube, coordinates scaled by
+    16: no separating axis among the 3 face normals and their products
+    with the segment."""
+    D = [t - s for s, t in zip(S, T)]
+    C = [s + t - 32 * c - 16 for s, t, c in zip(S, T, cube)]  # twice midpoint minus center
+    if any(abs(C[i]) > 16 + abs(D[i]) for i in range(3)):
+        return False
+    return all(
+        abs(C[j] * D[k] - C[k] * D[j]) <= 16 * (abs(D[j]) + abs(D[k]))
+        for j, k in ((1, 2), (2, 0), (0, 1))
+    )
+
+
+@pytest.mark.parametrize("f, count", [(4, 836), (6, 1250)])
+def test_push_offs_miss_the_cubes(f, count):
+    # every set of the cubes at the two ends of a boundary edge from v to
+    # v + f that both ends' table entries pass: the half-segments of the
+    # push-off (CubeComplex.pushed_point) miss every closed cube of the
+    # set.  A push moves a point by at most 1/4, so only these cubes matter.
+    table = list(map(builders._vertex, range(256)))
+    v, w = (0, 0, 0), _OCTANTS[f]
+    cubes = sorted({tuple(a + c - 1 for a, c in zip(p, o)) for p in (v, w) for o in _OCTANTS})
+    around = [c for c in cubes if all(c[a] <= min(v[a], w[a]) and c[a] + 1 >= max(v[a], w[a]) for a in range(3))]
+    seen = straight = 0
+    for bits in range(1 << len(cubes)):
+        inset = {c for k, c in enumerate(cubes) if bits >> k & 1}
+        if len({c in inset for c in around}) == 1:
+            continue  # not a boundary edge
+        ev, ew = table[_mask(v, inset)], table[_mask(w, inset)]
+        if not (ev.manifold and ew.manifold):
+            continue
+        seen += 1
+        P, Q = ev.pushes[0], tuple(16 * a + n for a, n in zip(w, ew.pushes[0]))
+        M = tuple(8 * a + n for a, n in zip(w, ev.pushes[f]))
+        assert not any(_meets_cube(S, T, c) for S, T in ((P, M), (M, Q)) for c in inset), inset
+        straight += any(_meets_cube(P, Q, c) for c in inset)
+    assert seen == count
+    # a straight segment from one end's push-off to the other's would not do
+    assert straight == 8
+
+
+def test_pushed_point_of_a_unit_cube():
+    K = cubes_to_complex([(0, 0, 0)])
+    o, x = encode_point((0, 0, 0)), encode_point((1, 0, 0))
+    assert K.pushed_point((o,)) == (-1, -1, -1)
+    assert K.pushed_point((x,)) == (17, -1, -1)
+    assert K.pushed_point((o, x)) == (8, -1, -1)

@@ -60,6 +60,34 @@ def test_analyze_shell(capsys):
     assert data["all_checks_pass"] and data["simple"]["simple"]
 
 
+def test_cube_set_input_reads_like_its_preset(tmp_path, capsys):
+    # the plate of handlebody2, one min corner per line, with a comment
+    plate = tmp_path / "plate.txt"
+    cubes = [(x, y, 0) for x in range(5) for y in range(3) if (x, y) not in {(1, 1), (3, 1)}]
+    plate.write_text("# genus-2 plate\n" + "".join(f" {x},{y}, +{z}\n\n" for x, y, z in cubes))
+    for command in ("analyze", "homology"):
+        by_cubes = run_capture(capsys, command, "--cubes", str(plate))
+        assert by_cubes == run_capture(capsys, command, "--preset", "handlebody2")
+        assert by_cubes[0] == 0
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("0,0,0\n1,1,1\n", "domain complex is not a 3-manifold at vertex (1, 1, 1)"),
+        ("0,0,0\n1,a,0\n", "bad lattice point: '1,a,0'"),
+        ("0,0,\u0661\n", "bad lattice point: '0,0,\u0661'"),
+        ("0,0,0;1,0,0\n", "bad lattice point: '0,0,0;1,0,0'"),
+        ("0,0,155\n", "lattice point out of supported range: (1, 1, 156)"),
+        ("", "domain complex must be pure 3-dimensional"),
+    ],
+)
+def test_bad_cube_set_exits_2_with_one_line(tmp_path, capsys, text, err):
+    path = tmp_path / "cubes.txt"
+    path.write_text(text)
+    assert run_capture(capsys, "analyze", "--cubes", str(path)) == (2, "", f"error: {err}\n")
+
+
 def test_classify_cuts_flagship(capsys):
     code, out, _ = run_capture(
         capsys, "classify-cuts", "--preset", "trefoil_mapping_torus", "--system", "fiber"
@@ -176,8 +204,15 @@ def test_unreadable_input_or_unwritable_output_exits_2_with_one_line(tmp_path, c
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (("homology",), "a complex is required: --preset NAME or --input FILE"),
-        (("homology", "--preset", "ball", "--input", "x.json"), "give either --preset or --input, not both"),
+        (("homology",), "a complex is required: --preset NAME, --input FILE or --cubes FILE"),
+        (
+            ("homology", "--preset", "ball", "--input", "x.json"),
+            "give either --preset or --input or --cubes, not more than one",
+        ),
+        (
+            ("analyze", "--cubes", "x.txt", "--input", "x.json"),
+            "give either --preset or --input or --cubes, not more than one",
+        ),
     ],
 )
 def test_no_complex_or_two_complexes_exit_2_with_one_line(capsys, argv, err):

@@ -284,6 +284,13 @@ def test_rim_walks_go_around_disk_annulus_and_moebius_band():
     assert walk == {0: [(0, 1), (0, 4), (0, 3)], 4: [(0, 4), (1, 4), (4, 5), (4, 8), (4, 7), (3, 4)]}
 
 
+def test_closed_surface_check_names_a_rim_edge():
+    disk, _ = grid_disk("identity")
+    with pytest.raises(ComplexError) as e:
+        surface_info(disk)
+    assert str(e.value) == "not a closed surface: edge (0, 1) is a rim edge, of one triangle"
+
+
 def test_one_sided_diagnostic_moebius_band_in_solid_torus():
     # mapping torus of a disk with a half-turn is a solid torus; the
     # sub-mapping-torus of the invariant diameter is a one-sided Moebius band

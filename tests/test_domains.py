@@ -5,10 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helmcut import builders
 from helmcut.builders import (
     BuildError,
     LatticePath,
-    LinkBox,
     cubes_to_complex,
     domain_corpus,
     handlebody,
@@ -21,6 +21,8 @@ from helmcut.builders import (
 )
 from helmcut.complexes import (
     ComplexError,
+    MarkedComplex,
+    SimplicialComplex,
     _check_closed_surface,
     _surface_walks,
     boundary_subcomplex,
@@ -41,7 +43,7 @@ from helmcut.domains import (
     kernel_of_boundary_inclusion,
     lagrangian_obstruction,
 )
-from helmcut.exact_linalg import IntegerMatrix, matmul, smith_normal_form
+from helmcut.exact_linalg import IntegerMatrix, smith_normal_form
 from helmcut.homology import InternalConsistencyError, NotACycleError, homology_of
 
 from test_builders import _moved, _rectangle, _square
@@ -144,7 +146,8 @@ def test_each_boundary_component_is_oriented_once():
     # shell: two spheres; handlebody(2): one genus-2 surface; the unknot
     # box: a sphere and a torus, which lattice_link_complement orients to
     # read their genera, so the count starts before the build.  Each component is
-    # also checked to be a closed surface, and walked, once.
+    # also checked to be a closed surface, and walked, once; a plain copy
+    # of a cube complex is oriented once more, by its domain check.
     for build in (shell, lambda: handlebody(2), lambda: unknot_box().complex):
         before = orient_surface.cache_info().misses
         checked = _check_closed_surface.cache_info().misses
@@ -153,10 +156,13 @@ def test_each_boundary_component_is_oriented_once():
         analyze_domain(K)
         is_simple(K)
         lagrangian_obstruction(K)
-        # and K itself is oriented once, by the domain check
-        assert orient_surface.cache_info().misses - before == len(boundary_components(K)) + 1
+        # and K itself not at all: the vertex table checks a cube complex
+        assert orient_surface.cache_info().misses - before == len(boundary_components(K))
         assert _check_closed_surface.cache_info().misses - checked == len(boundary_components(K))
         assert _surface_walks.cache_info().misses - walked == len(boundary_components(K))
+        before = orient_surface.cache_info().misses
+        analyze_domain(_plain(K))
+        assert orient_surface.cache_info().misses - before == len(boundary_components(K)) + 1
 
 
 def test_non_orientable_boundary_is_rejected():
@@ -221,9 +227,9 @@ def test_orientable_manifolds_off_r3_pass_the_check():
 @settings(max_examples=40, deadline=None)
 @given(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)), min_size=1))
 def test_domain_check_passes_every_cube_domain(cubes):
-    # a pure subcomplex of a triangulated R^3 whose boundary is a closed
-    # surface is a domain, so only connectivity and the boundary surface
-    # may reject a union of lattice cubes, and every identity holds
+    # a connected union of lattice cubes that is a 3-manifold is a domain,
+    # so only connectivity and the vertex table may reject it, and every
+    # identity holds
     K = cubes_to_complex(sorted(cubes))
     try:
         report = analyze_domain(K)
@@ -231,7 +237,7 @@ def test_domain_check_passes_every_cube_domain(cubes):
         lagrangian_obstruction(K)
     except ComplexError as e:
         assert str(e) == "domain complex must be connected" or str(e).startswith(
-            "not a closed surface: "
+            "domain complex is not a 3-manifold at vertex ("
         )
         return
     assert report.all_checks_pass
@@ -327,7 +333,16 @@ def test_surface_shell_not_simple_but_unobstructed_profile():
     assert not is_simple(M).simple
 
 
-# -- link boxes: linking numbers against the reduction ---------------------
+# -- cube complexes: the duality route against the reduction --------------
+
+
+def _plain(K):
+    """A plain copy of a complex: the same layers, so the reduction route."""
+    return SimplicialComplex([K.simplices(d) for d in range(4)])
+
+
+def _plain_marked(M):
+    return MarkedComplex(_plain(M.complex), M.marks)
 
 
 def _point(v):
@@ -374,43 +389,47 @@ def _same_lattice(a, b, m):
 
 
 def _assert_routes_agree(M, rects):
-    """The linking route of a link box M against the reduction of its bare
-    complex, with the rectangles' disk crossings as the oracle of the
-    linking numbers when rects are M's cores."""
-    K = M.complex
-    link, reduced = analyze_domain(M), analyze_domain(K)
-    assert link.betti == reduced.betti == (1, len(M.cores), len(M.cores), 0)
-    assert link.to_json() == reduced.to_json()
-    assert is_simple(M).to_json() == is_simple(K).to_json()
-    assert lagrangian_obstruction(M).obstructed == lagrangian_obstruction(K).obstructed
-    gens = [g for S in boundary_components(K) for g in homology_of(S).free_generators(1)]
-    m, n = len(gens), len(M.cores)
-    lk = helmcut.domains._linking_numbers(gens, M.cores)
+    """The duality route of a marked cube complex M against the reduction
+    of a plain copy, with the rectangles' disk crossings as the oracle of
+    the linking classes when rects are the components of M's lattice link
+    (None for a cube set)."""
+    K, P = M.complex, _plain_marked(M)
+    link, reduced = analyze_domain(M), analyze_domain(P)
+    assert link.betti == reduced.betti
+    G = link.betti[1]
     if rects is not None:
-        assert lk == [[_disk_crossings(z, r) for z in gens] for r in rects]
-    HK = homology_of(K)
+        assert link.betti == (1, len(rects), len(rects), 0)
+    assert link.to_json() == reduced.to_json()
+    assert is_simple(M).to_json() == is_simple(P).to_json()
+    assert lagrangian_obstruction(M).obstructed == lagrangian_obstruction(P).obstructed
+    gens = [g for S in boundary_components(K) for g in homology_of(S).free_generators(1)]
+    m = len(gens)
+    lk = helmcut.domains._linking_numbers(K, gens)
+    HK = homology_of(P.complex)
     assert not HK.group(1).torsion
-    coords = [[HK.class_coords(g, 1)[0][i] for g in gens] for i in range(n)]
+    coords = [[HK.class_coords(g, 1)[0][i] for g in gens] for i in range(G)]
     # the same kernel of H1(boundary) -> H1(K), from both matrices and from
     # both routes' projections
     assert _same_lattice(_kernel_basis(lk, m), _kernel_basis(coords, m), m)
-    link_P, reduced_P = (kernel_of_boundary_inclusion(X).projections for X in (M, K))
-    for P, Q in zip(link_P, reduced_P):
-        assert _same_lattice(list(map(list, P)), list(map(list, Q)), len((P or Q or [()])[0]))
-    # coords = W lk for a unimodular W: lk has the right inverse V[:, :n] U
-    snf = smith_normal_form(IntegerMatrix(n, m, lk))
-    assert snf.diagonal == (1,) * n
-    right = matmul([row[:n] for row in snf.V], snf.U)
-    assert matmul(lk, right) == [[int(i == j) for j in range(n)] for i in range(n)]
-    W = matmul(coords, right)
-    assert matmul(W, lk) == coords
-    assert smith_normal_form(IntegerMatrix(n, n, W)).diagonal == (1,) * n
+    link_P, reduced_P = (kernel_of_boundary_inclusion(X).projections for X in (M, P))
+    for A, B in zip(link_P, reduced_P):
+        assert _same_lattice(list(map(list, A)), list(map(list, B)), len((A or B or [()])[0]))
+    # the push-offs span H1 of the complement and the linking pairing is
+    # perfect, so the rows of lk span the class coordinates' row lattice:
+    # rank G, unit invariant factors
+    assert smith_normal_form(IntegerMatrix(m, m, lk)).diagonal == (1,) * G
+    assert _same_lattice(lk, coords, m)
+    if rects is not None:
+        cores = [[_disk_crossings(z, r) for z in gens] for r in rects]
+        assert _same_lattice(cores, lk, m)
 
 
 def test_linking_route_agrees_with_the_reduction_on_the_presets():
-    _assert_routes_agree(unknot_box(), unknot_box().cores)
-    hopf = preset("hopf_box")
-    _assert_routes_agree(hopf, hopf.cores)  # a square pierced by a rectangle
+    _assert_routes_agree(unknot_box(), [_square(5)])
+    # a square pierced by a rectangle
+    _assert_routes_agree(preset("hopf_box"), builders._load_paths("hopf"))
+    for name in ("solid_torus", "handlebody2", "shell"):
+        _assert_routes_agree(preset(name), None)
 
 
 def _turned(path, perm, reverse):
@@ -461,14 +480,43 @@ def _placed(paths, corner):
     ]
 
 
+@st.composite
+def _tunnelled_boxes(draw):
+    """A box of cubes with straight tunnels through it along the axes, at
+    odd coordinates, and cavities: single cubes at even coordinates, none
+    within a cube (face, edge or corner) of another removed cube."""
+    size = draw(st.tuples(*[st.integers(3, 6)] * 3))
+    removed = set()
+    for axis, u, v in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), max_size=3)):
+        a, b = [i for i in range(3) if i != axis]
+        if 2 * u + 1 < size[a] - 1 and 2 * v + 1 < size[b] - 1:
+            for t in range(size[axis]):
+                cube = [0, 0, 0]
+                cube[axis], cube[a], cube[b] = t, 2 * u + 1, 2 * v + 1
+                removed.add(tuple(cube))
+    for cavity in draw(st.lists(st.tuples(*[st.integers(1, 2)] * 3), max_size=2)):
+        c = tuple(2 * x for x in cavity)
+        near = {tuple(x + d for x, d in zip(c, o)) for o in product((-1, 0, 1), repeat=3)}
+        if all(x < n - 1 for x, n in zip(c, size)) and not near & removed:
+            removed.add(c)
+    return [c for c in product(*map(range, size)) if c not in removed]
+
+
+@settings(max_examples=8, deadline=None)
+@given(_tunnelled_boxes())
+def test_linking_route_agrees_with_the_reduction_on_tunnelled_boxes(cubes):
+    _assert_routes_agree(MarkedComplex(cubes_to_complex(cubes), {}), None)
+
+
 def _assert_no_degenerate_crossing(paths, corner, betti, obstructed):
     placed = _placed(paths, corner)
     M = lattice_link_complement(placed)
     assert analyze_domain(M).betti == betti
     assert lagrangian_obstruction(M).obstructed is obstructed
     gens = [g for S in boundary_components(M.complex) for g in homology_of(S).free_generators(1)]
-    lk = helmcut.domains._linking_numbers(gens, M.cores)
-    assert lk == [[_disk_crossings(z, r) for z in gens] for r in placed]
+    lk = helmcut.domains._linking_numbers(M.complex, gens)
+    cores = [[_disk_crossings(z, r) for z in gens] for r in placed]
+    assert _same_lattice(cores, lk, len(gens))
     # one step further out leaves the range
     out = [2 * high - 1 for high in corner]
     beyond = [_moved(_moved(_moved(p, 0, out[0]), 1, out[1]), 2, out[2]) for p in placed]
@@ -492,17 +540,18 @@ def test_no_degenerate_crossing_of_a_hopf_pair_at_the_ends_of_the_range(corner):
 
 def test_a_degenerate_crossing_outside_the_range_raises():
     # the point (B, A, -AB) projects onto the origin, as no two points of
-    # the range do, so a core step from it meets an edge from the origin
-    # at both their ends
+    # the range do, so a push-off segment from it meets an edge from the
+    # origin at both their ends
     A, B = helmcut.domains._A, helmcut.domains._B
-    C, D = (B, A, -A * B), (B, A, 1 - A * B)
-    step = (0, C, helmcut.domains._project(C), helmcut.domains._project(D), 1)
+    S, T = (B, A, -A * B), (B, A, 1 - A * B)
+    P, Q = (0, 0, 0), (16, 0, 0)
+    edge = (0, 1, P, Q, helmcut.domains._project(P), helmcut.domains._project(Q))
     with pytest.raises(InternalConsistencyError, match="degenerate crossing"):
-        list(helmcut.domains._over_crossings((0, 0, 0), (1, 0, 0), [step]))
+        list(helmcut.domains._over_crossings(S, T, [edge]))
 
 
 def _analyze_json(X):
-    """The analyze command's output for a domain or a link box."""
+    """The analyze command's output for a domain."""
     out = analyze_domain(X).to_json()
     out["simple"] = is_simple(X).to_json()
     out["lagrangian_obstruction"] = lagrangian_obstruction(X).to_json()
@@ -510,32 +559,62 @@ def _analyze_json(X):
 
 
 def test_link_box_analysis_does_not_depend_on_call_order():
-    # the linking route and the reduction keep separate memo entries on K
+    # the duality route and the reduction of a plain copy keep separate
+    # memo entries, and neither reads the other's
     first, second = unknot_box(), unknot_box()
-    box_first = _analyze_json(first), _analyze_json(first.complex)
-    bare_first = _analyze_json(second.complex), _analyze_json(second)
+    plain_first, plain_second = _plain_marked(first), _plain_marked(second)
+    box_first = _analyze_json(first), _analyze_json(plain_first)
+    bare_first = _analyze_json(plain_second), _analyze_json(second)
     assert box_first == bare_first[::-1]
-    for M in (first, second):
+    for M, P in ((first, plain_first), (second, plain_second)):
         kernel = kernel_of_boundary_inclusion(M)
         assert kernel is kernel_of_boundary_inclusion(M)
-        assert kernel is not kernel_of_boundary_inclusion(M.complex)
+        assert kernel is not kernel_of_boundary_inclusion(P)
 
 
-def test_cores_that_do_not_fit_the_box_raise():
-    # a core moved off the box links no boundary cycle: rank 0, not 1
+def test_a_linking_matrix_of_the_wrong_rank_raises(monkeypatch):
+    # push-offs that link nothing: rank 0, not the boundary genus 1
     M = unknot_box()
-    off = LinkBox(M.complex, M.marks, (_moved(M.cores[0], 2, 40),))
+    monkeypatch.setattr(helmcut.domains, "_linking_numbers", lambda K, gens: [[0] * len(gens) for _ in gens])
     for check in (analyze_domain, is_simple, kernel_of_boundary_inclusion):
-        with pytest.raises(InternalConsistencyError, match="linking matrix of rank 0 with 1 cores"):
-            check(off)
-    assert analyze_domain(M).all_checks_pass
+        with pytest.raises(InternalConsistencyError, match="linking matrix of rank 0 with total boundary genus 1"):
+            check(M)
+    monkeypatch.undo()
+    assert analyze_domain(unknot_box()).all_checks_pass
 
 
-def test_a_link_box_is_analysed_without_a_3d_reduction():
-    M = unknot_box()
-    misses = homology_of.cache_info().misses
-    _analyze_json(M)
-    # the homology of the two boundary surfaces only
-    assert homology_of.cache_info().misses - misses == 2
-    _analyze_json(M.complex)
-    assert homology_of.cache_info().misses - misses == 3
+def test_a_link_box_is_analysed_without_a_3d_reduction(monkeypatch):
+    # and so are a plate and a cavity box: no face index of a 3-D complex,
+    # homology of the boundary surfaces only, and the layers never written
+    from helmcut import complexes, cuts, homology
+
+    indexed, reduced = [], []
+    real_index, real_homology = complexes.face_index, homology.homology_of
+
+    def face_index(K):
+        indexed.append(K)
+        return real_index(K)
+
+    def homology_of(K):
+        reduced.append(K)
+        return real_homology(K)
+
+    for mod in (complexes, homology, helmcut.domains, cuts):
+        monkeypatch.setattr(mod, "face_index", face_index, raising=False)
+    for mod in (homology, helmcut.domains):
+        monkeypatch.setattr(mod, "homology_of", homology_of)
+    for M in (unknot_box(), MarkedComplex(handlebody(2), {}), MarkedComplex(shell(), {})):
+        K = M.complex
+        reduced.clear()
+        misses = real_homology.cache_info().misses
+        _analyze_json(M)
+        # K first: the dimension of K would write its layers
+        assert not any(X is K for X in indexed) and K._layers is None
+        assert all(X.dimension < 3 for X in indexed)
+        components = boundary_components(K)
+        assert reduced and all(any(S is B for B in components) for S in reduced)
+        assert real_homology.cache_info().misses - misses == len(components)
+        # the plain copy reduces its own boundary surfaces and the 3-D complex
+        _analyze_json(_plain_marked(M))
+        assert real_homology.cache_info().misses - misses == 2 * len(components) + 1
+        indexed.clear()

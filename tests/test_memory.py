@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helmcut.builders import (
+    _CORNERS,
     _KUHN,
     _OFF,
     _SPAN,
-    _corner_labels,
+    _kuhn_layers,
     cubes_to_complex,
+    encode_point,
     preset,
     preset_names,
 )
@@ -69,7 +71,7 @@ def test_face_index_of_the_presets_equals_a_stable_sort(name):
 
 def _cubes_by_sets(cubes) -> SimplicialComplex:
     """cubes_to_complex with every layer deduplicated in a set and sorted."""
-    labels = [_corner_labels(cube) for cube in sorted(set(cubes))]
+    labels = [[encode_point(cube) + o for o in _CORNERS] for cube in sorted(set(cubes))]
     return SimplicialComplex(
         [sorted({tuple(c[i] for i in chain) for c in labels for chain in layer}) for layer in _KUHN]
     )
@@ -110,15 +112,19 @@ def _traced(fn, *args):
 
 def test_cube_builder_peak_stays_near_its_result():
     # the sets of all four layers and their sorted copies, alive at once,
-    # took about twice the complex
-    K, held, peak = _traced(cubes_to_complex, BLOCK)
-    assert len(K.simplices(3)) == 6 * len(BLOCK)
+    # took about twice the complex; a cube complex writes its layers on
+    # first use, so the write is traced
+    K = cubes_to_complex(BLOCK)
+    layers, held, peak = _traced(_kuhn_layers, K.cubes)
+    assert len(layers[3]) == 6 * len(BLOCK) and K._layers is None
+    assert layers == K._simplices
     assert peak <= 1.4 * held, (peak, held)
 
 
 def test_face_index_peak_stays_near_its_arrays():
     # a sort by key over the flat face array took about 7 times the arrays
     K = cubes_to_complex(BLOCK)
+    K.simplices(3)  # the layers are written on first use, not by face_index
     index, _, peak = _traced(face_index, K)
     size = sum(a.itemsize * len(a) for part in index for a in part)
     assert peak <= 4 * size, (peak, size)
