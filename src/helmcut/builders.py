@@ -71,6 +71,11 @@ def encode_point(p: Point) -> int:
         raise BuildError(f"lattice point must have integer coordinates: {p}")
     if not all(-_OFF < c < _SPAN - _OFF for c in p):
         raise BuildError(f"lattice point out of supported range: {p}")
+    return _encode(x, y, z)
+
+
+def _encode(x: int, y: int, z: int) -> int:
+    """encode_point((x, y, z)) of a point already checked."""
     return ((x + _OFF) * _SPAN + (y + _OFF)) * _SPAN + (z + _OFF)
 
 
@@ -108,18 +113,24 @@ _SQUARES = tuple(
 )
 
 
-def _cube_label(cube: Cube) -> int:
-    """The encoded min corner of cube, once its min and max corners are in
-    range (then so are the 6 between them)."""
-    base = encode_point(cube)
-    encode_point(tuple(x + 1 for x in cube))
-    return base
-
-
 def cubes_to_complex(cubes: Iterable[Cube]) -> CubeComplex:
-    """The union of the Kuhn-split cubes, as a CubeComplex; every corner
-    is range-checked here, and the layers are written on first use."""
-    return CubeComplex(tuple(_cube_label(cube) for cube in sorted(set(cubes))))
+    """The union of the Kuhn-split cubes, as a CubeComplex; the layers are
+    written on first use.  The coordinates of the whole set are checked
+    at once: the min and max corners of every cube in range, and then so
+    are the 6 between them.  Only a set that fails is walked cube by cube,
+    min corner then max corner, to raise encode_point's error for the
+    first bad corner in sorted order."""
+    cubes = sorted(set(cubes))
+    coords = [c for cube in cubes for c in cube]
+    if not (
+        all(type(c) is int for c in coords)
+        and -_OFF < min(coords, default=0)
+        and max(coords, default=0) < _SPAN - _OFF - 1
+    ):
+        for cube in cubes:
+            encode_point(cube)
+            encode_point(tuple(x + 1 for x in cube))
+    return CubeComplex(tuple(_encode(x, y, z) for x, y, z in cubes))
 
 
 def _kuhn_layers(cubes: Sequence[int]) -> tuple[tuple[Simplex, ...], ...]:

@@ -34,12 +34,16 @@ push-off of the boundary generators.  _linking_numbers counts these
 linking numbers as signed crossings in one integer projection; the
 push-offs and the reason no crossing is degenerate are in its docstring.
 The 2G x 2G linking matrix must have rank G, or
-InternalConsistencyError.  chi(K) is counted from the cubes' cells,
-V - E + F - C, apart from the boundary, so identities (i)-(iii) of
-analyze_domain stay checks against the boundary's genera and b1, while
-(iv) and (v) restate the theorem.  Homology of the boundary surfaces,
-their intersection forms, cuts and the homology command keep the
-reduction.
+InternalConsistencyError, and its rank is b1(K).  chi(K) is counted
+from the cubes' cells, V - E + F - C, apart from the boundary, so
+identities (i)-(iii) of analyze_domain stay checks against the
+boundary's genera and b1, while (iv) and (v) restate the theorem.
+
+On either route, H1 of each boundary surface has the basis of
+_surface_basis, read off a spanning tree and a dual spanning tree, and
+no reduction: it serves the boundary's b1, the boundary classes and the
+intersection forms.  So analyze reduces nothing on a cube complex; cuts
+and the homology command keep the reduction.
 
 The routes never share a memo entry: a cube complex takes the duality
 route and a plain copy of it, SimplicialComplex([K.simplices(d) for d in
@@ -51,7 +55,7 @@ so a Lagrangian witness may differ between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterator, Mapping, Sequence
 
 from .builders import CubeComplex, _decode_point
@@ -129,13 +133,13 @@ def analyze_domain(K) -> DomainReport:
     genus_list = surface_info(boundary_subcomplex(K))
     h1 = len(genus_list)
     if isinstance(K, CubeComplex):
-        _boundary_classes(K)  # rank G, or InternalConsistencyError
-        betti, torsion_free = (1, sum(genus_list), h1 - 1, 0), True
+        # b1 is the rank of the linking matrix, which must be the total genus
+        betti, torsion_free = (1, len(_boundary_classes(K).diagonal), h1 - 1, 0), True
     else:
         groups = homology_groups(K)
         betti, torsion_free = tuple(g.rank for g in groups), all(not g.torsion for g in groups)
     chi = euler_characteristic(K)
-    b1_bd = sum(homology_of(S).betti(1) for S in boundary_components(K))
+    b1_bd = sum(len(_surface_basis(S)) for S in boundary_components(K))
     checks = (
         ("chi_eq_1_minus_b1_plus_b2", chi == 1 - betti[1] + betti[2]),
         ("chi_eq_components_minus_genus", 2 * chi == 2 * h1 - b1_bd),
@@ -271,14 +275,76 @@ def _strand_ends(
 
 
 @derived
+def _surface_basis(S: SimplicialComplex) -> tuple[Chain, ...]:
+    """A basis of H1 of a closed connected surface S, memoized on S.
+
+    T is a breadth-first spanning tree of the 1-skeleton from the smallest
+    vertex, and C one of the dual graph, across the edges off T, from the
+    smallest triangle; both take edges in the order of the sorted layers.
+    The edges in neither number 2 - chi(S), 2g on an orientable S, and
+    their fundamental cycles in T, each run along its edge from the first
+    vertex to the second, are a basis of H1(S) (Eppstein, "Dynamic
+    generators of topologically embedded graphs", SODA 2003; Erickson and
+    Whittlesey, "Greedy optimal homotopy and homology generators", SODA
+    2005).  A surface that either tree does not span raises
+    InternalConsistencyError; intersection_form certifies the basis by
+    its unimodular pairing."""
+    _check_closed_surface(S)  # ComplexError unless two triangles on every edge
+    index = face_index(S)
+    # vertex-deletion order: edge q runs from ends[2q + 1] to ends[2q]
+    ends, sides, edges = index.faces[1], index.cofaces[1], S.simplices(1)
+    nv = len(S.simplices(0))
+    up, depth, queue = [-1] * nv, [0] + [-1] * (nv - 1), [0]
+    for p in queue:
+        for q in index.cofaces_of(0, p):
+            o = ends[2 * q] + ends[2 * q + 1] - p
+            if depth[o] < 0:
+                up[o], depth[o] = q, depth[p] + 1
+                queue.append(o)
+    off = [True] * len(edges)  # edge position -> in neither tree
+    for q in up[1:]:
+        off[q] = False
+    seen = [True] + [False] * (len(S.simplices(2)) - 1)
+    tris = [0]
+    for t in tris:
+        for q in index.faces_of(2, t):
+            u = sides[2 * q] + sides[2 * q + 1] - t
+            if off[q] and not seen[u]:
+                off[q], seen[u] = False, True
+                tris.append(u)
+    if len(queue) != len(depth) or len(tris) != len(seen):
+        raise InternalConsistencyError("the tree or the cotree does not span the surface")
+
+    def climb(z: Chain, p: int, sign: int) -> int:
+        """Add T's edge from p to its parent to z, run away from p with the
+        given sign, and return the parent."""
+        q = up[p]
+        z[edges[q]] = sign if ends[2 * q + 1] == p else -sign
+        return ends[2 * q] + ends[2 * q + 1] - p
+
+    basis = []
+    for q in compress(range(len(edges)), off):
+        z, b, a = {edges[q]: 1}, ends[2 * q], ends[2 * q + 1]
+        # back from b to a through T: up from both to their common ancestor
+        while a != b:
+            if depth[b] >= depth[a]:
+                b = climb(z, b, 1)
+            else:
+                a = climb(z, a, -1)
+        basis.append(z)
+    return tuple(basis)
+
+
+@derived
 def intersection_form(S: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """Pairing matrix of the intersection form on H1 of a closed oriented
-    connected surface, on the basis homology_of(S).free_generators(1).
+    connected surface, on the tree-cotree basis _surface_basis(S).
 
-    Consistency requirements (skew-symmetry, unimodularity) are enforced.
+    Consistency requirements (skew-symmetry, unimodularity) are enforced;
+    a unimodular pairing of 2g cycles certifies that they are a basis.
     """
     fans = _vertex_fans(S)  # closed and orientable, or ComplexError
-    gens = homology_of(S).free_generators(1)
+    gens = _surface_basis(S)
     n = len(gens)
     # each generator's strand ends are read once, for its row and its column
     ends = [_strand_ends(fans, z) for z in gens]
@@ -318,7 +384,7 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
     if len(kernel) != genus:
         raise InternalConsistencyError(f"kernel rank {len(kernel)} != total boundary genus {genus}")
     # each component's generators are a slice of the columns
-    ends = list(accumulate(homology_of(S).betti(1) for S in comps))
+    ends = list(accumulate(len(_surface_basis(S)) for S in comps))
     projections = tuple(
         tuple(vec[start:stop] for vec in kernel if any(vec[start:stop]))
         for start, stop in zip([0] + ends, ends)
@@ -331,13 +397,13 @@ def _boundary_kernel(K: SimplicialComplex) -> BoundaryKernelData:
 
 @derived
 def _boundary_classes(K: SimplicialComplex) -> SmithDecomposition:
-    """Smith form of the classes in H1(K) modulo torsion of the free H1
-    generators of the boundary components, concatenated, one column each.
-    On a cube complex they are the generators' linking numbers with the
-    push-offs of the same generators, and a rank other than the total
-    boundary genus raises InternalConsistencyError; otherwise they are the
-    free coordinates of homology_of(K).class_coords."""
-    gens = [g for S in boundary_components(K) for g in homology_of(S).free_generators(1)]
+    """Smith form of the classes in H1(K) modulo torsion of the H1 bases
+    _surface_basis of the boundary components, concatenated, one column
+    each.  On a cube complex they are the cycles' linking numbers with the
+    push-offs of the same cycles, and a rank other than the total boundary
+    genus raises InternalConsistencyError; otherwise they are the free
+    coordinates of homology_of(K).class_coords."""
+    gens = [g for S in boundary_components(K) for g in _surface_basis(S)]
     if isinstance(K, CubeComplex):
         rows = _linking_numbers(K, gens)
     else:

@@ -215,9 +215,6 @@ class ComplexHomology:
             self._generators[n] = [self._to_cells(self.reduced.include(g, n)) for g in gens]
         return self._generators[n]
 
-    def free_generators(self, n: int) -> list[Chain]:
-        return self.generators(n)[len(self.group(n).torsion):]
-
     def class_coords(self, chain: Mapping, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(free coordinates, torsion residues) of a cycle's homology class."""
         ids = self._cycle_ids(chain, n)

@@ -129,7 +129,7 @@ def test_criterion_07_lagrangian_obstruction():
     data = kernel_of_boundary_inclusion(K)
     # kernel rank: the m boundary generators less the rank of their classes
     HK = homology_of(K)
-    gens = [g for S in data.components for g in homology_of(S).free_generators(1)]
+    gens = [g for S in data.components for g in homology_of(S).generators(1)]
     coords = [[HK.class_coords(g, 1)[0][i] for g in gens] for i in range(HK.betti(1))]
     rank = len(smith_normal_form(IntegerMatrix(len(coords), len(gens), coords)).diagonal)
     assert len(gens) - rank == 1 == sum(surface_info(boundary_subcomplex(K)))

@@ -159,6 +159,20 @@ def test_cube_out_of_range_at_either_corner():
             cubes_to_complex([cube])
 
 
+def test_cube_set_errors_name_the_first_bad_corner():
+    # the whole set is checked at once, and a bad set is walked cube by cube
+    # in sorted order to name its first bad corner
+    with pytest.raises(BuildError) as e:
+        cubes_to_complex([(0, 0, 0), (155, 0, 0), (-100, 0, 0)])
+    assert str(e.value) == "lattice point out of supported range: (-100, 0, 0)"
+    with pytest.raises(BuildError) as e:
+        cubes_to_complex([(0, 0, 0), (155, 0, 0)])
+    assert str(e.value) == "lattice point out of supported range: (156, 1, 1)"
+    with pytest.raises(BuildError) as e:
+        cubes_to_complex([(0, 1, 300), (0, True, 0)])
+    assert str(e.value) == "lattice point must have integer coordinates: (0, True, 0)"
+
+
 def test_lattice_path_parsing():
     paths = parse_lattice_paths("0,0,0; 1,0,0; 1,1,0; 0,1,0; 0,0,0\n# comment\n")
     assert [p.points for p in paths] == [((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))]

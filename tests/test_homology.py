@@ -144,7 +144,7 @@ def test_degree_0_comes_from_one_root_per_component():
     K = build_complex([(0, 1, 2), (3, 4, 5)])
     H = homology_of(K)
     assert H.group(0) == HomologyGroup(2, ())
-    assert H.generators(0) == H.free_generators(0) == [{(0,): 1}, {(3,): 1}]
+    assert H.generators(0) == [{(0,): 1}, {(3,): 1}]
     # classes and bounding chains are read in degrees 1..3 only
     for query in (H.class_coords, H.solve_boundary):
         for chain in ({(0,): 1}, {(0,): 1, (1,): -1}):
@@ -204,7 +204,7 @@ def test_induced_map_torus_into_solid_torus():
 def test_no_generators_outside_degrees_0_to_3(n):
     S = build_complex(SPHERE)
     H = homology_of(S)
-    assert H.generators(n) == [] and H.free_generators(n) == []
+    assert H.generators(n) == []
     assert H.betti(n) == 0 and _image_rank(S, S, n) == 0
 
 
@@ -327,8 +327,8 @@ def test_generators_are_lifted_once_per_complex(monkeypatch):
         ReducedComplex, "include", lambda R, chain, dim: lifts.append(dim) or include(R, chain, dim)
     )
     H = homology_of(S)
-    first = H.free_generators(1)
-    assert H.free_generators(1) == first and len(first) == 2
+    first = H.generators(1)
+    assert H.generators(1) is first and len(first) == 2
     assert lifts == [1, 1]
 
 
